@@ -7,6 +7,9 @@ four-genus lower bounds by exhausting the signature inequality over all
 of them.  Includes a search mode over prime tuples.
 """
 
+# set before the submodule imports: search.py stamps it into checkpoints
+__version__ = "0.1.0"
+
 from .casson_gordon import (
     Character,
     SigmaTable,
@@ -32,6 +35,7 @@ from .knots import (
 )
 from .linking_form import (
     PrimaryPart,
+    enumerate_isotropic_classes,
     enumerate_projective_isotropic,
     is_isotropic,
     primary_parts,
@@ -58,8 +62,6 @@ from .signatures import (
 )
 from .sturm import PrecisionError, signature_nullity_exact
 
-__version__ = "0.1.0"
-
 __all__ = [
     "Character",
     "FoxMilnorResult",
@@ -80,6 +82,7 @@ __all__ = [
     "build_sigma_tables",
     "check_point",
     "enumerate_candidates",
+    "enumerate_isotropic_classes",
     "enumerate_projective_isotropic",
     "eta_cable",
     "eta_knot",

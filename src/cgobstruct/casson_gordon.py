@@ -151,7 +151,10 @@ class SigmaTable:
       scaled_sigma     int64 array, [i, a] = p * sigma[i][a]  (exact)
       eta_arr          int64 array of eta
     Conjugation symmetry entry[a] = entry[p-a] halves the construction
-    cost; row index i follows piece_indices.
+    cost, and the scan depends on it for exactness: it lets the kernels
+    stop at multiplier (p-1)/2 and read one representative per sign-flip
+    class of isotropic vectors.  `build_sigma_tables` asserts it; row
+    index i follows piece_indices.
     """
 
     p: int
@@ -189,6 +192,9 @@ def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
                 raise ArithmeticError(f"denominator of sigma at a={a} does not divide {p}")
             scaled[i, a] = _checked_int64(int(num))
             etas[i, a] = erow[a]
+    for arr in (scaled, etas):
+        if not np.array_equal(arr[:, 1:], arr[:, :0:-1]):
+            raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
     return SigmaTable(p, idx, tuple(sig_rows), tuple(eta_rows), scaled, etas)
 
 

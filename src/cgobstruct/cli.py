@@ -1,7 +1,8 @@
 """Command line entry point: verify, search, signature and cg subcommands.
 
 Exit codes: 0 when the requested certification (or query) succeeded, 1
-when a verification ran but did not certify, 2 on usage or input errors.
+when a verification ran but did not certify, 2 on usage or input errors,
+3 when an internal invariant check failed (a bug, not a verdict).
 Machine formats (json, csv) print exact fractions; decimals are advisory.
 """
 
@@ -36,6 +37,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Scan kernels: the integer hot loop deciding the inequality at every point.
+"""Scan kernels: the integer hot loop deciding the inequality at every class.
 
 All comparisons are exact in int64.  The sigma tables are pre-scaled by
 the prime p, so for a point x and multiplier k the checked inequality
@@ -7,12 +7,19 @@ the prime p, so for a point x and multiplier k the checked inequality
 
 becomes   |S + p*s1| > p*((4g+1) + eta)   with S = sum of scaled entries.
 
+Multipliers run over k = 1..(p-1)/2 only.  Every table row is symmetric
+(S[j,a] = S[j,p-a], likewise E; `build_sigma_tables` asserts it), so k and
+p-k give the same value, the first witnessing k never exceeds (p-1)/2 and
+the maximum over the half range is the maximum over all k.  The same
+symmetry makes each row of xs stand for its whole sign-flip class (see
+`linking_form.enumerate_isotropic_classes`).
+
 Two implementations produce identical outputs: a numba-compiled loop
 (preferred; releases the GIL so thread pools scale) and a vectorized
 numpy fallback.  Selection: the CG_OBSTRUCT_KERNEL environment variable
 (``numba``, ``numpy`` or ``auto``), overridable per call.
 
-Per point the kernel reports the first witnessing multiplier (0 when
+Per row the kernel reports the first witnessing multiplier (0 when
 none), the best value max_k(|S + p*s1| - p*eta) for margin statistics,
 and the scaled sigma and eta at the witnessing multiplier.
 """
@@ -43,8 +50,8 @@ _MIN64 = -(2**62)
 def scan_chunk_numpy(xs, S, E, p, s1, thr):
     """Vectorized reference kernel; see module docstring for the contract."""
     n, r = xs.shape
-    ks = np.arange(1, p, dtype=np.int64)
-    idx = (ks[None, :, None] * xs[:, None, :]) % p  # (n, p-1, r)
+    ks = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    idx = (ks[None, :, None] * xs[:, None, :]) % p  # (n, (p-1)/2, r)
     rows = np.arange(r)
     sig = S[rows, idx].sum(axis=2)
     support = (idx != 0).sum(axis=2)
@@ -73,7 +80,7 @@ def _scan_chunk_numba(xs, S, E, p, s1, thr):  # pragma: no cover - jit body
         bb = _MIN64
         sa = 0
         ea = 0
-        for k in range(1, p):
+        for k in range(1, (p - 1) // 2 + 1):
             sig = 0
             support = 0
             ee = 0

@@ -8,6 +8,12 @@ genus obstruction are its isotropic vectors.  Since the obstruction
 verdict is invariant under scaling a vector, enumeration works projectively:
 one representative per scalar class, first nonzero coordinate normalized
 to 1, ascending lexicographic order.
+
+The verdict is also invariant under negating single coordinates (every
+sigma table row satisfies S[j,a] = S[j,p-a]), so the scan itself reads one
+representative per sign-flip class (`enumerate_isotropic_classes`) and
+weighs it by its orbit size; `enumerate_projective_isotropic` lists every
+point and is what reports and witnesses are phrased in.
 """
 
 from __future__ import annotations
@@ -77,46 +83,59 @@ def enumerate_projective_isotropic(part: PrimaryPart) -> Iterator[PrimaryVector]
     quadratic condition via the square-root table, so the cost is
     O(p^(rank-2)) classes times O(1), never a full p^rank filter.
     """
+    return _isotropic(part, signed=True)
+
+
+def enumerate_isotropic_classes(part: PrimaryPart) -> Iterator[tuple[PrimaryVector, int]]:
+    """Sign-flip classes of projective isotropic vectors, as (rep, orbit_size).
+
+    Negating any coordinate keeps a vector isotropic, and negating the
+    leading 1 is the same projective point as negating all the others, so
+    the class of a normalized vector is every sign pattern on its nonzero
+    non-leading coordinates: orbit_size = 2^(that count).  The
+    representative is the lexicographically smallest member: non-leading
+    coordinates in [0, (p-1)/2], the last one the `sqrt_table` root.
+    Representatives stream in ascending lexicographic order, and the orbit
+    sizes sum to the length of `enumerate_projective_isotropic(part)`.
+    """
+    for x in _isotropic(part, signed=False):
+        yield x, 1 << (sum(1 for v in x if v) - 1)
+
+
+def _isotropic(part: PrimaryPart, signed: bool) -> Iterator[PrimaryVector]:
+    """Normalized isotropic vectors in lexicographic order.
+
+    For each leading position, iterate the free coordinates lead+1..r-2
+    over all residues (signed) or over [0, (p-1)/2] (unsigned), and solve
+    coordinate r-1 from the quadratic condition: both roots when signed,
+    the smaller one otherwise.  A lone 1 in the last coordinate has
+    Q(x) = eps != 0 mod p, so leads stop at r-2.
+    """
     p, signs, r = part.p, part.signs, part.rank
+    if r < 2:
+        return
     roots = sqrt_table(p)
-    inv_last = pow(int(signs[-1]) % p, p - 2, p) if r >= 1 else 0
-    for lead in range(r - 1, -1, -1):
-        if lead == r - 1:
-            # x = (0,...,0,1) has Q(x) = eps != 0 mod p: never isotropic
-            continue
-        base = [0] * r
-        base[lead] = 1
-        yield from _solve_tail(base, lead, part, roots, inv_last)
-
-
-def _solve_tail(
-    base: list[int],
-    lead: int,
-    part: PrimaryPart,
-    roots: tuple[int, ...],
-    inv_last: int,
-) -> Iterator[PrimaryVector]:
-    """Iterate free coordinates lead+1..r-2 and solve coordinate r-1."""
-    p, signs, r = part.p, part.signs, part.rank
-    free = range(lead + 1, r - 1)
-    x = base[:]
-    partial0 = signs[lead] % p  # contribution of the leading 1
+    inv_last = pow(signs[-1] % p, p - 2, p)
+    free = range(p) if signed else range((p - 1) // 2 + 1)
+    x = [0] * r
 
     def rec(pos: int, partial: int) -> Iterator[PrimaryVector]:
         if pos == r - 1:
-            target = (-partial) * inv_last % p
-            root = roots[target]
+            root = roots[(-partial) * inv_last % p]
             if root < 0:
                 return
-            x[r - 1] = root
+            x[pos] = root
             yield tuple(x)
-            if root != 0:
-                x[r - 1] = p - root
+            if signed and root:
+                x[pos] = p - root
                 yield tuple(x)
             return
-        for v in range(p):
+        for v in free:
             x[pos] = v
             yield from rec(pos + 1, (partial + signs[pos] * v * v) % p)
         x[pos] = 0
 
-    yield from rec(free.start if free else r - 1, partial0)
+    for lead in range(r - 2, -1, -1):
+        x[:] = [0] * r
+        x[lead] = 1
+        yield from rec(lead + 1, signs[lead] % p)

@@ -10,7 +10,8 @@ y = k*x satisfying
 Refuting the hypothesis therefore means exhibiting, for EVERY projective
 isotropic x, some multiplier k violating the inequality.  This is
 strictly stronger than checking one metabolizer, and it is what
-`verify_primary_part` certifies, point by point, in exact arithmetic.
+`verify_primary_part` certifies in exact arithmetic, one sign-flip class
+of points at a time.
 
 The report records, per prime, the point count, the all-points-witnessed
 flag, sample witnesses and the margin min_x max_k (|sigma + s1| - eta),
@@ -32,7 +33,13 @@ import numpy as np
 from .casson_gordon import SigmaTable, build_sigma_tables
 from .kernels import assert_int64_budget, select_kernel
 from .knots import GAKnot, build_family
-from .linking_form import PrimaryPart, PrimaryVector, enumerate_projective_isotropic, primary_parts
+from .linking_form import (
+    PrimaryPart,
+    PrimaryVector,
+    enumerate_isotropic_classes,
+    enumerate_projective_isotropic,
+    primary_parts,
+)
 from .signatures import signature_at_minus_one
 
 SCHEMA_VERSION = 1
@@ -213,27 +220,31 @@ def verify_primary_part(
 ) -> PrimeResult:
     """Scan every projective isotropic point of one primary part.
 
-    verified means every point has a violating multiplier.  Results are
-    merged in enumeration order regardless of thread count, so reports
-    are deterministic.
+    verified means every point has a violating multiplier.  The kernels
+    scan one representative per sign-flip class, which decides its whole
+    orbit (the tables are symmetric under a -> p-a); points is the sum of
+    orbit sizes and margin the minimum over representatives.  Witnesses
+    are the first points in enumeration order whose class is witnessed,
+    each reported with its class's values.  Results are merged in class
+    order regardless of thread count, so reports are deterministic.
     """
     p = part.p
     thr = 4 * g + 1
     if tables is None:
         tables = build_sigma_tables(K, p)
     s1 = signature_at_minus_one(K) if sigma_minus_one is None else sigma_minus_one
-    points = list(enumerate_projective_isotropic(part))
-    if sorted(part.signs) == [-1, -1, 1, 1] and len(points) != (p + 1) ** 2:
+    classes = list(enumerate_isotropic_classes(part))
+    n = sum(size for _, size in classes)
+    if sorted(part.signs) == [-1, -1, 1, 1] and n != (p + 1) ** 2:
         raise ArithmeticError(
-            f"hyperbolic point count mismatch at p={p}: {len(points)} != {(p + 1) ** 2}"
+            f"hyperbolic point count mismatch at p={p}: {n} != {(p + 1) ** 2}"
         )
-    n = len(points)
     if n == 0:
         return PrimeResult(p, 0, True, (), None)
-    xs = np.array(points, dtype=np.int64)
+    xs = np.array([rep for rep, _ in classes], dtype=np.int64)
     assert_int64_budget(tables.scaled_sigma, tables.eta_arr, p, s1, thr)
     _, scan = select_kernel(kernel)
-    chunks = [xs[i : i + CHUNK] for i in range(0, n, CHUNK)]
+    chunks = [xs[i : i + CHUNK] for i in range(0, len(xs), CHUNK)]
 
     def run(chunk):
         return scan(chunk, tables.scaled_sigma, tables.eta_arr, p, s1, thr)
@@ -252,14 +263,17 @@ def verify_primary_part(
     margin = Fraction(int(best.min()), p)
     if verified != (margin > thr):
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
-    witnesses = []
-    for i in range(n):
-        if len(witnesses) >= max_witnesses:
-            break
-        if first[i] > 0:
-            witnesses.append(
-                Witness(p, points[i], int(first[i]), Fraction(int(sig_at[i]), p), int(eta_at[i]), thr)
-            )
+    witnesses: list[Witness] = []
+    if max_witnesses > 0:
+        row = {rep: i for i, (rep, _) in enumerate(classes)}
+        for x in enumerate_projective_isotropic(part):
+            i = row[tuple(min(v, p - v) for v in x)]
+            if first[i] > 0:
+                witnesses.append(
+                    Witness(p, x, int(first[i]), Fraction(int(sig_at[i]), p), int(eta_at[i]), thr)
+                )
+                if len(witnesses) == max_witnesses:
+                    break
     return PrimeResult(p, n, verified, tuple(witnesses), margin)
 
 

@@ -11,7 +11,10 @@ ranking key is configurable and recorded in the results.
 Each candidate runs the full genus pipeline; candidates certifying a
 lower bound of at least genus+1 are retained.  Progress is checkpointed
 as JSON lines keyed by the candidate tuple, and a resumed sweep yields
-byte-identical results because every stage is deterministic.
+byte-identical results because every stage is deterministic.  Every
+checkpoint line also carries a "config" fingerprint (genus,
+require_algebraic, package version); a resume under a different
+fingerprint is refused rather than mixing verdicts of two configs.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
+from . import __version__
 from .knots import build_family
 from .obstruction import ObstructionReport, genus_lower_bound
 from .primes import is_odd_prime, odd_primes_in
@@ -126,16 +130,42 @@ def _run_candidate(cand: tuple[int, int, int, int, int], cfg: SearchConfig) -> d
     return record
 
 
-def _load_checkpoint(path: Optional[str]) -> dict[tuple, dict]:
+def _fingerprint(cfg: SearchConfig) -> dict:
+    """The settings a checkpoint record's verdict depends on."""
+    return {"genus": cfg.genus, "require_algebraic": cfg.require_algebraic, "version": __version__}
+
+
+def _load_checkpoint(path: Optional[str], fingerprint: dict) -> dict[tuple, dict]:
+    """Finished records by tuple, with their "config" field stripped.
+
+    A final line without its newline is what a crash mid-write leaves: it
+    is ignored and cut from the file, so appended records start on a line
+    of their own.  An unreadable line anywhere else, or a record written
+    under another fingerprint, raises ValueError.
+    """
     done: dict[tuple, dict] = {}
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                done[tuple(rec["tuple"])] = rec
+    if not (path and os.path.exists(path)):
+        return done
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    for ln, line in enumerate(data[:end].decode("utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            key = tuple(rec["tuple"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}:{ln}: unreadable checkpoint record ({exc})") from None
+        if rec.pop("config", None) != fingerprint:
+            raise ValueError(
+                f"{path}:{ln}: checkpoint was written by a search with a different "
+                f"config; this search has {fingerprint}; use a new checkpoint file"
+            )
+        done[key] = rec
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
     return done
 
 
@@ -148,11 +178,14 @@ def search(
 
     With a checkpoint path, completed candidates are skipped on resume and
     new completions are appended as JSON lines; the final kept list is
-    identical to an uninterrupted run.  Per-candidate errors become error
-    records and never abort the sweep.  cfg.threads > 1 evaluates
-    candidates concurrently while preserving ranking order of results.
+    identical to an uninterrupted run.  Resuming a checkpoint written
+    under another genus, require_algebraic or package version raises
+    ValueError.  Per-candidate errors become error records and never
+    abort the sweep.  cfg.threads > 1 evaluates candidates concurrently
+    while preserving ranking order of results.
     """
-    done = _load_checkpoint(checkpoint)
+    fingerprint = _fingerprint(cfg)
+    done = _load_checkpoint(checkpoint, fingerprint)
     candidates = list(enumerate_candidates(cfg))
     todo = [c for c in candidates if c not in done]
 
@@ -164,15 +197,13 @@ def search(
                 for rec in pool.map(lambda c: _run_candidate(c, cfg), todo):
                     fresh[tuple(rec["tuple"])] = rec
                     if sink:
-                        sink.write(json.dumps(rec, ensure_ascii=False) + "\n")
-                        sink.flush()
+                        _append(sink, rec, fingerprint)
         else:
             for cand in todo:
                 rec = _run_candidate(cand, cfg)
                 fresh[cand] = rec
                 if sink:
-                    sink.write(json.dumps(rec, ensure_ascii=False) + "\n")
-                    sink.flush()
+                    _append(sink, rec, fingerprint)
     finally:
         if sink:
             sink.close()
@@ -185,6 +216,11 @@ def search(
             if cfg.limit is not None and len(kept) >= cfg.limit:
                 break
     return kept
+
+
+def _append(sink, rec: dict, fingerprint: dict) -> None:
+    sink.write(json.dumps({**rec, "config": fingerprint}, ensure_ascii=False) + "\n")
+    sink.flush()
 
 
 def parse_config_file(path: str) -> dict:

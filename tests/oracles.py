@@ -6,12 +6,15 @@ oracle runs the tridiagonal minor recurrence in 260-digit floating point
 integer chain), the kernel-dimension oracle uses singular values, and the
 isotropic-set oracle is a full quartic-space filter.  Each oracle
 self-checks that no value lands in its ambiguity band, so a wrong
-threshold fails loudly instead of silently agreeing.
+threshold fails loudly instead of silently agreeing.  The scan oracle
+reads the package's sigma tables but none of its reductions: it checks
+every projective point at every multiplier 1..p-1.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -106,3 +109,40 @@ def expand_projective(reps, p: int, rank: int) -> set[tuple[int, ...]]:
         for c in range(1, p):
             out.add(tuple(c * v % p for v in x))
     return out
+
+
+def full_scan(points, tables, g: int, s1: int, max_witnesses: int):
+    """PrimeResult of a point-by-point scan over every multiplier k in 1..p-1.
+
+    No sign-flip classes and no half range of k: witnesses are the first
+    max_witnesses points in the given order that have a violating k, each
+    with its smallest such k; the margin is min over points of
+    max over k of (|sigma + s1| - eta).  Chunked to bound memory.
+    """
+    from cgobstruct.obstruction import PrimeResult, Witness
+
+    p, thr = tables.p, 4 * g + 1
+    if not points:
+        return PrimeResult(p, 0, True, (), None)
+    S, E = tables.scaled_sigma, tables.eta_arr
+    ks = np.arange(1, p, dtype=np.int64)
+    rows = np.arange(S.shape[0])
+    verified, margin, witnesses = True, None, []
+    for lo in range(0, len(points), 512):
+        chunk = points[lo : lo + 512]
+        idx = (ks[None, :, None] * np.array(chunk, dtype=np.int64)[:, None, :]) % p
+        sig = S[rows, idx].sum(axis=2)
+        support = (idx != 0).sum(axis=2)
+        eta = np.where(support > 0, support - 1, 0) + E[rows, idx].sum(axis=2)
+        val = np.abs(sig + p * s1) - p * eta
+        hit = val > p * thr
+        verified = verified and bool(hit.any(axis=1).all())
+        low = Fraction(int(val.max(axis=1).min()), p)
+        margin = low if margin is None else min(margin, low)
+        for i, x in enumerate(chunk):
+            if len(witnesses) < max_witnesses and hit[i].any():
+                k = int(hit[i].argmax())
+                witnesses.append(
+                    Witness(p, x, k + 1, Fraction(int(sig[i, k]), p), int(eta[i, k]), thr)
+                )
+    return PrimeResult(p, len(points), verified, tuple(witnesses), margin)

@@ -171,3 +171,20 @@ def test_sigma_table_mirror_twins_negate():
 def test_sigma_table_rejects_foreign_prime(flagship):
     with pytest.raises(ValueError):
         build_sigma_tables(flagship, 7)
+
+
+def test_sigma_table_asserts_row_symmetry(monkeypatch):
+    # the class scan is exact only if every row has entry[a] == entry[p-a]
+    import cgobstruct.casson_gordon as cg
+
+    K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
+    real = cg._checked_int64
+    calls = []
+
+    def skewed(v):  # perturb the scaled entry at a = 1 of the first row
+        calls.append(v)
+        return real(v + 1 if len(calls) == 2 else v)
+
+    monkeypatch.setattr(cg, "_checked_int64", skewed)
+    with pytest.raises(ArithmeticError, match="not symmetric"):
+        cg.build_sigma_tables(K, 7)

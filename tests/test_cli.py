@@ -152,6 +152,31 @@ def test_search_cli_checkpoint_resume(tmp_path, capsys):
     assert len(ckpt.read_text().splitlines()) == 3
 
 
+def test_search_cli_resume_with_other_genus_exit_2(tmp_path, capsys):
+    ckpt = tmp_path / "sweep.jsonl"
+    argv = ["search", "--p-set", "83,103", "--q-set", "11,13,17", "--checkpoint", str(ckpt)]
+    assert run(capsys, argv + ["--genus", "1"])[0] == 0
+    rc, out, err = run(capsys, argv + ["--genus", "2"])
+    assert rc == 2
+    assert out == ""
+    assert "different config" in err
+
+
+def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
+    import cgobstruct.obstruction as obstruction
+
+    classes = obstruction.enumerate_isotropic_classes
+
+    def miscounted(part):  # orbit sizes that no longer add up to (p+1)^2
+        return ((rep, 1) for rep, _ in classes(part))
+
+    monkeypatch.setattr(obstruction, "enumerate_isotropic_classes", miscounted)
+    rc, out, err = run(capsys, ["verify", *FLAGSHIP])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("internal error: hyperbolic point count mismatch at p=83")
+
+
 def test_signature_cli_csv(capsys):
     rc, out, _ = run(capsys, ["signature", "--q", "3", "--m", "3"])
     assert rc == 0

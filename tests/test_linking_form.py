@@ -6,6 +6,7 @@ from cgobstruct import (
     GAKnot,
     Piece,
     build_family,
+    enumerate_isotropic_classes,
     enumerate_projective_isotropic,
     is_isotropic,
     primary_parts,
@@ -114,3 +115,45 @@ def test_odd_rank_pattern_supported():
     part = PrimaryPart(7, (0, 1, 2), (1, 1, -1))
     reps = list(enumerate_projective_isotropic(part))
     assert expand_projective(reps, 7, 3) == brute_isotropic(7, (1, 1, -1))
+
+
+def test_classes_match_brute_force_all_sign_patterns():
+    for p in (5, 7, 11, 13):
+        half = (p - 1) // 2
+        for r in (2, 3, 4):
+            for signs in itertools.product((1, -1), repeat=r):
+                part = PrimaryPart(p, tuple(range(r)), signs)
+                classes = list(enumerate_isotropic_classes(part))
+                reps = [rep for rep, _ in classes]
+                assert reps == sorted(set(reps))
+                orbits = set()
+                for rep, size in classes:
+                    lead = next(i for i, v in enumerate(rep) if v)
+                    assert rep[lead] == 1 and is_isotropic(rep, part)
+                    assert all(0 <= v <= half for v in rep[lead + 1 :])
+                    assert rep[-1] == sqrt_table(p)[rep[-1] ** 2 % p]
+                    # every sign pattern on the non-leading coordinates
+                    orbit = {
+                        rep[: lead + 1] + tuple(s * v % p for s, v in zip(flips, rep[lead + 1 :]))
+                        for flips in itertools.product((1, -1), repeat=r - lead - 1)
+                    }
+                    assert len(orbit) == size
+                    assert not orbit & orbits  # classes are disjoint
+                    orbits |= orbit
+                points = list(enumerate_projective_isotropic(part))
+                assert sum(size for _, size in classes) == len(points)
+                assert orbits == set(points)
+                assert expand_projective(orbits, p, r) == brute_isotropic(p, signs)
+
+
+def test_classes_rank_below_two_empty():
+    assert list(enumerate_isotropic_classes(PrimaryPart(7, (0,), (1,)))) == []
+    assert list(enumerate_isotropic_classes(PrimaryPart(7, (), ()))) == []
+
+
+def test_classes_flagship_counts():
+    # orbit sizes add up to the hyperbolic (p+1)^2, over ~8x fewer classes
+    for p in (83, 103):
+        classes = list(enumerate_isotropic_classes(PrimaryPart(p, (0, 1, 2, 3), (1, -1, 1, -1))))
+        assert sum(size for _, size in classes) == (p + 1) ** 2
+        assert len(classes) < (p + 1) ** 2 / 6

@@ -21,7 +21,7 @@ from cgobstruct import (
     verify_primary_part,
 )
 
-from oracles import brute_isotropic
+from oracles import brute_isotropic, full_scan
 
 SMALL_COMPANIONS = {5: (3, 7, 9), 7: (3, 9, 11), 11: (3, 5, 7), 13: (3, 5, 7)}
 
@@ -194,3 +194,38 @@ def test_family_parameters_roundtrip(flagship):
 def test_genus_lower_bound_rejects_bad_gmax(flagship):
     with pytest.raises(ValueError):
         genus_lower_bound(flagship, g_max=0)
+
+
+def _against_full_oracle(K, part, g, max_witnesses):
+    tab = build_sigma_tables(K, part.p)
+    s1 = signature_at_minus_one(K)
+    got = verify_primary_part(part, K, g, max_witnesses=max_witnesses, kernel="numpy", tables=tab)
+    want = full_scan(list(enumerate_projective_isotropic(part)), tab, g, s1, max_witnesses)
+    assert got == want, (str(K), part.p, g)
+    return got
+
+
+def test_class_scan_matches_full_oracle_small_knots():
+    outcomes = set()
+    for p in SMALL_COMPANIONS:
+        K = small_knot(p)
+        part = primary_parts(K)[0]
+        for g in (1, 2):
+            for max_witnesses in (3, 10**6):  # every witness, in order
+                res = _against_full_oracle(K, part, g, max_witnesses)
+                outcomes.add((res.verified, bool(res.witnesses)))
+    assert (False, True) in outcomes  # some parts are partly witnessed
+
+
+def test_class_scan_matches_full_oracle_slice_control():
+    K = parse_knot("T(2,5;2,7) # -T(2,5;2,7)")
+    [part] = primary_parts(K)
+    assert part.rank == 2
+    res = _against_full_oracle(K, part, 1, 3)
+    assert not res.verified and res.points == 2
+
+
+def test_class_scan_matches_full_oracle_flagship(flagship):
+    for part in primary_parts(flagship):
+        for g in (1, 2):
+            _against_full_oracle(flagship, part, g, 3 if g == 1 else 50)

@@ -170,3 +170,61 @@ def test_parse_config_file_rejects_garbage(tmp_path):
     path.write_text("p_set 83,103\n")
     with pytest.raises(ValueError, match="bad.cfg:1"):
         parse_config_file(str(path))
+
+
+def test_checkpoint_resume_ignores_torn_final_line(tmp_path):
+    cfg = SearchConfig(kernel="numpy", **FLAGSHIP_POOLS)
+    full_ckpt = tmp_path / "full.jsonl"
+    full = search(cfg, checkpoint=str(full_ckpt))
+    lines = full_ckpt.read_text().splitlines()
+
+    torn = tmp_path / "torn.jsonl"  # a crash in the middle of writing line 3
+    torn.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[2][: len(lines[2]) // 2])
+    resumed = search(cfg, checkpoint=str(torn))
+    assert json.dumps(resumed, sort_keys=True) == json.dumps(full, sort_keys=True)
+    assert torn.read_text() == full_ckpt.read_text()
+
+
+def test_checkpoint_corruption_before_the_last_line_fails(tmp_path):
+    cfg = SearchConfig(kernel="numpy", **FLAGSHIP_POOLS)
+    ckpt = tmp_path / "sweep.jsonl"
+    search(cfg, checkpoint=str(ckpt))
+    lines = ckpt.read_text().splitlines()
+    ckpt.write_text(lines[0] + "\n" + lines[1][:20] + "\n" + lines[2] + "\n")
+    with pytest.raises(ValueError, match="sweep.jsonl:2"):
+        search(cfg, checkpoint=str(ckpt))
+
+
+def test_checkpoint_records_carry_the_config(tmp_path):
+    ckpt = tmp_path / "sweep.jsonl"
+    kept = search(SearchConfig(kernel="numpy", **FLAGSHIP_POOLS), checkpoint=str(ckpt))
+    records = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    assert len(records) == 3
+    for rec in records:
+        assert set(rec["config"]) == {"genus", "require_algebraic", "version"}
+        assert rec["config"]["genus"] == 1 and rec["config"]["require_algebraic"] is True
+    # the fingerprint stays in the file: returned records are unchanged
+    assert "config" not in kept[0]
+    assert {k: v for k, v in records[2].items() if k != "config"} == kept[0]
+
+
+def test_checkpoint_resume_refuses_another_config(tmp_path):
+    ckpt = tmp_path / "sweep.jsonl"
+    search(SearchConfig(kernel="numpy", **FLAGSHIP_POOLS), checkpoint=str(ckpt))
+    before = ckpt.read_text()
+    # a genus-1 verdict must not be reused by a genus-2 sweep, which keeps nothing
+    with pytest.raises(ValueError, match="different config"):
+        search(SearchConfig(genus=2, kernel="numpy", **FLAGSHIP_POOLS), checkpoint=str(ckpt))
+    with pytest.raises(ValueError, match="different config"):
+        search(
+            SearchConfig(require_algebraic=False, kernel="numpy", **FLAGSHIP_POOLS),
+            checkpoint=str(ckpt),
+        )
+    assert ckpt.read_text() == before
+    # a record without a fingerprint cannot be trusted either
+    legacy = tmp_path / "legacy.jsonl"
+    rec = json.loads(before.splitlines()[0])
+    del rec["config"]
+    legacy.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match="legacy.jsonl:1"):
+        search(SearchConfig(kernel="numpy", **FLAGSHIP_POOLS), checkpoint=str(legacy))
