@@ -26,8 +26,6 @@ from .signatures import (
     signature_function_samples,
 )
 
-DIAG_RESOLUTION = 1024
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -113,11 +111,11 @@ def cmd_verify(args) -> int:
         K, g_max=max(args.genus, 1), threads=args.threads, max_witnesses=args.witnesses
     )
     fm = fox_milnor_check(K)
-    samples = signature_function_samples(K, DIAG_RESOLUTION)
+    samples = signature_function_samples(K)
     diagnostics = {
         "sigma_minus_one": signature_at_minus_one(K),
         "signature_function_zero": all(v == 0 for _, v in samples),
-        "signature_resolution": DIAG_RESOLUTION,
+        "signature_arcs": len(samples),
         "fox_milnor_ok": fm.ok,
         "fox_milnor_pairs": [list(p) for p in fm.pairs],
         "fox_milnor_unpaired": [list(u) for u in fm.unpaired],
@@ -132,7 +130,7 @@ def cmd_verify(args) -> int:
     else:
         print(report.human())
         print(f"sigma(-1) = {diagnostics['sigma_minus_one']}, "
-              f"signature function zero at resolution {DIAG_RESOLUTION}: "
+              f"signature function zero on all {diagnostics['signature_arcs']} arcs: "
               f"{diagnostics['signature_function_zero']}, "
               f"factor pairing: {'complete' if fm.ok else 'incomplete'}")
     return 0 if certified else 1

@@ -9,8 +9,9 @@ point: the kernel of H(w) is nontrivial exactly when w is a root of the
 Alexander polynomial of T(2,q), an arithmetic condition on the order of w.
 
 The signature function of a whole knot (used as a sliceness diagnostic)
-is evaluated by exact jump counting at rational angles, via the explicit
-eigenvalue parametrization of H along the unit circle.
+is a step function whose jumps lie at known rational angles (Litherland's
+cabling formula), so it is evaluated exactly, once per arc between them,
+via the explicit eigenvalue parametrization of H along the unit circle.
 """
 
 from __future__ import annotations
@@ -164,56 +165,58 @@ def torus_signature_at_angle(m: int, x: Fraction) -> int:
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"torus parameter must be odd and >= 1, got {m}")
-    if not 0 < x < 2:
+    a, b = x.numerator, x.denominator
+    if not 0 < a < 2 * b:
         raise ValueError(f"angle fraction must lie in (0, 2), got {x}")
     if m == 1:
         return 0
-    y = abs(1 - x) / 2  # in [0, 1/2)
-    # pos = #{1 <= k <= m-1 : k < m*y}
-    t = m * y
-    kmax = t.numerator // t.denominator
-    if t.denominator == 1:
+    # pos = #{1 <= k <= m-1 : k < t} with t = m*|1-x|/2 = num/den in [0, m/2)
+    num, den = m * abs(b - a), 2 * b
+    kmax, rem = divmod(num, den)
+    if rem == 0:
         kmax -= 1  # strict inequality
     pos = min(m - 1, max(0, kmax))
-    zero = 1 if t.denominator == 1 and 1 <= t.numerator <= m - 1 else 0
+    zero = 1 if rem == 0 and 1 <= num // den <= m - 1 else 0
     neg = (m - 1) - pos - zero
     return pos - neg
 
 
-def _hits_alexander_root(K: GAKnot, x: Fraction) -> bool:
-    """Whether exp(i*pi*x) or its square is a root of any piece factor."""
-    for pc in K.pieces:
-        for m, xx in ((pc.cable_p, x), (pc.companion_q, (2 * x) % 2)):
-            if m == 1 or xx == 0:
-                continue
-            t = m * abs(1 - xx) / 2
-            if t.denominator == 1 and 1 <= t.numerator <= m - 1:
-                return True
-    return False
+def _arc_ends(K: GAKnot) -> list[Fraction]:
+    """Sorted right ends of arcs of (0, 1] on which sigma_K is constant.
 
-
-def signature_function_samples(K: GAKnot, resolution: int) -> list[tuple[Fraction, int]]:
-    """Sample sigma_K at w = exp(i*pi*j/resolution), j = 1..resolution-1.
-
-    Sampling angles that land on an Alexander root are perturbed by half a
-    step (the perturbed angle has even denominator, roots have odd, so the
-    perturbed sample is always regular).  Each piece contributes
-    sign * (sigma_{T(2,p)}(w) + sigma_{T(2,q')}(w^2)) by the cabling rule.
+    A piece's factors can only change signature where exp(i*pi*x) is a
+    root of t^p + 1 (cable) or of t^(2q') + 1 (companion at w^2, q' > 1),
+    i.e. at x = j/p or x = j/(2q') with j odd.  Every jump of sigma_K is
+    among these angles; x = 1/2 (from companions) and x = 1 are not jumps.
     """
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    dens = {pc.cable_p for pc in K.pieces}
+    dens.update(2 * pc.companion_q for pc in K.pieces if pc.companion_q > 1)
+    ends = {Fraction(1)}
+    for m in dens:
+        ends.update(Fraction(j, m) for j in range(1, m, 2))
+    return sorted(ends)
+
+
+def signature_function_samples(K: GAKnot) -> list[tuple[Fraction, int]]:
+    """sigma_K at w = exp(i*pi*x), one sample per arc of constancy in (0, 1].
+
+    Each arc between consecutive candidate jump angles (`_arc_ends`) is
+    sampled at its midpoint, so the list determines sigma_K on the whole
+    circle off its jumps: the arc (x_n, 1] continues through w = -1, and
+    x -> 2 - x (complex conjugation) mirrors (1, 2) onto (0, 1).  Each
+    piece contributes sign * (sigma_{T(2,p)}(w) + sigma_{T(2,q')}(w^2)) by
+    the cabling rule.
+    """
     out: list[tuple[Fraction, int]] = []
-    half = Fraction(1, 2 * resolution)
-    for j in range(1, resolution):
-        x = Fraction(j, resolution)
-        if _hits_alexander_root(K, x):
-            x += half
+    lo = Fraction(0)
+    for hi in _arc_ends(K):
+        x = (lo + hi) / 2
+        lo = hi
         total = 0
         for pc in K.pieces:
             s = torus_signature_at_angle(pc.cable_p, x)
-            x2 = (2 * x) % 2
-            if pc.companion_q > 1 and x2 != 0:
-                s += torus_signature_at_angle(pc.companion_q, x2)
+            if pc.companion_q > 1:
+                s += torus_signature_at_angle(pc.companion_q, 2 * x)
             total += pc.sign * s
         out.append((x, total))
     return out

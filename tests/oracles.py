@@ -8,7 +8,10 @@ isotropic-set oracle is a full quartic-space filter.  Each oracle
 self-checks that no value lands in its ambiguity band, so a wrong
 threshold fails loudly instead of silently agreeing.  The scan oracle
 reads the package's sigma tables but none of its reductions: it checks
-every projective point at every multiplier 1..p-1.
+every projective point at every multiplier 1..p-1.  The grid oracle for
+the signature function reads the package's T(2,m) angle formula but not
+its arc enumeration: it samples a fixed grid of angles, nudging any that
+lands on an Alexander root.
 """
 
 from __future__ import annotations
@@ -108,6 +111,61 @@ def expand_projective(reps, p: int, rank: int) -> set[tuple[int, ...]]:
     for x in reps:
         for c in range(1, p):
             out.add(tuple(c * v % p for v in x))
+    return out
+
+
+def hits_alexander_root(K, x: Fraction) -> bool:
+    """Whether exp(i*pi*x) or its square is a root of any piece factor."""
+    for pc in K.pieces:
+        for m, xx in ((pc.cable_p, x), (pc.companion_q, (2 * x) % 2)):
+            if m == 1 or xx == 0:
+                continue
+            t = m * abs(1 - xx) / 2
+            if t.denominator == 1 and 1 <= t.numerator <= m - 1:
+                return True
+    return False
+
+
+def signature_arcs(K) -> list[tuple[Fraction, Fraction]]:
+    """Arcs (lo, hi) of (0, 1] cut at x = j/p and x = j/(2q'), j odd.
+
+    These are the x with exp(i*pi*x)^p = -1 for a cable prime p or
+    exp(i*pi*x)^(2q') = -1 for a companion q' > 1 of K: every Alexander
+    root of a piece factor, plus x = 1/2 when some companion is nontrivial.
+    """
+    dens = {pc.cable_p for pc in K.pieces} | {
+        2 * pc.companion_q for pc in K.pieces if pc.companion_q > 1
+    }
+    ends = sorted({Fraction(j, m) for m in dens for j in range(1, m, 2)} | {Fraction(1)})
+    return list(zip([Fraction(0)] + ends[:-1], ends))
+
+
+def grid_signature_samples(K, resolution: int, span: int = 1) -> list[tuple[Fraction, int]]:
+    """Sample sigma_K at w = exp(i*pi*j/resolution), j = 1..span*resolution-1.
+
+    span = 1 covers x in (0, 1), span = 2 the whole circle.  Sampling
+    angles that land on an Alexander root are perturbed by half a step.
+    Each piece contributes sign * (sigma_{T(2,p)}(w) + sigma_{T(2,q')}(w^2))
+    by the cabling rule.
+    """
+    from cgobstruct import torus_signature_at_angle
+
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    out: list[tuple[Fraction, int]] = []
+    half = Fraction(1, 2 * resolution)
+    for j in range(1, span * resolution):
+        x = Fraction(j, resolution)
+        if hits_alexander_root(K, x):
+            x += half
+        total = 0
+        for pc in K.pieces:
+            s = torus_signature_at_angle(pc.cable_p, x)
+            x2 = (2 * x) % 2
+            if pc.companion_q > 1 and x2 != 0:
+                s += torus_signature_at_angle(pc.companion_q, x2)
+            total += pc.sign * s
+        out.append((x, total))
     return out
 
 

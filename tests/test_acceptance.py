@@ -6,6 +6,7 @@ comparisons on certified quantities are exact (int / Fraction); floating
 point appears only inside the cross-checking oracles.
 """
 
+import bisect
 import json
 import math
 import random
@@ -41,7 +42,9 @@ from cgobstruct.primes import odd_primes_in
 from oracles import (
     brute_isotropic,
     expand_projective,
+    grid_signature_samples,
     kernel_dimension,
+    signature_arcs,
     sturm_signature_nullity,
 )
 
@@ -138,8 +141,8 @@ def test_family_knots_classical_invariants_vanish():
     for params in [FLAGSHIP_PARAMS] + OTHER_PARAMS:
         K = build_family(*params)
         assert signature_at_minus_one(K) == 0, params
-        samples = signature_function_samples(K, 10**4)
-        assert len(samples) == 10**4 - 1
+        samples = signature_function_samples(K)
+        assert len(samples) == len(signature_arcs(K))
         assert all(v == 0 for _, v in samples), params
         fm = fox_milnor_check(K)
         assert fm.ok, params
@@ -150,6 +153,72 @@ def test_family_knots_classical_invariants_vanish():
         assert len(used) == len(set(used)) == 14
         for label, a, b in fm.pairs:
             assert K.pieces[a].sign == -K.pieces[b].sign
+
+
+def _grid_hits_per_arc(K, resolution):
+    """Check the exact per-arc samples of K against the grid oracle on (0, 2).
+
+    Each exact sample must lie strictly inside its arc of (0, 1].  Each grid
+    sample x must equal the exact value of the arc containing x or its
+    mirror image 2 - x; one landing on an arc end that is not a jump (1/2)
+    must equal the values on both sides.  Returns the number of grid
+    samples inside each arc.
+    """
+    exact = signature_function_samples(K)
+    arcs = signature_arcs(K)
+    assert len(exact) == len(arcs)
+    for (x, _), (lo, hi) in zip(exact, arcs):
+        assert lo < x < hi
+    ends = [hi for _, hi in arcs]
+    values = [v for _, v in exact]
+    hits = [0] * len(ends)
+    for x, v in grid_signature_samples(K, resolution, span=2):
+        y = min(x, 2 - x)
+        i = bisect.bisect_left(ends, y)
+        if y == ends[i] and y != 1:
+            assert v == values[i] == values[i + 1], (str(K), x)
+        else:
+            assert v == values[i], (str(K), x)
+            hits[i] += 1
+    return hits
+
+
+def _resolution_finer_than_arcs(K):
+    return math.floor(1 / min(hi - lo for lo, hi in signature_arcs(K))) + 1
+
+
+def test_signature_function_matches_fine_grid_oracle_on_family_knots():
+    # a grid step below the narrowest arc puts grid points in every arc
+    for params in [FLAGSHIP_PARAMS] + OTHER_PARAMS:
+        K = build_family(*params)
+        hits = _grid_hits_per_arc(K, _resolution_finer_than_arcs(K))
+        assert all(hits), params
+
+
+def test_signature_function_matches_grid_oracle_on_random_knots():
+    rng = random.Random(1979)
+    primes = odd_primes_in(3, 23)
+    nonzero = 0
+    for _ in range(40):
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            p = rng.choice(primes)
+            q = rng.choice([q for q in range(1, 12, 2) if q % p])
+            pieces.append(Piece(q, p, rng.choice((1, -1))))
+        K = GAKnot(tuple(pieces))
+        assert all(_grid_hits_per_arc(K, _resolution_finer_than_arcs(K))), str(K)
+        nonzero += any(v != 0 for _, v in signature_function_samples(K))
+    assert nonzero >= 30
+
+
+def test_signature_function_nonzero_on_non_slice_controls():
+    K = parse_knot("T(2,5;2,7) # T(2,3)")
+    assert any(v != 0 for _, v in signature_function_samples(K))
+    assert all(_grid_hits_per_arc(K, _resolution_finer_than_arcs(K)))
+    # the flagship with its last piece mirrored is not algebraically slice
+    F = build_family(*FLAGSHIP_PARAMS)
+    F = GAKnot(F.pieces[:-1] + (F.pieces[-1].mirror(),))
+    assert any(v != 0 for _, v in signature_function_samples(F))
 
 
 # -- closed formula consistency ----------------------------------------------

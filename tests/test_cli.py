@@ -25,7 +25,7 @@ def test_verify_flagship_human(capsys):
     assert "p = 83: 7056 projective isotropic points, verified" in out
     assert "p = 103: 10816 projective isotropic points, verified" in out
     assert "factor pairing: complete" in out
-    assert "signature function zero at resolution 1024: True" in out
+    assert "signature function zero on all 132 arcs: True" in out
 
 
 def test_verify_flagship_json(capsys):
@@ -40,6 +40,7 @@ def test_verify_flagship_json(capsys):
     assert all(p["verified"] for p in d["primes"])
     assert d["diagnostics"]["sigma_minus_one"] == 0
     assert d["diagnostics"]["signature_function_zero"] is True
+    assert d["diagnostics"]["signature_arcs"] == 132
     assert d["diagnostics"]["fox_milnor_ok"] is True
     assert len(d["diagnostics"]["fox_milnor_pairs"]) == 7
     assert d["diagnostics"]["fox_milnor_unpaired"] == []
@@ -79,6 +80,15 @@ def test_verify_not_certified_exit_1(capsys):
     rc, out, _ = run(capsys, ["verify", *SLICE])
     assert rc == 1
     assert "NOT verified" in out
+    assert "signature function zero on all 9 arcs: True" in out
+
+
+def test_verify_reports_nonzero_signature_function(capsys):
+    rc, out, _ = run(capsys, ["verify", "--knot", "T(2,3)", "--format", "json"])
+    assert rc == 1
+    d = json.loads(out)["diagnostics"]
+    assert d["signature_function_zero"] is False
+    assert d["signature_arcs"] == 2
 
 
 def test_verify_genus_too_high_exit_1(capsys):

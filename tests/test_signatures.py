@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -19,7 +20,12 @@ from cgobstruct import (
 from cgobstruct.signatures import _hermitian_form
 from cgobstruct.sturm import cyclotomic, signature_nullity_exact
 
-from oracles import sturm_signature_nullity
+from oracles import (
+    hits_alexander_root,
+    grid_signature_samples,
+    signature_arcs,
+    sturm_signature_nullity,
+)
 
 
 def test_root_of_unity_reduction():
@@ -181,28 +187,61 @@ def test_signature_at_minus_one(flagship):
 
 def test_signature_samples_trefoil():
     K = GAKnot((Piece(1, 3, +1),))
-    samples = signature_function_samples(K, 2)
-    assert samples == [(Fraction(1, 2), -2)]
+    # arcs (0, 1/3) and (1/3, 1], each sampled at its midpoint
+    assert signature_function_samples(K) == [(Fraction(1, 6), 0), (Fraction(2, 3), -2)]
     # just above the jump at pi/3 the value is -2
     assert torus_signature_at_angle(3, Fraction(1, 3) + Fraction(1, 1000)) == -2
     assert torus_signature_at_angle(3, Fraction(1, 3) - Fraction(1, 1000)) == 0
 
 
 def test_signature_samples_avoid_roots():
-    # resolution 3 hits the trefoil jump at x = 1/3 exactly; half-step shifts it
-    K = GAKnot((Piece(1, 3, +1),))
-    samples = signature_function_samples(K, 3)
-    assert samples[0] == (Fraction(1, 3) + Fraction(1, 6), -2)
-    assert samples[1] == (Fraction(2, 3), -2)
+    # one sample strictly inside each arc, so never on an Alexander root
+    for K in (
+        GAKnot((Piece(1, 3, +1),)),
+        GAKnot((Piece(3, 5, +1), Piece(1, 7, -1))),
+        GAKnot((Piece(5, 7, +1), Piece(9, 11, +1), Piece(1, 3, -1))),
+    ):
+        samples = signature_function_samples(K)
+        arcs = signature_arcs(K)
+        assert len(samples) == len(arcs)
+        for (x, _), (lo, hi) in zip(samples, arcs):
+            assert lo < x < hi
+            assert not hits_alexander_root(K, x), (K, x)
 
 
 def test_signature_samples_mirror_cancel():
     K = GAKnot((Piece(5, 7, +1), Piece(5, 7, -1)))
-    assert all(v == 0 for _, v in signature_function_samples(K, 64))
+    samples = signature_function_samples(K)
+    assert len(samples) == 9  # 3 roots j/7, 5 angles j/10, end point 1
+    assert all(v == 0 for _, v in samples)
+    assert any(v != 0 for _, v in signature_function_samples(GAKnot(K.pieces[:1])))
 
 
 def test_signature_samples_family_vanish(flagship):
-    assert all(v == 0 for _, v in signature_function_samples(flagship, 257))
+    assert all(v == 0 for _, v in signature_function_samples(flagship))
+
+
+def test_signature_samples_one_inside_each_flagship_arc(flagship):
+    samples = signature_function_samples(flagship)
+    arcs = signature_arcs(flagship)
+    assert len(samples) == len(arcs) == 132
+    for (x, _), (lo, hi) in zip(samples, arcs):
+        assert lo < x < hi
+
+
+def test_signature_samples_cover_arcs_the_1024_grid_misses(flagship):
+    grid = [x for x, _ in grid_signature_samples(flagship, 1024)]
+    assert grid == sorted(grid)
+    missed = [
+        (lo, hi)
+        for lo, hi in signature_arcs(flagship)
+        if bisect.bisect_right(grid, lo) == bisect.bisect_left(grid, hi)
+    ]
+    assert len(missed) == 5
+    xs = [x for x, _ in signature_function_samples(flagship)]
+    for lo, hi in missed:
+        assert hi - lo < Fraction(1, 1024)
+        assert sum(1 for x in xs if lo < x < hi) == 1, (lo, hi)
 
 
 def test_precision_env_override(monkeypatch):
