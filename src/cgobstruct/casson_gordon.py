@@ -10,7 +10,7 @@ with both zero at a = 0.  Values add over connected sums; mirrors negate
 sigma and preserve eta; a character with support of size s contributes an
 extra s-1 to the nullity of the sum.  Exact rationals are Python
 Fractions throughout (denominators always divide the product of support
-primes); the scaled-integer tables consumed by the scan kernels clear the
+primes); the scaled-integer tables consumed by the scan kernel clear the
 denominator by the prime p, so they are exact int64 values.
 """
 
@@ -151,10 +151,11 @@ class SigmaTable:
       scaled_sigma     int64 array, [i, a] = p * sigma[i][a]  (exact)
       eta_arr          int64 array of eta
     Conjugation symmetry entry[a] = entry[p-a] halves the construction
-    cost, and the scan depends on it for exactness: it lets the kernels
+    cost, and the scan depends on it for exactness: it lets the kernel
     stop at multiplier (p-1)/2 and read one representative per sign-flip
-    class of isotropic vectors.  `build_sigma_tables` asserts it; row
-    index i follows piece_indices.
+    class of isotropic vectors.  The kernel also takes eta of a character
+    to be (support size - 1), which needs every eta entry to be zero.
+    `build_sigma_tables` asserts both; row index i follows piece_indices.
     """
 
     p: int
@@ -192,9 +193,10 @@ def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
                 raise ArithmeticError(f"denominator of sigma at a={a} does not divide {p}")
             scaled[i, a] = _checked_int64(int(num))
             etas[i, a] = erow[a]
-    for arr in (scaled, etas):
-        if not np.array_equal(arr[:, 1:], arr[:, :0:-1]):
-            raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
+    if etas.any():
+        raise ArithmeticError(f"nonzero eta_cable at p={p}: the scan kernel assumes it vanishes")
+    if not np.array_equal(scaled[:, 1:], scaled[:, :0:-1]):
+        raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
     return SigmaTable(p, idx, tuple(sig_rows), tuple(eta_rows), scaled, etas)
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .casson_gordon import SigmaTable, build_sigma_tables
-from .kernels import assert_int64_budget, select_kernel
+from .kernels import assert_int64_budget, compose_multipliers, select_kernel
 from .knots import GAKnot, build_family
 from .linking_form import (
     PrimaryPart,
@@ -183,8 +183,8 @@ def check_point(
 ) -> Optional[Witness]:
     """Exact reference scan of one point: first violating multiplier, if any.
 
-    Pure Fraction arithmetic, independent of the integer kernels; the
-    kernels are tested against this function.
+    Pure Fraction arithmetic, independent of the integer kernel; the
+    kernel is tested against this function.
     """
     if not any(v % part.p for v in x):
         raise ValueError("check_point requires a nonzero vector")
@@ -215,13 +215,12 @@ def verify_primary_part(
     sigma_minus_one: Optional[int] = None,
     threads: int = 1,
     max_witnesses: int = 3,
-    kernel: Optional[str] = None,
     tables: Optional[SigmaTable] = None,
 ) -> PrimeResult:
     """Scan every projective isotropic point of one primary part.
 
-    verified means every point has a violating multiplier.  The kernels
-    scan one representative per sign-flip class, which decides its whole
+    verified means every point has a violating multiplier.  The kernel
+    scans one representative per sign-flip class, which decides its whole
     orbit (the tables are symmetric under a -> p-a); points is the sum of
     orbit sizes and margin the minimum over representatives.  Witnesses
     are the first points in enumeration order whose class is witnessed,
@@ -243,11 +242,12 @@ def verify_primary_part(
         return PrimeResult(p, 0, True, (), None)
     xs = np.array([rep for rep, _ in classes], dtype=np.int64)
     assert_int64_budget(tables.scaled_sigma, tables.eta_arr, p, s1, thr)
-    _, scan = select_kernel(kernel)
+    _, scan = select_kernel()
+    T = compose_multipliers(tables.scaled_sigma, p)
     chunks = [xs[i : i + CHUNK] for i in range(0, len(xs), CHUNK)]
 
     def run(chunk):
-        return scan(chunk, tables.scaled_sigma, tables.eta_arr, p, s1, thr)
+        return scan(chunk, T, s1, p, thr)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -283,7 +283,6 @@ def genus_lower_bound(
     *,
     threads: int = 1,
     max_witnesses: int = 3,
-    kernel: Optional[str] = None,
 ) -> ObstructionReport:
     """Refute genus hypotheses g = 1..g_max and assemble the certificate.
 
@@ -317,7 +316,6 @@ def genus_lower_bound(
                 sigma_minus_one=s1,
                 threads=threads,
                 max_witnesses=max_witnesses,
-                kernel=kernel,
                 tables=tables[part.p],
             )
             for part in qualifying
@@ -351,7 +349,6 @@ def genus_lower_bound(
                 sigma_minus_one=s1,
                 threads=threads,
                 max_witnesses=max_witnesses,
-                kernel=kernel,
                 tables=tables[part.p],
             )
             for part in parts

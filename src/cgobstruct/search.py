@@ -23,7 +23,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import __version__
@@ -54,7 +54,6 @@ class SearchConfig:
     ranking: str = "product"
     limit: Optional[int] = None
     threads: int = 1
-    kernel: Optional[str] = field(default=None)
 
     def __post_init__(self) -> None:
         for v in self.p_primes + self.q_primes:
@@ -110,7 +109,7 @@ def _run_candidate(cand: tuple[int, int, int, int, int], cfg: SearchConfig) -> d
     record: dict = {"tuple": list(cand)}
     try:
         K = build_family(*cand)
-        report = genus_lower_bound(K, g_max=cfg.genus, kernel=cfg.kernel)
+        report = genus_lower_bound(K, g_max=cfg.genus)
         kept = report.genus.lower_bound >= cfg.genus + 1
         record["kept"] = kept
         record["margins"] = {

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import mpmath
-
 
 class PrecisionError(RuntimeError):
     """Raised when a sign cannot be certified within the precision cap."""
@@ -121,6 +119,8 @@ def _certified_sign(vec: tuple[int, ...], m: int) -> int:
     precision).  The element is a nonzero algebraic integer whose house is
     bounded, so escalation terminates long before the cap.
     """
+    import mpmath  # only this fallback needs it; keeps it out of every import
+
     mass = sum(abs(c) for c in vec)
     dps = 40
     while dps <= 4000:

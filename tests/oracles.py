@@ -126,6 +126,23 @@ def hits_alexander_root(K, x: Fraction) -> bool:
     return False
 
 
+def hits_alexander_root_scaled(K, u: int, n: int) -> bool:
+    """hits_alexander_root(K, Fraction(u, n)) for 0 < u < 2n, in integers.
+
+    With x = u/n and (2x) mod 2 = v/n, v = 2u mod 2n, the test
+    t = m*|1 - x|/2 in {1..m-1} reads: 2n divides m*|n - u| (or m*|n - v|)
+    with a quotient in [1, m-1].
+    """
+    for pc in K.pieces:
+        for m, w in ((pc.cable_p, u), (pc.companion_q, 2 * u % (2 * n))):
+            if m == 1 or w == 0:
+                continue
+            t, rem = divmod(m * abs(n - w), 2 * n)
+            if rem == 0 and 1 <= t <= m - 1:
+                return True
+    return False
+
+
 def signature_arcs(K) -> list[tuple[Fraction, Fraction]]:
     """Arcs (lo, hi) of (0, 1] cut at x = j/p and x = j/(2q'), j odd.
 
@@ -153,15 +170,15 @@ def grid_signature_samples(K, resolution: int, span: int = 1) -> list[tuple[Frac
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     out: list[tuple[Fraction, int]] = []
-    half = Fraction(1, 2 * resolution)
+    n = 2 * resolution  # x = u/n: u = 2j on the grid, 2j + 1 half a step on
     for j in range(1, span * resolution):
-        x = Fraction(j, resolution)
-        if hits_alexander_root(K, x):
-            x += half
+        u = 2 * j
+        if hits_alexander_root_scaled(K, u, n):
+            u += 1
+        x, x2 = Fraction(u, n), Fraction(2 * u % (2 * n), n)
         total = 0
         for pc in K.pieces:
             s = torus_signature_at_angle(pc.cable_p, x)
-            x2 = (2 * x) % 2
             if pc.companion_q > 1 and x2 != 0:
                 s += torus_signature_at_angle(pc.companion_q, x2)
             total += pc.sign * s
@@ -204,3 +221,27 @@ def full_scan(points, tables, g: int, s1: int, max_witnesses: int):
                     Witness(p, x, k + 1, Fraction(int(sig[i, k]), p), int(eta[i, k]), thr)
                 )
     return PrimeResult(p, len(points), verified, tuple(witnesses), margin)
+
+
+def loop_scan(xs, S, p: int, s1: int, thr: int):
+    """Per-row kernel outputs (first, best, sig_at, eta_at) by element-wise loops.
+
+    Every row of xs at every multiplier k = 1..p-1, reading the scaled
+    sigma table S directly and counting the support of k*x at each k: no
+    composed table, no half range of k and no per-row eta shortcut.
+    """
+    out = []
+    for x in xs.tolist():
+        first = sig_at = eta_at = 0
+        best = None
+        for k in range(1, p):
+            idx = [k * v % p for v in x]
+            sig = sum(int(S[j, a]) for j, a in enumerate(idx))
+            support = sum(1 for a in idx if a)
+            eta = support - 1 if support else 0
+            val = abs(sig + p * s1) - p * eta
+            best = val if best is None else max(best, val)
+            if not first and val > p * thr:
+                first, sig_at, eta_at = k, sig, eta
+        out.append((first, best, sig_at, eta_at))
+    return tuple(np.array(col, dtype=np.int64) for col in zip(*out))

@@ -188,3 +188,17 @@ def test_sigma_table_asserts_row_symmetry(monkeypatch):
     monkeypatch.setattr(cg, "_checked_int64", skewed)
     with pytest.raises(ArithmeticError, match="not symmetric"):
         cg.build_sigma_tables(K, 7)
+
+
+def test_sigma_table_asserts_eta_vanishes(monkeypatch):
+    # the scan kernel takes eta = support - 1, exact only while eta_cable is 0
+    import cgobstruct.casson_gordon as cg
+
+    K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
+    assert not cg.build_sigma_tables(K, 7).eta_arr.any()
+    real = cg.eta_cable
+    monkeypatch.setattr(
+        cg, "eta_cable", lambda qc, p, a: 2 if (qc, a) == (5, 3) else real(qc, p, a)
+    )
+    with pytest.raises(ArithmeticError, match="nonzero eta_cable at p=7"):
+        cg.build_sigma_tables(K, 7)

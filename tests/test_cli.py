@@ -187,6 +187,32 @@ def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
     assert err.startswith("internal error: hyperbolic point count mismatch at p=83")
 
 
+def test_nonzero_eta_cable_exit_3(capsys, monkeypatch):
+    # the scan kernel takes eta = support - 1, exact only while eta_cable is 0
+    import cgobstruct.casson_gordon as cg
+
+    real = cg.eta_cable
+    monkeypatch.setattr(
+        cg, "eta_cable", lambda qc, p, a: 2 if (p, a) == (83, 5) else real(qc, p, a)
+    )
+    rc, out, err = run(capsys, ["verify", *FLAGSHIP])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("internal error: nonzero eta_cable at p=83")
+
+
+def test_cli_import_does_not_load_mpmath():
+    # mpmath serves only the exact Sturm fallback, which imports it on use
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cgobstruct.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_signature_cli_csv(capsys):
     rc, out, _ = run(capsys, ["signature", "--q", "3", "--m", "3"])
     assert rc == 0

@@ -95,7 +95,7 @@ def test_verify_agrees_with_unreduced_brute_force():
         K = small_knot(p)
         part = primary_parts(K)[0]
         s1 = signature_at_minus_one(K)
-        res = verify_primary_part(part, K, 1, kernel="numpy")
+        res = verify_primary_part(part, K, 1)
         brute_all_witnessed = True
         for x in sorted(brute_isotropic(p, part.signs)):
             if not any(x):
@@ -117,7 +117,7 @@ def test_verify_agrees_with_unreduced_brute_force():
 def test_verify_primary_part_flagship(flagship):
     for p, count in ((83, 7056), (103, 10816)):
         part = next(P for P in primary_parts(flagship) if P.p == p)
-        res = verify_primary_part(part, flagship, 1, kernel="numpy")
+        res = verify_primary_part(part, flagship, 1)
         assert res.points == count
         assert res.verified
         assert res.margin == 7
@@ -128,8 +128,8 @@ def test_verify_primary_part_flagship(flagship):
 
 def test_verify_thread_counts_agree(flagship):
     part = primary_parts(flagship)[0]
-    a = verify_primary_part(part, flagship, 1, threads=1, kernel="numpy")
-    b = verify_primary_part(part, flagship, 1, threads=8, kernel="numpy")
+    a = verify_primary_part(part, flagship, 1, threads=1)
+    b = verify_primary_part(part, flagship, 1, threads=8)
     assert a == b
 
 
@@ -148,7 +148,7 @@ def test_genus_report_flagship(flagship, flagship_report):
 
 def test_genus_report_slice_control():
     K = parse_knot("T(2,5;2,7) # -T(2,5;2,7)")
-    rep = genus_lower_bound(K, g_max=1, kernel="numpy")
+    rep = genus_lower_bound(K, g_max=1)
     assert rep.genus.lower_bound == 0
     assert rep.genus.upper_bound is None
     assert rep.primes[0].points == 2
@@ -168,7 +168,7 @@ def test_genus_report_json_schema(flagship_report):
         schema = json.load(fh)
     jsonschema.validate(json.loads(flagship_report.to_json()), schema)
     K = parse_knot("T(2,5;2,7) # -T(2,5;2,7)")
-    rep = genus_lower_bound(K, g_max=1, kernel="numpy")
+    rep = genus_lower_bound(K, g_max=1)
     jsonschema.validate(json.loads(rep.to_json()), schema)
 
 
@@ -199,7 +199,7 @@ def test_genus_lower_bound_rejects_bad_gmax(flagship):
 def _against_full_oracle(K, part, g, max_witnesses):
     tab = build_sigma_tables(K, part.p)
     s1 = signature_at_minus_one(K)
-    got = verify_primary_part(part, K, g, max_witnesses=max_witnesses, kernel="numpy", tables=tab)
+    got = verify_primary_part(part, K, g, max_witnesses=max_witnesses, tables=tab)
     want = full_scan(list(enumerate_projective_isotropic(part)), tab, g, s1, max_witnesses)
     assert got == want, (str(K), part.p, g)
     return got

@@ -1,4 +1,5 @@
-"""Property tests: knot string round trips and the int64 budget boundary."""
+"""Property tests: knot string round trips, the int64 budget boundary and
+the scan kernel against an element-wise loop."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from cgobstruct import GAKnot, Piece, format_knot, parse_knot
-from cgobstruct.kernels import assert_int64_budget
+from cgobstruct.kernels import assert_int64_budget, compose_multipliers, scan_chunk
 from cgobstruct.primes import odd_primes_in
+
+from oracles import loop_scan
 
 PRIMES = odd_primes_in(3, 211)
 BUDGET = 2**62
@@ -72,3 +75,37 @@ def test_int64_budget_raises_at_the_limit(args):
     S, E, s1 = _tables_with_peak(BUDGET, r, p, thr, emax, negative)
     with pytest.raises(OverflowError):
         assert_int64_budget(S, E, p, s1, thr)
+
+
+@st.composite
+def scan_cases(draw):
+    """A prime p <= 31, a random table with rows symmetric under a -> p-a,
+    nonzero reduced rows xs, s1 and a threshold on the scale of the table."""
+    p = draw(st.sampled_from(odd_primes_in(3, 31)))
+    r = draw(st.integers(1, 5))
+    half = (p - 1) // 2
+    entry = st.integers(-2 * p * p, 2 * p * p)
+    S = np.zeros((r, p), dtype=np.int64)
+    for j in range(r):
+        row = draw(st.lists(entry, min_size=half + 1, max_size=half + 1))
+        S[j, : half + 1] = row
+        S[j, half + 1 :] = row[:0:-1]
+    xs = draw(
+        st.lists(
+            st.lists(st.integers(0, p - 1), min_size=r, max_size=r).filter(any),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    s1 = draw(st.integers(-2 * p, 2 * p))
+    thr = draw(st.integers(0, 3 * p))
+    return p, S, np.array(xs, dtype=np.int64), s1, thr
+
+
+@given(scan_cases())
+def test_scan_kernel_matches_elementwise_loop(case):
+    p, S, xs, s1, thr = case
+    got = scan_chunk(xs, compose_multipliers(S, p), s1, p, thr)
+    for a, b in zip(got, loop_scan(xs, S, p, s1, thr), strict=True):
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b)

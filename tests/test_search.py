@@ -46,7 +46,7 @@ def test_ranking_keys():
 
 def test_flagship_sweep_keeps_exactly_one(tmp_path):
     ckpt = tmp_path / "sweep.jsonl"
-    cfg = SearchConfig(kernel="numpy", **FLAGSHIP_POOLS)
+    cfg = SearchConfig(**FLAGSHIP_POOLS)
     kept = search(cfg, checkpoint=str(ckpt))
     assert [r["tuple"] for r in kept] == [[83, 103, 17, 11, 13]]
     assert kept[0]["report"]["genus"]["lower_bound"] == 2
@@ -67,18 +67,18 @@ def test_flagship_sweep_keeps_exactly_one(tmp_path):
 
 
 def test_second_example_sweep():
-    cfg = SearchConfig(p_primes=(107, 131), q_primes=(17, 19, 23), kernel="numpy")
+    cfg = SearchConfig(p_primes=(107, 131), q_primes=(17, 19, 23))
     kept = search(cfg)
     assert [r["tuple"] for r in kept] == [[107, 131, 23, 17, 19]]
 
 
 def test_genus_two_sweep_is_empty():
-    cfg = SearchConfig(genus=2, kernel="numpy", **FLAGSHIP_POOLS)
+    cfg = SearchConfig(genus=2, **FLAGSHIP_POOLS)
     assert search(cfg) == []
 
 
 def test_checkpoint_resume_matches_uninterrupted(tmp_path):
-    cfg = SearchConfig(kernel="numpy", **FLAGSHIP_POOLS)
+    cfg = SearchConfig(**FLAGSHIP_POOLS)
     full_ckpt = tmp_path / "full.jsonl"
     full = search(cfg, checkpoint=str(full_ckpt))
     lines = full_ckpt.read_text().splitlines()
@@ -92,8 +92,8 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
 
 
 def test_search_threads_agree():
-    one = search(SearchConfig(kernel="numpy", threads=1, **FLAGSHIP_POOLS))
-    two = search(SearchConfig(kernel="numpy", threads=2, **FLAGSHIP_POOLS))
+    one = search(SearchConfig(threads=1, **FLAGSHIP_POOLS))
+    two = search(SearchConfig(threads=2, **FLAGSHIP_POOLS))
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
@@ -115,7 +115,7 @@ def test_search_records_errors_and_continues(tmp_path, monkeypatch):
 
 
 def test_search_limit():
-    cfg = SearchConfig(kernel="numpy", limit=1, **FLAGSHIP_POOLS)
+    cfg = SearchConfig(limit=1, **FLAGSHIP_POOLS)
     assert len(search(cfg)) == 1
 
 
@@ -173,7 +173,7 @@ def test_parse_config_file_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_resume_ignores_torn_final_line(tmp_path):
-    cfg = SearchConfig(kernel="numpy", **FLAGSHIP_POOLS)
+    cfg = SearchConfig(**FLAGSHIP_POOLS)
     full_ckpt = tmp_path / "full.jsonl"
     full = search(cfg, checkpoint=str(full_ckpt))
     lines = full_ckpt.read_text().splitlines()
@@ -186,7 +186,7 @@ def test_checkpoint_resume_ignores_torn_final_line(tmp_path):
 
 
 def test_checkpoint_corruption_before_the_last_line_fails(tmp_path):
-    cfg = SearchConfig(kernel="numpy", **FLAGSHIP_POOLS)
+    cfg = SearchConfig(**FLAGSHIP_POOLS)
     ckpt = tmp_path / "sweep.jsonl"
     search(cfg, checkpoint=str(ckpt))
     lines = ckpt.read_text().splitlines()
@@ -197,7 +197,7 @@ def test_checkpoint_corruption_before_the_last_line_fails(tmp_path):
 
 def test_checkpoint_records_carry_the_config(tmp_path):
     ckpt = tmp_path / "sweep.jsonl"
-    kept = search(SearchConfig(kernel="numpy", **FLAGSHIP_POOLS), checkpoint=str(ckpt))
+    kept = search(SearchConfig(**FLAGSHIP_POOLS), checkpoint=str(ckpt))
     records = [json.loads(line) for line in ckpt.read_text().splitlines()]
     assert len(records) == 3
     for rec in records:
@@ -210,14 +210,14 @@ def test_checkpoint_records_carry_the_config(tmp_path):
 
 def test_checkpoint_resume_refuses_another_config(tmp_path):
     ckpt = tmp_path / "sweep.jsonl"
-    search(SearchConfig(kernel="numpy", **FLAGSHIP_POOLS), checkpoint=str(ckpt))
+    search(SearchConfig(**FLAGSHIP_POOLS), checkpoint=str(ckpt))
     before = ckpt.read_text()
     # a genus-1 verdict must not be reused by a genus-2 sweep, which keeps nothing
     with pytest.raises(ValueError, match="different config"):
-        search(SearchConfig(genus=2, kernel="numpy", **FLAGSHIP_POOLS), checkpoint=str(ckpt))
+        search(SearchConfig(genus=2, **FLAGSHIP_POOLS), checkpoint=str(ckpt))
     with pytest.raises(ValueError, match="different config"):
         search(
-            SearchConfig(require_algebraic=False, kernel="numpy", **FLAGSHIP_POOLS),
+            SearchConfig(require_algebraic=False, **FLAGSHIP_POOLS),
             checkpoint=str(ckpt),
         )
     assert ckpt.read_text() == before
@@ -227,4 +227,4 @@ def test_checkpoint_resume_refuses_another_config(tmp_path):
     del rec["config"]
     legacy.write_text(json.dumps(rec) + "\n")
     with pytest.raises(ValueError, match="legacy.jsonl:1"):
-        search(SearchConfig(kernel="numpy", **FLAGSHIP_POOLS), checkpoint=str(legacy))
+        search(SearchConfig(**FLAGSHIP_POOLS), checkpoint=str(legacy))

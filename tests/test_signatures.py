@@ -22,6 +22,7 @@ from cgobstruct.sturm import cyclotomic, signature_nullity_exact
 
 from oracles import (
     hits_alexander_root,
+    hits_alexander_root_scaled,
     grid_signature_samples,
     signature_arcs,
     sturm_signature_nullity,
@@ -249,3 +250,21 @@ def test_precision_env_override(monkeypatch):
     assert lt_signature(3, RootOfUnity(1, 3)) == -2
     monkeypatch.setenv("CG_OBSTRUCT_PRECISION", "not-a-number")
     assert lt_signature(3, RootOfUnity(1, 5)) == lt_signature(3, RootOfUnity(4, 5))
+
+
+def test_grid_oracle_integer_root_test_matches_fraction_version(flagship):
+    knots = (
+        flagship,
+        GAKnot((Piece(1, 3, +1),)),
+        GAKnot((Piece(3, 5, +1), Piece(1, 7, -1))),
+        GAKnot((Piece(5, 7, +1), Piece(9, 11, +1), Piece(1, 3, -1))),
+    )
+    seen = set()
+    for K in knots:
+        # every denominator up to 2q' = 34, and the flagship's cable primes
+        for n in [*range(1, 36), 83, 103]:
+            for u in range(1, 2 * n):
+                want = hits_alexander_root(K, Fraction(u, n))
+                assert hits_alexander_root_scaled(K, u, n) == want, (str(K), u, n)
+                seen.add(want)
+    assert seen == {False, True}
