@@ -11,7 +11,8 @@ sigma and preserve eta; a character with support of size s contributes an
 extra s-1 to the nullity of the sum.  Exact rationals are Python
 Fractions throughout (denominators always divide the product of support
 primes); the scaled-integer tables consumed by the scan kernel clear the
-denominator by the prime p, so they are exact int64 values.
+denominator by the prime p, so they are exact int64 values, built one
+integer numpy row per piece from the companion's lattice-count signature.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ import numpy as np
 from .knots import GAKnot
 from .primes import is_odd_prime
 from .signatures import RootOfUnity, lt_nullity, lt_signature
-
-ExactRational = Fraction
-
 
 @dataclass(frozen=True)
 class Character:
@@ -74,6 +72,13 @@ def sigma_cable(qc: int, p: int, a: int) -> Fraction:
     qc = 1 (unknot companion) reduces to sigma_torus(p, a): the correction
     term 2*sigma_{T(2,1)} vanishes identically.
     """
+    _check_cable(qc, p, a)
+    if a == 0:
+        return Fraction(0)
+    return -p + Fraction(2 * a * (p - a), p) + 2 * lt_signature(qc, RootOfUnity(a, p))
+
+
+def _check_cable(qc: int, p: int, a: int = 0) -> None:
     if qc < 1 or qc % 2 == 0:
         raise ValueError(f"companion parameter must be odd and >= 1, got {qc}")
     if not is_odd_prime(p):
@@ -82,9 +87,6 @@ def sigma_cable(qc: int, p: int, a: int) -> Fraction:
         raise ValueError(f"need gcd(p, 2*qc) = 1, got p={p}, qc={qc}")
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range mod {p}")
-    if a == 0:
-        return Fraction(0)
-    return -p + Fraction(2 * a * (p - a), p) + 2 * lt_signature(qc, RootOfUnity(a, p))
 
 
 def eta_cable(qc: int, p: int, a: int) -> int:
@@ -93,12 +95,7 @@ def eta_cable(qc: int, p: int, a: int) -> int:
     Zero for every a when gcd(p, 2*qc) = 1, which holds for all valid
     pieces; kept explicit so the additivity bookkeeping stays honest.
     """
-    if qc < 1 or qc % 2 == 0:
-        raise ValueError(f"companion parameter must be odd and >= 1, got {qc}")
-    if not is_odd_prime(p):
-        raise ValueError(f"cable parameter must be an odd prime, got {p}")
-    if not 0 <= a < p:
-        raise ValueError(f"residue {a} out of range mod {p}")
+    _check_cable(qc, p, a)
     if a == 0:
         return 0
     return 2 * lt_nullity(qc, RootOfUnity(a, p))
@@ -146,16 +143,16 @@ class SigmaTable:
     """Per-prime lookup tables for the scan kernels.
 
     For each piece j with cable prime p (in piece order):
-      sigma[i][a]      sign-folded Fraction sigma contribution at residue a
-      eta[i][a]        integer nullity contribution at residue a
-      scaled_sigma     int64 array, [i, a] = p * sigma[i][a]  (exact)
-      eta_arr          int64 array of eta
-    Conjugation symmetry entry[a] = entry[p-a] halves the construction
-    cost, and the scan depends on it for exactness: it lets the kernel
-    stop at multiplier (p-1)/2 and read one representative per sign-flip
-    class of isotropic vectors.  The kernel also takes eta of a character
-    to be (support size - 1), which needs every eta entry to be zero.
-    `build_sigma_tables` asserts both; row index i follows piece_indices.
+      scaled_sigma     int64 array, [i, a] = p * sign * sigma_cable  (exact)
+      eta_arr          int64 array of eta_cable
+      sigma[i][a]      the same values as Fractions, scaled_sigma / p
+      eta[i][a]        eta_arr as Python ints
+    The scan depends on the conjugation symmetry entry[a] = entry[p-a] for
+    exactness: it lets the kernel stop at multiplier (p-1)/2 and read one
+    representative per sign-flip class of isotropic vectors.  The kernel
+    also takes eta of a character to be (support size - 1), which needs
+    every eta entry to be zero.  `build_sigma_tables` asserts both; row
+    index i follows piece_indices.
     """
 
     p: int
@@ -171,36 +168,34 @@ def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
     idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == p)
     if not idx:
         raise ValueError(f"{p} is not a cable prime of the knot")
-    sig_rows: list[tuple[Fraction, ...]] = []
-    eta_rows: list[tuple[int, ...]] = []
-    for j in idx:
-        pc = K.pieces[j]
-        sig = [Fraction(0)] * p
-        eta = [0] * p
-        for a in range(1, (p - 1) // 2 + 1):
-            s = pc.sign * sigma_cable(pc.companion_q, p, a)
-            e = eta_cable(pc.companion_q, p, a)
-            sig[a] = sig[p - a] = s
-            eta[a] = eta[p - a] = e
-        sig_rows.append(tuple(sig))
-        eta_rows.append(tuple(eta))
-    scaled = np.empty((len(idx), p), dtype=np.int64)
-    etas = np.empty((len(idx), p), dtype=np.int64)
-    for i, (srow, erow) in enumerate(zip(sig_rows, eta_rows)):
-        for a in range(p):
-            num = srow[a] * p
-            if num.denominator != 1:
-                raise ArithmeticError(f"denominator of sigma at a={a} does not divide {p}")
-            scaled[i, a] = _checked_int64(int(num))
-            etas[i, a] = erow[a]
+    rows = [_cable_rows(K.pieces[j].companion_q, p) for j in idx]
+    signs = np.array([[K.pieces[j].sign] for j in idx], dtype=np.int64)
+    scaled = signs * np.array([sig for sig, _ in rows])
+    etas = np.array([eta for _, eta in rows])
     if etas.any():
         raise ArithmeticError(f"nonzero eta_cable at p={p}: the scan kernel assumes it vanishes")
     if not np.array_equal(scaled[:, 1:], scaled[:, :0:-1]):
         raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
-    return SigmaTable(p, idx, tuple(sig_rows), tuple(eta_rows), scaled, etas)
+    sigma = tuple(tuple(Fraction(v, p) for v in row) for row in scaled.tolist())
+    return SigmaTable(p, idx, sigma, tuple(map(tuple, etas.tolist())), scaled, etas)
 
 
-def _checked_int64(v: int) -> int:
-    if not -(2**62) <= v <= 2**62:
-        raise OverflowError(f"scaled sigma value {v} exceeds the int64 budget")
-    return v
+def _cable_rows(qc: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """p * sigma_cable(qc, p, a) and eta_cable(qc, p, a) for a = 0..p-1, int64.
+
+    sigma_{T(2,qc)}(xi_p^a) is the lattice count of
+    `signatures.torus_signature_at_angle` at angle 2a/p,
+    2*floor(qc*|p-2a| / (2p)) - (qc-1), with no zero mode because p does
+    not divide qc*|p-2a|.  eta is the arithmetic Alexander-root condition
+    of `signatures.lt_nullity` on the order of xi_p^a.
+    """
+    _check_cable(qc, p)
+    bound = p * p + 2 * p * qc  # bounds |sigma| and every intermediate below
+    if bound > 2**62:
+        raise OverflowError(f"scaled sigma bound {bound} exceeds the int64 budget")
+    a = np.arange(p, dtype=np.int64)
+    sig = 2 * a * (p - a) - p * p + 2 * p * (2 * (qc * np.abs(p - 2 * a) // (2 * p)) - (qc - 1))
+    sig[0] = 0
+    order = p // np.gcd(a, p)
+    eta = 2 * ((2 * qc % order == 0) & (qc % order != 0) & (order != 2))
+    return sig, eta.astype(np.int64)

@@ -11,9 +11,10 @@ to 1, ascending lexicographic order.
 
 The verdict is also invariant under negating single coordinates (every
 sigma table row satisfies S[j,a] = S[j,p-a]), so the scan itself reads one
-representative per sign-flip class (`enumerate_isotropic_classes`) and
-weighs it by its orbit size; `enumerate_projective_isotropic` lists every
-point and is what reports and witnesses are phrased in.
+representative per sign-flip class and weighs it by its orbit size.
+`enumerate_isotropic_classes` returns both as int64 arrays for the scan
+kernel; `enumerate_projective_isotropic` streams every point lazily, and
+reports and witnesses are phrased in its points.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from .casson_gordon import Character
 from .knots import GAKnot
@@ -78,37 +81,11 @@ def enumerate_projective_isotropic(part: PrimaryPart) -> Iterator[PrimaryVector]
     """Projective isotropic vectors: one representative per scalar class.
 
     Representatives have first nonzero coordinate 1 and stream in
-    ascending lexicographic order.  For each choice of leading position
-    and free middle coordinates, the last coordinate is solved from the
-    quadratic condition via the square-root table, so the cost is
-    O(p^(rank-2)) classes times O(1), never a full p^rank filter.
-    """
-    return _isotropic(part, signed=True)
-
-
-def enumerate_isotropic_classes(part: PrimaryPart) -> Iterator[tuple[PrimaryVector, int]]:
-    """Sign-flip classes of projective isotropic vectors, as (rep, orbit_size).
-
-    Negating any coordinate keeps a vector isotropic, and negating the
-    leading 1 is the same projective point as negating all the others, so
-    the class of a normalized vector is every sign pattern on its nonzero
-    non-leading coordinates: orbit_size = 2^(that count).  The
-    representative is the lexicographically smallest member: non-leading
-    coordinates in [0, (p-1)/2], the last one the `sqrt_table` root.
-    Representatives stream in ascending lexicographic order, and the orbit
-    sizes sum to the length of `enumerate_projective_isotropic(part)`.
-    """
-    for x in _isotropic(part, signed=False):
-        yield x, 1 << (sum(1 for v in x if v) - 1)
-
-
-def _isotropic(part: PrimaryPart, signed: bool) -> Iterator[PrimaryVector]:
-    """Normalized isotropic vectors in lexicographic order.
-
-    For each leading position, iterate the free coordinates lead+1..r-2
-    over all residues (signed) or over [0, (p-1)/2] (unsigned), and solve
-    coordinate r-1 from the quadratic condition: both roots when signed,
-    the smaller one otherwise.  A lone 1 in the last coordinate has
+    ascending lexicographic order.  For each leading position, iterate
+    the free coordinates lead+1..r-2 over all residues and solve
+    coordinate r-1 from the quadratic condition via the square-root
+    table (both roots), so the cost is O(p^(rank-2)) classes times O(1),
+    never a full p^rank filter.  A lone 1 in the last coordinate has
     Q(x) = eps != 0 mod p, so leads stop at r-2.
     """
     p, signs, r = part.p, part.signs, part.rank
@@ -116,7 +93,6 @@ def _isotropic(part: PrimaryPart, signed: bool) -> Iterator[PrimaryVector]:
         return
     roots = sqrt_table(p)
     inv_last = pow(signs[-1] % p, p - 2, p)
-    free = range(p) if signed else range((p - 1) // 2 + 1)
     x = [0] * r
 
     def rec(pos: int, partial: int) -> Iterator[PrimaryVector]:
@@ -126,11 +102,11 @@ def _isotropic(part: PrimaryPart, signed: bool) -> Iterator[PrimaryVector]:
                 return
             x[pos] = root
             yield tuple(x)
-            if signed and root:
+            if root:
                 x[pos] = p - root
                 yield tuple(x)
             return
-        for v in free:
+        for v in range(p):
             x[pos] = v
             yield from rec(pos + 1, (partial + signs[pos] * v * v) % p)
         x[pos] = 0
@@ -139,3 +115,41 @@ def _isotropic(part: PrimaryPart, signed: bool) -> Iterator[PrimaryVector]:
         x[:] = [0] * r
         x[lead] = 1
         yield from rec(lead + 1, signs[lead] % p)
+
+
+def enumerate_isotropic_classes(part: PrimaryPart) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-flip classes of projective isotropic vectors, as (xs, sizes).
+
+    Negating any coordinate keeps a vector isotropic, and negating the
+    leading 1 is the same projective point as negating all the others, so
+    the class of a normalized vector is every sign pattern on its nonzero
+    non-leading coordinates: orbit size 2^(that count).  The
+    representative is the lexicographically smallest member: non-leading
+    coordinates in [0, (p-1)/2], the last one the `sqrt_table` root.
+
+    xs is an (n, rank) int64 array of representatives in ascending
+    lexicographic order (per leading position, a C-order grid of the free
+    coordinates over [0, (p-1)/2], the last one solved for all at once)
+    and sizes their int64 orbit sizes, which sum to the length of
+    `enumerate_projective_isotropic(part)`.
+    """
+    p, signs, r = part.p, part.signs, part.rank
+    if r < 2:
+        return np.zeros((0, r), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    roots = np.array(sqrt_table(p), dtype=np.int64)
+    inv_last = pow(signs[-1] % p, p - 2, p)
+    half, blocks = (p + 1) // 2, []
+    for lead in range(r - 2, -1, -1):
+        f = r - 2 - lead
+        free = np.indices((half,) * f, dtype=np.int64).reshape(f, half**f)
+        eps = np.array(signs[lead + 1 : r - 1], dtype=np.int64)[:, None]
+        partial = (signs[lead] + (eps * free * free).sum(axis=0)) % p
+        root = roots[(-partial) * inv_last % p]
+        keep = root >= 0
+        x = np.zeros((int(keep.sum()), r), dtype=np.int64)
+        x[:, lead] = 1
+        x[:, lead + 1 : r - 1] = free[:, keep].T
+        x[:, r - 1] = root[keep]
+        blocks.append(x)
+    xs = np.concatenate(blocks)
+    return xs, 1 << (np.count_nonzero(xs, axis=1) - 1)

@@ -23,6 +23,7 @@ family shape.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,15 +233,14 @@ def verify_primary_part(
     if tables is None:
         tables = build_sigma_tables(K, p)
     s1 = signature_at_minus_one(K) if sigma_minus_one is None else sigma_minus_one
-    classes = list(enumerate_isotropic_classes(part))
-    n = sum(size for _, size in classes)
+    xs, sizes = enumerate_isotropic_classes(part)
+    n = int(sizes.sum())
     if sorted(part.signs) == [-1, -1, 1, 1] and n != (p + 1) ** 2:
         raise ArithmeticError(
             f"hyperbolic point count mismatch at p={p}: {n} != {(p + 1) ** 2}"
         )
     if n == 0:
         return PrimeResult(p, 0, True, (), None)
-    xs = np.array([rep for rep, _ in classes], dtype=np.int64)
     assert_int64_budget(tables.scaled_sigma, tables.eta_arr, p, s1, thr)
     _, scan = select_kernel()
     T = compose_multipliers(tables.scaled_sigma, p)
@@ -265,9 +265,12 @@ def verify_primary_part(
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
     witnesses: list[Witness] = []
     if max_witnesses > 0:
-        row = {rep: i for i, (rep, _) in enumerate(classes)}
+        rows = xs.tolist()  # lexicographic, so bisect finds a class exactly
         for x in enumerate_projective_isotropic(part):
-            i = row[tuple(min(v, p - v) for v in x)]
+            rep = [min(v, p - v) for v in x]
+            i = bisect_left(rows, rep)
+            if rows[i : i + 1] != [rep]:
+                raise ArithmeticError(f"point {list(x)} has no class at p={p}")
             if first[i] > 0:
                 witnesses.append(
                     Witness(p, x, int(first[i]), Fraction(int(sig_at[i]), p), int(eta_at[i]), thr)

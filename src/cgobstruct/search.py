@@ -168,11 +168,7 @@ def _load_checkpoint(path: Optional[str], fingerprint: dict) -> dict[tuple, dict
     return done
 
 
-def search(
-    cfg: SearchConfig,
-    checkpoint: Optional[str] = None,
-    on_record: Optional[Callable[[dict], None]] = None,
-) -> list[dict]:
+def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     """Run the sweep; return the kept records in ranking order.
 
     With a checkpoint path, completed candidates are skipped on resume and

@@ -4,7 +4,9 @@ The twisted form at w is H(w) = (1-w)V + (1-conj(w))V^T for the standard
 bidiagonal Seifert matrix V of T(2,q).  Signatures are computed by double
 precision eigenvalue counts guarded by a tolerance; any eigenvalue inside
 the tolerance band triggers the exact Sturm-chain evaluation in `sturm`,
-so every returned value is certified.  Nullities never touch floating
+so every returned value is certified; this engine serves `lt_signature`
+(the `signature` and `cg` commands), while the Casson-Gordon tables use
+the closed-form lattice count below.  Nullities never touch floating
 point: the kernel of H(w) is nontrivial exactly when w is a root of the
 Alexander polynomial of T(2,q), an arithmetic condition on the order of w.
 
@@ -17,7 +19,6 @@ via the explicit eigenvalue parametrization of H along the unit circle.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,8 +27,6 @@ import numpy as np
 
 from .knots import GAKnot
 from .sturm import signature_nullity_exact
-
-DEFAULT_PRECISION_EXPONENT = 8
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,6 @@ class RootOfUnity:
         return complex(np.exp(2j * np.pi * self.a / self.m))
 
 
-def _precision_exponent() -> int:
-    raw = os.environ.get("CG_OBSTRUCT_PRECISION", "")
-    try:
-        return int(raw) if raw else DEFAULT_PRECISION_EXPONENT
-    except ValueError:
-        return DEFAULT_PRECISION_EXPONENT
-
-
 def seifert_matrix_T2(q: int) -> np.ndarray:
     """Standard (q-1)x(q-1) Seifert matrix of T(2,q): -1 diagonal, +1 super.
 
@@ -89,12 +80,12 @@ def _hermitian_form(q: int, omega: RootOfUnity) -> np.ndarray:
 
 
 @lru_cache(maxsize=65536)
-def _lt_pair(q: int, a: int, m: int, exponent: int) -> tuple[int, int]:
+def _lt_pair(q: int, a: int, m: int) -> tuple[int, int]:
     """(signature, nullity) of T(2,q) at exp(2*pi*i*a/m), certified."""
     nullity = _nullity_arith(q, a, m)
     H = _hermitian_form(q, RootOfUnity(a, m))
     eig = np.linalg.eigvalsh(H)
-    tau = 10.0 ** (-exponent) * max(1.0, float(np.abs(H).sum(axis=1).max()))
+    tau = 1e-8 * max(1.0, float(np.abs(H).sum(axis=1).max()))
     small = int(np.count_nonzero(np.abs(eig) <= tau))
     if small == nullity:
         # every eigenvalue outside the band is certainly nonzero, and the
@@ -129,7 +120,7 @@ def lt_signature(q: int, omega: RootOfUnity) -> int:
         raise ValueError(f"q must be odd and >= 1, got {q}")
     if q == 1 or omega.is_one:
         return 0
-    return _lt_pair(q, omega.a, omega.m, _precision_exponent())[0]
+    return _lt_pair(q, omega.a, omega.m)[0]
 
 
 def lt_nullity(q: int, omega: RootOfUnity) -> int:

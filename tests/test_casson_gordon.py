@@ -178,14 +178,15 @@ def test_sigma_table_asserts_row_symmetry(monkeypatch):
     import cgobstruct.casson_gordon as cg
 
     K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
-    real = cg._checked_int64
-    calls = []
+    real = cg._cable_rows
 
-    def skewed(v):  # perturb the scaled entry at a = 1 of the first row
-        calls.append(v)
-        return real(v + 1 if len(calls) == 2 else v)
+    def skewed(qc, p):  # perturb the scaled entry at a = 1 of the first row
+        sig, eta = real(qc, p)
+        if qc == 3:
+            sig[1] += 1
+        return sig, eta
 
-    monkeypatch.setattr(cg, "_checked_int64", skewed)
+    monkeypatch.setattr(cg, "_cable_rows", skewed)
     with pytest.raises(ArithmeticError, match="not symmetric"):
         cg.build_sigma_tables(K, 7)
 
@@ -196,9 +197,14 @@ def test_sigma_table_asserts_eta_vanishes(monkeypatch):
 
     K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
     assert not cg.build_sigma_tables(K, 7).eta_arr.any()
-    real = cg.eta_cable
-    monkeypatch.setattr(
-        cg, "eta_cable", lambda qc, p, a: 2 if (qc, a) == (5, 3) else real(qc, p, a)
-    )
+    real = cg._cable_rows
+
+    def nonzero(qc, p):  # a nullity at a = 3 (and its conjugate) of the second row
+        sig, eta = real(qc, p)
+        if qc == 5:
+            eta[3] = eta[4] = 2
+        return sig, eta
+
+    monkeypatch.setattr(cg, "_cable_rows", nonzero)
     with pytest.raises(ArithmeticError, match="nonzero eta_cable at p=7"):
         cg.build_sigma_tables(K, 7)

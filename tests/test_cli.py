@@ -178,7 +178,8 @@ def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
     classes = obstruction.enumerate_isotropic_classes
 
     def miscounted(part):  # orbit sizes that no longer add up to (p+1)^2
-        return ((rep, 1) for rep, _ in classes(part))
+        xs, sizes = classes(part)
+        return xs, sizes * 0 + 1
 
     monkeypatch.setattr(obstruction, "enumerate_isotropic_classes", miscounted)
     rc, out, err = run(capsys, ["verify", *FLAGSHIP])
@@ -191,10 +192,15 @@ def test_nonzero_eta_cable_exit_3(capsys, monkeypatch):
     # the scan kernel takes eta = support - 1, exact only while eta_cable is 0
     import cgobstruct.casson_gordon as cg
 
-    real = cg.eta_cable
-    monkeypatch.setattr(
-        cg, "eta_cable", lambda qc, p, a: 2 if (p, a) == (83, 5) else real(qc, p, a)
-    )
+    real = cg._cable_rows
+
+    def nonzero(qc, p):  # a nullity at a = 5 (and its conjugate) mod 83
+        sig, eta = real(qc, p)
+        if p == 83:
+            eta[5] = eta[78] = 2
+        return sig, eta
+
+    monkeypatch.setattr(cg, "_cable_rows", nonzero)
     rc, out, err = run(capsys, ["verify", *FLAGSHIP])
     assert rc == 3
     assert out == ""

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from cgobstruct import (
@@ -117,13 +118,21 @@ def test_odd_rank_pattern_supported():
     assert expand_projective(reps, 7, 3) == brute_isotropic(7, (1, 1, -1))
 
 
+def _classes(part):
+    """enumerate_isotropic_classes as a list of (rep tuple, orbit size)."""
+    xs, sizes = enumerate_isotropic_classes(part)
+    assert xs.dtype == sizes.dtype == np.int64
+    assert xs.shape == (len(sizes), part.rank)
+    return [(tuple(rep), size) for rep, size in zip(xs.tolist(), sizes.tolist())]
+
+
 def test_classes_match_brute_force_all_sign_patterns():
     for p in (5, 7, 11, 13):
         half = (p - 1) // 2
         for r in (2, 3, 4):
             for signs in itertools.product((1, -1), repeat=r):
                 part = PrimaryPart(p, tuple(range(r)), signs)
-                classes = list(enumerate_isotropic_classes(part))
+                classes = _classes(part)
                 reps = [rep for rep, _ in classes]
                 assert reps == sorted(set(reps))
                 orbits = set()
@@ -147,13 +156,13 @@ def test_classes_match_brute_force_all_sign_patterns():
 
 
 def test_classes_rank_below_two_empty():
-    assert list(enumerate_isotropic_classes(PrimaryPart(7, (0,), (1,)))) == []
-    assert list(enumerate_isotropic_classes(PrimaryPart(7, (), ()))) == []
+    for part in (PrimaryPart(7, (0,), (1,)), PrimaryPart(7, (), ())):
+        assert _classes(part) == []
 
 
 def test_classes_flagship_counts():
     # orbit sizes add up to the hyperbolic (p+1)^2, over ~8x fewer classes
     for p in (83, 103):
-        classes = list(enumerate_isotropic_classes(PrimaryPart(p, (0, 1, 2, 3), (1, -1, 1, -1))))
+        classes = _classes(PrimaryPart(p, (0, 1, 2, 3), (1, -1, 1, -1)))
         assert sum(size for _, size in classes) == (p + 1) ** 2
         assert len(classes) < (p + 1) ** 2 / 6

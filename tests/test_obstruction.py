@@ -229,3 +229,22 @@ def test_class_scan_matches_full_oracle_flagship(flagship):
     for part in primary_parts(flagship):
         for g in (1, 2):
             _against_full_oracle(flagship, part, g, 3 if g == 1 else 50)
+
+
+def test_witness_point_without_class_is_internal_error(monkeypatch):
+    # witnesses are placed by an exact lookup of each point's class; a point
+    # whose class is missing must not borrow its neighbour's values
+    import cgobstruct.obstruction as obstruction
+
+    K = GAKnot((Piece(3, 7, +1), Piece(9, 7, -1), Piece(1, 7, +1)))
+    [part] = primary_parts(K)
+    classes = obstruction.enumerate_isotropic_classes
+
+    def drop_first(part):
+        xs, sizes = classes(part)
+        return xs[1:], sizes[1:]
+
+    monkeypatch.setattr(obstruction, "enumerate_isotropic_classes", drop_first)
+    assert verify_primary_part(part, K, 1, max_witnesses=0).points > 0
+    with pytest.raises(ArithmeticError, match="has no class at p=7"):
+        verify_primary_part(part, K, 1, max_witnesses=10**6)

@@ -1,13 +1,14 @@
-"""Property tests: knot string round trips, the int64 budget boundary and
-the scan kernel against an element-wise loop."""
+"""Property tests: knot string round trips, the int64 budget boundary,
+the closed-form sigma table rows against the eigenvalue engine and the
+scan kernel against an element-wise loop."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cgobstruct import GAKnot, Piece, format_knot, parse_knot
+from cgobstruct import GAKnot, Piece, build_sigma_tables, eta_cable, format_knot, parse_knot, sigma_cable
 from cgobstruct.kernels import assert_int64_budget, compose_multipliers, scan_chunk
 from cgobstruct.primes import odd_primes_in
 
@@ -16,12 +17,18 @@ from oracles import loop_scan
 PRIMES = odd_primes_in(3, 211)
 BUDGET = 2**62
 
-pieces = st.builds(
-    lambda p, k, sign: (p, 2 * k + 1, sign),
-    st.sampled_from(PRIMES),
-    st.integers(0, 60),
-    st.sampled_from((1, -1)),
-).filter(lambda t: t[1] % t[0] != 0).map(lambda t: Piece(t[1], t[0], t[2]))
+
+def valid_pieces(q_max):
+    """Pieces T(2,q';2,p) with p <= 211 prime and odd q' <= q_max prime to p."""
+    return st.builds(
+        lambda p, k, sign: (p, 2 * k + 1, sign),
+        st.sampled_from(PRIMES),
+        st.integers(0, (q_max - 1) // 2),
+        st.sampled_from((1, -1)),
+    ).filter(lambda t: t[1] % t[0] != 0).map(lambda t: Piece(t[1], t[0], t[2]))
+
+
+pieces = valid_pieces(121)
 
 knots = st.lists(pieces, min_size=1, max_size=12).map(lambda ps: GAKnot(tuple(ps)))
 
@@ -34,6 +41,20 @@ def test_parse_inverts_format(K):
 @given(knots)
 def test_parse_ignores_whitespace(K):
     assert parse_knot(" " + format_knot(K).replace("#", " \t# ") + "\n") == K
+
+
+@settings(deadline=None)
+@given(valid_pieces(43))
+def test_sigma_table_rows_match_eigenvalue_engine(pc):
+    # the rows use the lattice-count closed form; sigma_cable goes through
+    # lt_signature's eigenvalue counts with the exact Sturm fallback
+    p, qc = pc.cable_p, pc.companion_q
+    tab = build_sigma_tables(GAKnot((pc,)), p)
+    for a in range(p):
+        want = pc.sign * sigma_cable(qc, p, a)
+        assert tab.scaled_sigma[0, a] == p * want
+        assert tab.sigma[0][a] == want
+        assert tab.eta_arr[0, a] == tab.eta[0][a] == eta_cable(qc, p, a)
 
 
 def _tables_with_peak(peak, r, p, thr, emax, negative):

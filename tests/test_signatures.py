@@ -245,13 +245,6 @@ def test_signature_samples_cover_arcs_the_1024_grid_misses(flagship):
         assert sum(1 for x in xs if lo < x < hi) == 1, (lo, hi)
 
 
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("CG_OBSTRUCT_PRECISION", "6")
-    assert lt_signature(3, RootOfUnity(1, 3)) == -2
-    monkeypatch.setenv("CG_OBSTRUCT_PRECISION", "not-a-number")
-    assert lt_signature(3, RootOfUnity(1, 5)) == lt_signature(3, RootOfUnity(4, 5))
-
-
 def test_grid_oracle_integer_root_test_matches_fraction_version(flagship):
     knots = (
         flagship,
