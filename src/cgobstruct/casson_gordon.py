@@ -145,8 +145,6 @@ class SigmaTable:
     For each piece j with cable prime p (in piece order):
       scaled_sigma     int64 array, [i, a] = p * sign * sigma_cable  (exact)
       eta_arr          int64 array of eta_cable
-      sigma[i][a]      the same values as Fractions, scaled_sigma / p
-      eta[i][a]        eta_arr as Python ints
     The scan depends on the conjugation symmetry entry[a] = entry[p-a] for
     exactness: it lets the kernel stop at multiplier (p-1)/2 and read one
     representative per sign-flip class of isotropic vectors.  The kernel
@@ -157,8 +155,6 @@ class SigmaTable:
 
     p: int
     piece_indices: tuple[int, ...]
-    sigma: tuple[tuple[Fraction, ...], ...]
-    eta: tuple[tuple[int, ...], ...]
     scaled_sigma: np.ndarray
     eta_arr: np.ndarray
 
@@ -176,8 +172,7 @@ def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
         raise ArithmeticError(f"nonzero eta_cable at p={p}: the scan kernel assumes it vanishes")
     if not np.array_equal(scaled[:, 1:], scaled[:, :0:-1]):
         raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
-    sigma = tuple(tuple(Fraction(v, p) for v in row) for row in scaled.tolist())
-    return SigmaTable(p, idx, sigma, tuple(map(tuple, etas.tolist())), scaled, etas)
+    return SigmaTable(p, idx, scaled, etas)
 
 
 def _cable_rows(qc: int, p: int) -> tuple[np.ndarray, np.ndarray]:

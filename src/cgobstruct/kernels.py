@@ -14,11 +14,6 @@ maximum over the half range is the maximum over all k.  The same
 symmetry makes each row of xs stand for its whole sign-flip class (see
 `linking_form.enumerate_isotropic_classes`).
 
-Row gather: `compose_multipliers` builds, once per prime, the table
-T[j, a, k-1] = S[j, k*a mod p] of shape (r, p, (p-1)/2).  The scaled
-sigma of x at every multiplier is then sum_j T[j, x_j, :], r contiguous
-row gathers with no reduction mod p per point.
-
 Eta invariant: the nullity of a character with support s is s - 1 plus
 the per-piece eta_cable values, and eta_cable is zero for every valid
 piece (gcd(p, 2q') = 1, so xi_p^a is never an Alexander root of
@@ -27,45 +22,67 @@ prime, k*x_j = 0 mod p only when x_j = 0, so the support of k*x is nnz(x)
 for every k and eta = nnz(x) - 1 is one number per row.  The kernel is
 exact only under this invariant.
 
+Branch and bound: the certificate needs each class's first witnessing
+multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
+p*eta), not every best(x).  Stage 1 evaluates k = 1..BLOCK for every
+class; a witness found there is the first one, and the block maximum is
+a lower bound L(x) <= best(x).  Stage 2 scans all (p-1)/2 multipliers
+of every class without a stage-1 witness, then of the witnessed classes
+in increasing L while L < U, U the smallest exact best so far; every
+class left has best >= L >= U and cannot set the margin.  Full scans run
+in batches that double from one class up to BATCH, so U tightens before
+large batches.  Values are gathered through the product table
+mult[a, k-1] = k*a mod p, built once per call: two gathers per piece
+cost far less than reducing k*x_j mod p per element.
+
 Per row the kernel reports the first witnessing multiplier (0 when
-none), the best value max_k(|S + p*s1| - p*eta) for margin statistics,
-and the scaled sigma and eta at the witnessing multiplier (0 when none).
+none), a lower bound on best that is exact for every row able to set the
+minimum (so min(best) is exact), and the scaled sigma and eta at the
+witnessing multiplier (0 when none).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def compose_multipliers(S: np.ndarray, p: int) -> np.ndarray:
-    """T[j, a, k-1] = S[j, k*a mod p] for k = 1..(p-1)/2, C-contiguous int64."""
-    ks = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    return np.ascontiguousarray(S[:, np.arange(p, dtype=np.int64)[:, None] * ks % p])
+BLOCK = 4
+BATCH = 1024
 
 
-def scan_chunk(xs, T, s1, p, thr):
-    """Row-gather kernel; see the module docstring for the contract.
+def scan_classes(xs, S, s1, p, thr):
+    """Branch-and-bound scan; see the module docstring for the contract.
 
     xs is an (n, r) int64 array of nonzero rows reduced into [0, p) and
-    T is `compose_multipliers(S, p)`.  Returns (first, best, sig_at,
-    eta_at), each an int64 array of length n.  Works in one (n, (p-1)/2)
-    buffer: |S + p*s1| is compared with the per-row bound p*(thr + eta),
-    and sig_at is gathered again at the first witnessing multiplier only.
+    S the (r, p) scaled sigma table.  Returns (first, best, sig_at,
+    eta_at), each an int64 array of length n.
     """
     n, r = xs.shape
-    cols = xs.T
-    val = T[0].take(cols[0], axis=0)
-    for j in range(1, r):
-        val += T[j].take(cols[j], axis=0)
-    val += p * s1
-    np.abs(val, out=val)
+    mult = np.arange(p, dtype=np.int64)[:, None] * np.arange(1, (p + 1) // 2) % p
     eta = np.count_nonzero(xs, axis=1).astype(np.int64) - 1
-    hit = val > (p * (thr + eta))[:, None]
-    at = hit.argmax(axis=1)
-    has = hit[np.arange(n), at]
-    best = val.max(axis=1) - p * eta
-    sig_at = sum(T[j, cols[j], at] for j in range(r))
-    first = np.where(has, at + 1, 0).astype(np.int64)
+
+    def settle(rows, idx):
+        """(first, max, sig at first) over the columns k of idx for xs[rows]."""
+        xb = xs[rows]
+        val = np.full((len(xb), idx.shape[1]), p * s1, dtype=np.int64)
+        for j in range(r):
+            val += S[j].take(idx.take(xb[:, j], axis=0))
+        mag = np.abs(val)
+        hit = mag > (p * (thr + eta[rows]))[:, None]
+        at, pick = hit.argmax(axis=1), np.arange(len(xb))
+        first = np.where(hit[pick, at], at + 1, 0)
+        return first, mag.max(axis=1) - p * eta[rows], val[pick, at] - p * s1
+
+    first, best, sig_at = settle(slice(None), mult[:, :BLOCK])
+    key = np.where(first > 0, best, np.iinfo(np.int64).min)  # unwitnessed first
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bound, pos, size = np.iinfo(np.int64).max, 0, 1
+    while pos < n and key[pos] < bound:
+        rows = order[pos : min(pos + size, int(np.searchsorted(key, bound)))]
+        first[rows], best[rows], sig_at[rows] = settle(rows, mult)
+        bound = min(bound, int(best[rows].min()))
+        pos, size = pos + len(rows), min(2 * size, BATCH)
+    has = first > 0
     return first, best, np.where(has, sig_at, 0), np.where(has, eta, 0)
 
 
@@ -88,8 +105,8 @@ def select_kernel(name: str | None = None):
     """The scan kernel as (name, callable); "numpy" is the only one.
 
     `verify_primary_part` looks the kernel up here instead of importing
-    `scan_chunk`, so `perfbench/child.py` can wrap it to trace each chunk.
+    `scan_classes`, so `perfbench/child.py` can wrap it to trace each call.
     """
     if name not in (None, "numpy"):
         raise ValueError(f"unknown kernel {name!r} (the only kernel is numpy)")
-    return "numpy", scan_chunk
+    return "numpy", scan_classes

@@ -19,6 +19,7 @@ reports and witnesses are phrased in its points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -66,6 +67,20 @@ def is_isotropic(x: PrimaryVector, part: PrimaryPart) -> bool:
     if len(x) != part.rank:
         raise ValueError(f"vector length {len(x)} does not match rank {part.rank}")
     return sum(e * v * v for e, v in zip(part.signs, x)) % part.p == 0
+
+
+def isotropic_point_count(part: PrimaryPart) -> int:
+    """Projective isotropic points of the part: N = (p^(r-1) - 1)/(p-1) for
+    odd rank r, N + chi((-1)^m prod eps_i) * p^(m-1) for r = 2m, with chi the
+    Legendre symbol (Lidl and Niederreiter, Finite Fields, ch. 6)."""
+    p, r = part.p, part.rank
+    if r == 0:
+        return 0
+    count = (p ** (r - 1) - 1) // (p - 1)
+    if r % 2 == 0:
+        d = (-1) ** (r // 2) * math.prod(part.signs) % p
+        count += (1 if pow(d, (p - 1) // 2, p) == 1 else -1) * p ** (r // 2 - 1)
+    return count
 
 
 @lru_cache(maxsize=64)

@@ -24,27 +24,24 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .casson_gordon import SigmaTable, build_sigma_tables
-from .kernels import assert_int64_budget, compose_multipliers, select_kernel
+from .kernels import assert_int64_budget, select_kernel
 from .knots import GAKnot, build_family
 from .linking_form import (
     PrimaryPart,
     PrimaryVector,
     enumerate_isotropic_classes,
     enumerate_projective_isotropic,
+    isotropic_point_count,
     primary_parts,
 )
 from .signatures import signature_at_minus_one
 
 SCHEMA_VERSION = 1
-CHUNK = 1024
 UPPER_BOUND_SOURCE = "ribbon-move construction (cited)"
 
 
@@ -197,8 +194,8 @@ def check_point(
         eta = 0
         for i in range(part.rank):
             a = (k * x[i]) % p
-            sig += tables.sigma[i][a]
-            eta += tables.eta[i][a]
+            sig += Fraction(int(tables.scaled_sigma[i, a]), p)
+            eta += int(tables.eta_arr[i, a])
             if a:
                 support += 1
         if support:
@@ -214,7 +211,6 @@ def verify_primary_part(
     g: int,
     *,
     sigma_minus_one: Optional[int] = None,
-    threads: int = 1,
     max_witnesses: int = 3,
     tables: Optional[SigmaTable] = None,
 ) -> PrimeResult:
@@ -223,10 +219,13 @@ def verify_primary_part(
     verified means every point has a violating multiplier.  The kernel
     scans one representative per sign-flip class, which decides its whole
     orbit (the tables are symmetric under a -> p-a); points is the sum of
-    orbit sizes and margin the minimum over representatives.  Witnesses
-    are the first points in enumeration order whose class is witnessed,
-    each reported with its class's values.  Results are merged in class
-    order regardless of thread count, so reports are deterministic.
+    orbit sizes, checked against the closed-form count, and margin the
+    minimum over representatives.  The kernel settles most classes at
+    their first few multipliers (see `kernels`): its first witnessing k
+    per class and its minimum are exact, so the report does not depend on
+    how far each class was scanned.  Witnesses are the first points in
+    enumeration order whose class is witnessed, each reported with its
+    class's values.
     """
     p = part.p
     thr = 4 * g + 1
@@ -235,29 +234,14 @@ def verify_primary_part(
     s1 = signature_at_minus_one(K) if sigma_minus_one is None else sigma_minus_one
     xs, sizes = enumerate_isotropic_classes(part)
     n = int(sizes.sum())
-    if sorted(part.signs) == [-1, -1, 1, 1] and n != (p + 1) ** 2:
-        raise ArithmeticError(
-            f"hyperbolic point count mismatch at p={p}: {n} != {(p + 1) ** 2}"
-        )
+    want = isotropic_point_count(part)
+    if n != want:
+        raise ArithmeticError(f"isotropic point count mismatch at p={p}: {n} != {want}")
     if n == 0:
         return PrimeResult(p, 0, True, (), None)
     assert_int64_budget(tables.scaled_sigma, tables.eta_arr, p, s1, thr)
     _, scan = select_kernel()
-    T = compose_multipliers(tables.scaled_sigma, p)
-    chunks = [xs[i : i + CHUNK] for i in range(0, len(xs), CHUNK)]
-
-    def run(chunk):
-        return scan(chunk, T, s1, p, thr)
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts_out = list(pool.map(run, chunks))
-    else:
-        parts_out = [run(c) for c in chunks]
-    first = np.concatenate([o[0] for o in parts_out])
-    best = np.concatenate([o[1] for o in parts_out])
-    sig_at = np.concatenate([o[2] for o in parts_out])
-    eta_at = np.concatenate([o[3] for o in parts_out])
+    first, best, sig_at, eta_at = scan(xs, tables.scaled_sigma, s1, p, thr)
 
     verified = bool((first > 0).all())
     margin = Fraction(int(best.min()), p)
@@ -265,11 +249,11 @@ def verify_primary_part(
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
     witnesses: list[Witness] = []
     if max_witnesses > 0:
-        rows = xs.tolist()  # lexicographic, so bisect finds a class exactly
+        rows = range(len(xs))  # lexicographic, so bisect finds a class exactly
         for x in enumerate_projective_isotropic(part):
             rep = [min(v, p - v) for v in x]
-            i = bisect_left(rows, rep)
-            if rows[i : i + 1] != [rep]:
+            i = bisect_left(rows, rep, key=lambda j: xs[j].tolist())
+            if i == len(xs) or xs[i].tolist() != rep:
                 raise ArithmeticError(f"point {list(x)} has no class at p={p}")
             if first[i] > 0:
                 witnesses.append(
@@ -293,13 +277,22 @@ def genus_lower_bound(
     (r_p - 2g >= 2) and every qualifying prime verifies.  Refutations are
     monotone (a violation against threshold 4g+1 is one against any
     smaller threshold, and qualification only shrinks with g), so the
-    certified lower bound is (largest refuted g) + 1.
+    certified lower bound is (largest refuted g) + 1.  threads is accepted
+    for callers that pass it and changes nothing: each prime is one scan.
     """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
     parts = primary_parts(K)
     s1 = signature_at_minus_one(K)
     tables = {part.p: build_sigma_tables(K, part.p) for part in parts}
+
+    def verify_parts(parts: list[PrimaryPart], g: int) -> list[PrimeResult]:
+        return [
+            verify_primary_part(
+                part, K, g, sigma_minus_one=s1, max_witnesses=max_witnesses, tables=tables[part.p]
+            )
+            for part in parts
+        ]
 
     refuted: list[int] = []
     justification: list[str] = []
@@ -311,18 +304,7 @@ def genus_lower_bound(
                 f"g={g}: no prime satisfies r_p - 2g >= 2, hypothesis not refutable by this obstruction"
             )
             break
-        results = [
-            verify_primary_part(
-                part,
-                K,
-                g,
-                sigma_minus_one=s1,
-                threads=threads,
-                max_witnesses=max_witnesses,
-                tables=tables[part.p],
-            )
-            for part in qualifying
-        ]
+        results = verify_parts(qualifying, g)
         ok = all(r.verified for r in results)
         detail = "; ".join(
             f"p={r.p}: {('all ' + str(r.points)) if r.verified else 'not all'} points witnessed"
@@ -344,18 +326,7 @@ def genus_lower_bound(
     if reported is None:
         # no prime qualified at any hypothesis: show a diagnostic g=1 scan
         g_report = 1
-        prime_results = [
-            verify_primary_part(
-                part,
-                K,
-                1,
-                sigma_minus_one=s1,
-                threads=threads,
-                max_witnesses=max_witnesses,
-                tables=tables[part.p],
-            )
-            for part in parts
-        ]
+        prime_results = verify_parts(parts, 1)
         justification.append(
             "primes section shows a diagnostic g=1 scan; no conclusion follows from it"
         )

@@ -8,7 +8,10 @@ isotropic-set oracle is a full quartic-space filter.  Each oracle
 self-checks that no value lands in its ambiguity band, so a wrong
 threshold fails loudly instead of silently agreeing.  The scan oracle
 reads the package's sigma tables but none of its reductions: it checks
-every projective point at every multiplier 1..p-1.  The grid oracle for
+every projective point at every multiplier 1..p-1.  The row-gather scan
+is the previous integer kernel, kept verbatim as the reference for the
+branch-and-bound kernel: it evaluates every class at every multiplier
+1..(p-1)/2 through a composed (r, p, (p-1)/2) table.  The grid oracle for
 the signature function reads the package's T(2,m) angle formula but not
 its arc enumeration: it samples a fixed grid of angles, nudging any that
 lands on an Alexander root.
@@ -223,18 +226,19 @@ def full_scan(points, tables, g: int, s1: int, max_witnesses: int):
     return PrimeResult(p, len(points), verified, tuple(witnesses), margin)
 
 
-def loop_scan(xs, S, p: int, s1: int, thr: int):
+def loop_scan(xs, S, p: int, s1: int, thr: int, k_max: int | None = None):
     """Per-row kernel outputs (first, best, sig_at, eta_at) by element-wise loops.
 
-    Every row of xs at every multiplier k = 1..p-1, reading the scaled
-    sigma table S directly and counting the support of k*x at each k: no
-    composed table, no half range of k and no per-row eta shortcut.
+    Every row of xs at every multiplier k = 1..k_max (default p-1),
+    reading the scaled sigma table S directly and counting the support of
+    k*x at each k: no composed table, no half range of k and no per-row
+    eta shortcut.
     """
     out = []
     for x in xs.tolist():
         first = sig_at = eta_at = 0
         best = None
-        for k in range(1, p):
+        for k in range(1, p if k_max is None else k_max + 1):
             idx = [k * v % p for v in x]
             sig = sum(int(S[j, a]) for j, a in enumerate(idx))
             support = sum(1 for a in idx if a)
@@ -245,3 +249,67 @@ def loop_scan(xs, S, p: int, s1: int, thr: int):
                 first, sig_at, eta_at = k, sig, eta
         out.append((first, best, sig_at, eta_at))
     return tuple(np.array(col, dtype=np.int64) for col in zip(*out))
+
+
+def compose_multipliers(S: np.ndarray, p: int) -> np.ndarray:
+    """T[j, a, k-1] = S[j, k*a mod p] for k = 1..(p-1)/2, C-contiguous int64."""
+    ks = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    return np.ascontiguousarray(S[:, np.arange(p, dtype=np.int64)[:, None] * ks % p])
+
+
+def scan_chunk(xs, T, s1, p, thr):
+    """Row-gather kernel with the contract of `cgobstruct.kernels`, best exact.
+
+    xs is an (n, r) int64 array of nonzero rows reduced into [0, p) and
+    T is `compose_multipliers(S, p)`.  Returns (first, best, sig_at,
+    eta_at), each an int64 array of length n.  Works in one (n, (p-1)/2)
+    buffer: |S + p*s1| is compared with the per-row bound p*(thr + eta),
+    and sig_at is gathered again at the first witnessing multiplier only.
+    """
+    n, r = xs.shape
+    cols = xs.T
+    val = T[0].take(cols[0], axis=0)
+    for j in range(1, r):
+        val += T[j].take(cols[j], axis=0)
+    val += p * s1
+    np.abs(val, out=val)
+    eta = np.count_nonzero(xs, axis=1).astype(np.int64) - 1
+    hit = val > (p * (thr + eta))[:, None]
+    at = hit.argmax(axis=1)
+    has = hit[np.arange(n), at]
+    best = val.max(axis=1) - p * eta
+    sig_at = sum(T[j, cols[j], at] for j in range(r))
+    first = np.where(has, at + 1, 0).astype(np.int64)
+    return first, best, np.where(has, sig_at, 0), np.where(has, eta, 0)
+
+
+def assert_bounded_scan(got, xs, S, p: int, s1: int, thr: int) -> None:
+    """Check branch-and-bound kernel outputs against `loop_scan`.
+
+    first, sig_at and eta_at must equal the exact scan's row by row.  best
+    must be a lower bound on the exact best with the same minimum.  A row
+    left below its exact value must hold its bound over k = 1..BLOCK and a
+    witness inside that block, and best must be exact wherever the exact
+    value lies below the smallest best of the rows that may have been left
+    so (witnessed in the block, best equal to the block bound).
+    """
+    from cgobstruct.kernels import BLOCK
+
+    first, best, sig_at, eta_at = got
+    want = loop_scan(xs, S, p, s1, thr)
+    block = loop_scan(xs, S, p, s1, thr, k_max=BLOCK)[1]
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == np.int64 and a.shape == b.shape
+    for a, b in ((first, want[0]), (sig_at, want[2]), (eta_at, want[3])):
+        assert np.array_equal(a, b), (a, b)
+    exact = want[1]
+    assert (best <= exact).all()
+    if len(best):
+        assert best.min() == exact.min()
+    left = best < exact
+    assert np.array_equal(best[left], block[left])
+    assert ((first[left] >= 1) & (first[left] <= BLOCK)).all()
+    maybe_left = (first >= 1) & (first <= BLOCK) & (best == block)
+    if maybe_left.any():
+        low = exact < best[maybe_left].min()
+        assert np.array_equal(best[low], exact[low])

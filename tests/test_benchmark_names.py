@@ -52,7 +52,8 @@ def test_benchmark_seams_keep_their_shape():
     assert info.hits >= 0 and info.misses >= 0
     assert callable(obstruction.ObstructionReport.to_dict)
     assert callable(importlib.import_module("cgobstruct.cli").json.dumps)
-    # the tracer unpacks (name, scan) and wraps scan(xs, T, s1, p, thr)
+    # the tracer unpacks (name, scan), wraps scan(xs, S, s1, p, thr) and reads
+    # xs and p positionally and first from the result
     name, scan = kernels.select_kernel()
-    assert name == "numpy" and scan is kernels.scan_chunk
+    assert name == "numpy" and scan is kernels.scan_classes
     assert obstruction.select_kernel is kernels.select_kernel

@@ -153,19 +153,20 @@ def test_sigma_table_structure(flagship):
         for i, j in enumerate(tab.piece_indices):
             pc = flagship.pieces[j]
             assert pc.cable_p == p
-            assert tab.sigma[i][0] == 0 and tab.eta[i][0] == 0
+            sigma = [Fraction(int(v), p) for v in tab.scaled_sigma[i]]
+            assert sigma[0] == 0 and tab.eta_arr[i][0] == 0
             for a in range(1, p):
-                assert tab.sigma[i][a] == tab.sigma[i][p - a]
+                assert sigma[a] == sigma[p - a]
                 direct = pc.sign * sigma_cable(pc.companion_q, p, a)
-                assert tab.sigma[i][a] == direct
-                assert tab.eta[i][a] == eta_cable(pc.companion_q, p, a)
+                assert sigma[a] == direct
+                assert tab.eta_arr[i][a] == eta_cable(pc.companion_q, p, a)
                 assert tab.scaled_sigma[i][a] == direct * p
 def test_sigma_table_mirror_twins_negate():
     K = GAKnot((Piece(5, 7, +1), Piece(5, 7, -1)))
     tab = build_sigma_tables(K, 7)
     for a in range(7):
-        assert tab.sigma[0][a] == -tab.sigma[1][a]
-        assert tab.eta[0][a] == tab.eta[1][a]
+        assert Fraction(int(tab.scaled_sigma[0, a]), 7) == -Fraction(int(tab.scaled_sigma[1, a]), 7)
+        assert tab.eta_arr[0, a] == tab.eta_arr[1, a]
 
 
 def test_sigma_table_rejects_foreign_prime(flagship):

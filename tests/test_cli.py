@@ -185,7 +185,25 @@ def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
     rc, out, err = run(capsys, ["verify", *FLAGSHIP])
     assert rc == 3
     assert out == ""
-    assert err.startswith("internal error: hyperbolic point count mismatch at p=83")
+    assert err.startswith("internal error: isotropic point count mismatch at p=83: 925 != 7056")
+
+
+def test_unverified_knot_report_matches_row_gather_reference(capsys, monkeypatch):
+    # 295 of this knot's 10,953 classes have no witness, so the scan's second
+    # stage does real work; the report must equal the previous kernel's
+    import cgobstruct.obstruction as obstruction
+    from oracles import compose_multipliers, scan_chunk
+
+    argv = ["verify", "--knot", "T(2,3;2,293) # -T(2,3;2,293) # T(2,5;2,293) # -T(2,5;2,293)"]
+    rc, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert rc == 1
+    assert json.loads(out)["primes"][0]["margin"] == "-3/1"
+
+    def reference(xs, S, s1, p, thr):
+        return scan_chunk(xs, compose_multipliers(S, p), s1, p, thr)
+
+    monkeypatch.setattr(obstruction, "select_kernel", lambda: ("numpy", reference))
+    assert run(capsys, [*argv, "--format", "json"]) == (1, out, "")
 
 
 def test_nonzero_eta_cable_exit_3(capsys, monkeypatch):

@@ -4,20 +4,14 @@ import numpy as np
 import pytest
 
 from cgobstruct import build_sigma_tables, check_point, primary_parts
-from cgobstruct.kernels import (
-    assert_int64_budget,
-    compose_multipliers,
-    scan_chunk,
-    select_kernel,
-)
-from cgobstruct.linking_form import enumerate_projective_isotropic
+from cgobstruct.kernels import BLOCK, assert_int64_budget, scan_classes, select_kernel
+from cgobstruct.linking_form import PrimaryPart, enumerate_projective_isotropic
 
-from oracles import loop_scan
+from oracles import assert_bounded_scan, compose_multipliers, loop_scan, scan_chunk
 
 
 def scan(xs, S, p, s1, thr):
-    """The kernel with its per-prime table composed on the spot."""
-    return scan_chunk(xs, compose_multipliers(S, p), s1, p, thr)
+    return scan_classes(xs, S, s1, p, thr)
 
 
 def assert_same(got, want):
@@ -47,6 +41,7 @@ def test_numpy_kernel_shapes(scan_inputs):
 
 
 def test_compose_multipliers_layout():
+    # the layout of the row-gather reference kernel's table
     S = np.arange(2 * 7, dtype=np.int64).reshape(2, 7)
     T = compose_multipliers(S, 7)
     assert T.shape == (2, 7, 3) and T.flags["C_CONTIGUOUS"]
@@ -80,7 +75,8 @@ def test_kernel_against_exact_reference_nonzero_s1(scan_inputs, s1):
 
 @pytest.mark.parametrize("s1", [0, 3, -7])
 def test_kernel_unwitnessed_rows(scan_inputs, s1):
-    # a threshold above every value: nothing is witnessed, best is still exact
+    # a threshold above every value: nothing is witnessed, so every row is
+    # scanned in full and best is exact
     _, tab, xs = scan_inputs
     S, p, rows = tab.scaled_sigma, tab.p, xs[::25]
     first, best, sig_at, eta_at = scan(rows, S, p, s1, 10**4)
@@ -92,13 +88,52 @@ def test_kernel_unwitnessed_rows(scan_inputs, s1):
 def test_kernel_matches_loop_on_flagship_rows(scan_inputs, s1, thr):
     _, tab, xs = scan_inputs
     S, p, rows = tab.scaled_sigma, tab.p, xs[::10]
-    assert_same(scan(rows, S, p, s1, thr), loop_scan(rows, S, p, s1, thr))
+    assert_bounded_scan(scan(rows, S, p, s1, thr), rows, S, p, s1, thr)
+
+
+@pytest.mark.parametrize("thr", [5, 9, 10**4])
+def test_kernel_matches_row_gather_reference(scan_inputs, thr):
+    # first, sig_at, eta_at and the minimum of best equal the previous kernel's
+    _, tab, xs = scan_inputs
+    S, p = tab.scaled_sigma, tab.p
+    first, best, sig_at, eta_at = scan(xs, S, p, 3, thr)
+    want = scan_chunk(xs, compose_multipliers(S, p), 3, p, thr)
+    assert_same((first, sig_at, eta_at), (want[0], want[2], want[3]))
+    assert best.min() == want[1].min() and (best <= want[1]).all()
+
+
+def test_kernel_first_witness_beyond_block():
+    # one spike at a = +-7 mod 31: x = 1 first hits at k = 7, x = 2 at k = 12
+    # (2*12 = 24 = -7), x = 3 at k = 8 (3*8 = 24); none inside k <= BLOCK
+    p = 31
+    S = np.zeros((1, p), dtype=np.int64)
+    S[0, 7] = S[0, p - 7] = 10 * p
+    xs = np.array([[1], [2], [3]], dtype=np.int64)
+    got = scan(xs, S, p, 0, 5)
+    assert got[0].tolist() == [7, 12, 8] and min(got[0]) > BLOCK
+    assert_same(got, loop_scan(xs, S, p, 0, 5))
+
+
+def test_kernel_many_rows_tie_at_the_minimum():
+    # entries from {0, +-p, 2p}: 40 of 256 classes tie at the minimum, 50
+    # are first witnessed beyond the block, and some keep their block bound
+    p, half = 31, 15
+    rows = np.random.default_rng(11).choice([0, p, -p, 2 * p], (4, half + 1))
+    rows[:, 0] = 0
+    S = np.concatenate([rows, rows[:, :0:-1]], axis=1)
+    part = PrimaryPart(p, (0, 1, 2, 3), (1, 1, -1, -1))
+    xs = np.array(list(enumerate_projective_isotropic(part))[::4], dtype=np.int64)
+    got = scan(xs, S, p, 0, 1)
+    assert_bounded_scan(got, xs, S, p, 0, 1)
+    exact = loop_scan(xs, S, p, 0, 1)[1]
+    assert (exact == exact.min()).sum() == 40 and (got[0] > BLOCK).sum() == 50
+    assert (got[1] < exact).any()
 
 
 def test_select_kernel_env():
     # one kernel is left; the seam still resolves it by name
-    assert select_kernel() == ("numpy", scan_chunk)
-    assert select_kernel("numpy") == ("numpy", scan_chunk)
+    assert select_kernel() == ("numpy", scan_classes)
+    assert select_kernel("numpy") == ("numpy", scan_classes)
     with pytest.raises(ValueError):
         select_kernel("numba")
 

@@ -13,7 +13,7 @@ from cgobstruct import (
     primary_parts,
     sqrt_table,
 )
-from cgobstruct.linking_form import PrimaryPart
+from cgobstruct.linking_form import PrimaryPart, isotropic_point_count
 
 from oracles import brute_isotropic, expand_projective
 
@@ -166,3 +166,18 @@ def test_classes_flagship_counts():
         classes = _classes(PrimaryPart(p, (0, 1, 2, 3), (1, -1, 1, -1)))
         assert sum(size for _, size in classes) == (p + 1) ** 2
         assert len(classes) < (p + 1) ** 2 / 6
+
+
+def test_isotropic_point_count_closed_form():
+    # every sign pattern at ranks 0-5 for p <= 13, and ranks 0-4 at p = 83:
+    # 346 parts, each against the orbit sizes of the class enumeration
+    cases = [(p, r) for p in (3, 5, 7, 11, 13) for r in range(6)] + [(83, r) for r in range(5)]
+    seen = 0
+    for p, r in cases:
+        for signs in itertools.product((1, -1), repeat=r):
+            part = PrimaryPart(p, tuple(range(r)), signs)
+            _, sizes = enumerate_isotropic_classes(part)
+            assert isotropic_point_count(part) == int(sizes.sum()), (p, signs)
+            seen += 1
+    assert seen == 346
+    assert isotropic_point_count(PrimaryPart(83, (0, 1, 2, 3), (1, -1, 1, -1))) == 84**2
