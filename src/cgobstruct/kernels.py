@@ -31,9 +31,11 @@ of every class without a stage-1 witness, then of the witnessed classes
 in increasing L while L < U, U the smallest exact best so far; every
 class left has best >= L >= U and cannot set the margin.  Full scans run
 in batches that double from one class up to BATCH, so U tightens before
-large batches.  Values are gathered through the product table
-mult[a, k-1] = k*a mod p, built once per call: two gathers per piece
-cost far less than reducing k*x_j mod p per element.
+large batches.  Stage 1 reads each column xs[:, j] (contiguous in the
+column-major class array) once, through the composed table B[j, a, k-1]
+= S[j, k*a mod p], k <= BLOCK (`compose_block`, 40 KB at p = 307): one
+gather per piece and class.  Stage 2 gathers through the product table
+mult[a, k-1] = k*a mod p and then S[j], built once per call.
 
 Per row the kernel reports the first witnessing multiplier (0 when
 none), a lower bound on best that is exact for every row able to set the
@@ -43,43 +45,53 @@ witnessing multiplier (0 when none).
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 BLOCK = 4
 BATCH = 1024
 
 
+def compose_block(S: np.ndarray, p: int) -> np.ndarray:
+    """Stage 1's (r, p, min(BLOCK, (p-1)/2)) table B[j, a, k-1] = S[j, k*a mod p]."""
+    return S.take(np.arange(p)[:, None] * np.arange(1, min(BLOCK, (p - 1) // 2) + 1) % p, axis=1)
+
+
 def scan_classes(xs, S, s1, p, thr):
     """Branch-and-bound scan; see the module docstring for the contract.
 
-    xs is an (n, r) int64 array of nonzero rows reduced into [0, p) and
-    S the (r, p) scaled sigma table.  Returns (first, best, sig_at,
-    eta_at), each an int64 array of length n.
+    xs is an (n, r) int64 array (any layout) of nonzero rows reduced into
+    [0, p) and S the (r, p) scaled sigma table.  Returns (first, best,
+    sig_at, eta_at), each an int64 array of length n.
     """
     n, r = xs.shape
     mult = np.arange(p, dtype=np.int64)[:, None] * np.arange(1, (p + 1) // 2) % p
+    B = compose_block(S, p)
     eta = np.count_nonzero(xs, axis=1).astype(np.int64) - 1
 
-    def settle(rows, idx):
-        """(first, max, sig at first) over the columns k of idx for xs[rows]."""
+    def settle(rows, look):
+        """(first, max, sig at first) over the k columns look(j, xs[rows, j]) gives."""
         xb = xs[rows]
-        val = np.full((len(xb), idx.shape[1]), p * s1, dtype=np.int64)
-        for j in range(r):
-            val += S[j].take(idx.take(xb[:, j], axis=0))
+        val = look(0, xb[:, 0]) + p * s1
+        for j in range(1, r):
+            val += look(j, xb[:, j])
         mag = np.abs(val)
         hit = mag > (p * (thr + eta[rows]))[:, None]
         at, pick = hit.argmax(axis=1), np.arange(len(xb))
         first = np.where(hit[pick, at], at + 1, 0)
-        return first, mag.max(axis=1) - p * eta[rows], val[pick, at] - p * s1
+        # numpy's row max is slow on short rows: stage 1 reduces column by column
+        top = reduce(np.maximum, mag.T) if mag.shape[1] <= BLOCK else mag.max(axis=1)
+        return first, top - p * eta[rows], val[pick, at] - p * s1
 
-    first, best, sig_at = settle(slice(None), mult[:, :BLOCK])
+    first, best, sig_at = settle(slice(None), lambda j, c: B[j].take(c, axis=0))
     key = np.where(first > 0, best, np.iinfo(np.int64).min)  # unwitnessed first
     order = np.argsort(key, kind="stable")
     key = key[order]
     bound, pos, size = np.iinfo(np.int64).max, 0, 1
     while pos < n and key[pos] < bound:
         rows = order[pos : min(pos + size, int(np.searchsorted(key, bound)))]
-        first[rows], best[rows], sig_at[rows] = settle(rows, mult)
+        first[rows], best[rows], sig_at[rows] = settle(rows, lambda j, c: S[j][mult[c]])
         bound = min(bound, int(best[rows].min()))
         pos, size = pos + len(rows), min(2 * size, BATCH)
     has = first > 0

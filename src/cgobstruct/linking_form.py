@@ -13,8 +13,8 @@ The verdict is also invariant under negating single coordinates (every
 sigma table row satisfies S[j,a] = S[j,p-a]), so the scan itself reads one
 representative per sign-flip class and weighs it by its orbit size.
 `enumerate_isotropic_classes` returns both as int64 arrays for the scan
-kernel; `enumerate_projective_isotropic` streams every point lazily, and
-reports and witnesses are phrased in its points.
+kernel, representatives column-major; `enumerate_projective_isotropic`
+streams every point lazily, and reports and witnesses use its points.
 """
 
 from __future__ import annotations
@@ -144,27 +144,27 @@ def enumerate_isotropic_classes(part: PrimaryPart) -> tuple[np.ndarray, np.ndarr
 
     xs is an (n, rank) int64 array of representatives in ascending
     lexicographic order (per leading position, a C-order grid of the free
-    coordinates over [0, (p-1)/2], the last one solved for all at once)
-    and sizes their int64 orbit sizes, which sum to the length of
-    `enumerate_projective_isotropic(part)`.
+    coordinates over [0, (p-1)/2], Q an outer sum of their squares, the
+    last one solved for all at once) and sizes their int64 orbit sizes,
+    which sum to the length of `enumerate_projective_isotropic(part)`.
+    xs is column-major, built as (rank, n), so each xs[:, j] is contiguous.
     """
     p, signs, r = part.p, part.signs, part.rank
     if r < 2:
         return np.zeros((0, r), dtype=np.int64), np.zeros(0, dtype=np.int64)
     roots = np.array(sqrt_table(p), dtype=np.int64)
     inv_last = pow(signs[-1] % p, p - 2, p)
-    half, blocks = (p + 1) // 2, []
+    sq, blocks = np.arange((p + 1) // 2, dtype=np.int64) ** 2 % p, []
     for lead in range(r - 2, -1, -1):
-        f = r - 2 - lead
-        free = np.indices((half,) * f, dtype=np.int64).reshape(f, half**f)
-        eps = np.array(signs[lead + 1 : r - 1], dtype=np.int64)[:, None]
-        partial = (signs[lead] + (eps * free * free).sum(axis=0)) % p
-        root = roots[(-partial) * inv_last % p]
-        keep = root >= 0
-        x = np.zeros((int(keep.sum()), r), dtype=np.int64)
-        x[:, lead] = 1
-        x[:, lead + 1 : r - 1] = free[:, keep].T
-        x[:, r - 1] = root[keep]
+        partial = np.full(1, signs[lead], dtype=np.int64)
+        for e in signs[lead + 1 : r - 1]:
+            partial = np.add.outer(partial, e * sq)
+        root = roots[partial.ravel() * -inv_last % p]
+        keep = np.flatnonzero(root >= 0)
+        x = np.zeros((r, len(keep)), dtype=np.int64)
+        x[lead : r - 1] = np.unravel_index(keep, partial.shape)
+        x[lead] = 1
+        x[r - 1] = root[keep]
         blocks.append(x)
-    xs = np.concatenate(blocks)
-    return xs, 1 << (np.count_nonzero(xs, axis=1) - 1)
+    cols = np.concatenate(blocks, axis=1)
+    return cols.T, 1 << (np.count_nonzero(cols, axis=0) - 1)

@@ -241,7 +241,10 @@ def verify_primary_part(
         return PrimeResult(p, 0, True, (), None)
     assert_int64_budget(tables.scaled_sigma, tables.eta_arr, p, s1, thr)
     _, scan = select_kernel()
-    first, best, sig_at, eta_at = scan(xs, tables.scaled_sigma, s1, p, thr)
+    try:
+        first, best, sig_at, eta_at = scan(xs, tables.scaled_sigma, s1, p, thr)
+    except (ValueError, IndexError) as exc:  # a kernel bug, not bad input
+        raise ArithmeticError(f"scan kernel failed at p={p}: {exc}") from exc
 
     verified = bool((first > 0).all())
     margin = Fraction(int(best.min()), p)

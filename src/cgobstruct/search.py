@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -188,6 +187,7 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     sink = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     try:
         if cfg.threads > 1 and len(todo) > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only pooled sweeps pay for it
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
                 for rec in pool.map(lambda c: _run_candidate(c, cfg), todo):
                     fresh[tuple(rec["tuple"])] = rec

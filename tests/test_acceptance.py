@@ -56,8 +56,8 @@ OTHER_PARAMS = [(107, 131, 23, 17, 19), (139, 163, 29, 19, 23), (163, 181, 37, 2
 
 
 def test_flagship_exhaustive_scan_counts_and_timing(flagship, flagship_report):
-    # flagship_report has already warmed kernels and signature caches, so
-    # the timings below measure the scan pipeline, not JIT compilation
+    # flagship_report has already filled the signature caches, so the
+    # timings below measure the scan pipeline, not first-call table builds
     t0 = time.perf_counter()
     single = genus_lower_bound(flagship, g_max=1, threads=1)
     t_single = time.perf_counter() - t0

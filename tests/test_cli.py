@@ -188,6 +188,21 @@ def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
     assert err.startswith("internal error: isotropic point count mismatch at p=83: 925 != 7056")
 
 
+def test_kernel_failure_exit_3(capsys, monkeypatch):
+    # a ValueError from inside the scan is a bug, not bad input
+    import cgobstruct.obstruction as obstruction
+
+    def broken(xs, S, s1, p, thr):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(obstruction, "select_kernel", lambda name=None: ("numpy", broken))
+    rc, out, err = run(capsys, ["verify", *FLAGSHIP])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("internal error: scan kernel failed at p=83")
+    assert "operands could not be broadcast together" in err
+
+
 def test_unverified_knot_report_matches_row_gather_reference(capsys, monkeypatch):
     # 295 of this knot's 10,953 classes have no witness, so the scan's second
     # stage does real work; the report must equal the previous kernel's
@@ -229,6 +244,18 @@ def test_cli_import_does_not_load_mpmath():
     # mpmath serves only the exact Sturm fallback, which imports it on use
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cgobstruct.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_thread_pool():
+    # only a search with --threads > 1 imports concurrent.futures
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cgobstruct.cli; print('concurrent.futures' in sys.modules)"],
         capture_output=True,
         text=True,
         timeout=120,

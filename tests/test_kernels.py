@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgobstruct import build_sigma_tables, check_point, primary_parts
-from cgobstruct.kernels import BLOCK, assert_int64_budget, scan_classes, select_kernel
+from cgobstruct.kernels import BLOCK, assert_int64_budget, compose_block, scan_classes, select_kernel
 from cgobstruct.linking_form import PrimaryPart, enumerate_projective_isotropic
 
 from oracles import assert_bounded_scan, compose_multipliers, loop_scan, scan_chunk
@@ -38,6 +38,20 @@ def test_numpy_kernel_shapes(scan_inputs):
     assert (first > 0).all()  # flagship: every point witnessed
     assert (first <= (p - 1) // 2).all()
     assert (best >= np.abs(sig_at) - p * eta_at).all()
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 31])
+def test_compose_block_entries(p):
+    # stage 1's table: row B[j, a] holds S[j, k*a mod p] for k = 1..BLOCK,
+    # or up to (p-1)/2 when that is smaller
+    S = np.arange(3 * p, dtype=np.int64).reshape(3, p) * 7 % 101
+    B = compose_block(S, p)
+    width = min(BLOCK, (p - 1) // 2)
+    assert B.shape == (3, p, width) and B.dtype == np.int64 and B.flags["C_CONTIGUOUS"]
+    for j in range(3):
+        for a in range(p):
+            for k in range(1, width + 1):
+                assert B[j, a, k - 1] == S[j, k * a % p]
 
 
 def test_compose_multipliers_layout():
@@ -91,13 +105,27 @@ def test_kernel_matches_loop_on_flagship_rows(scan_inputs, s1, thr):
     assert_bounded_scan(scan(rows, S, p, s1, thr), rows, S, p, s1, thr)
 
 
-@pytest.mark.parametrize("thr", [5, 9, 10**4])
-def test_kernel_matches_row_gather_reference(scan_inputs, thr):
-    # first, sig_at, eta_at and the minimum of best equal the previous kernel's
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray, "strided": lambda xs: xs[::3]}
+
+
+@pytest.mark.parametrize(
+    "thr, layout",
+    [
+        pytest.param(thr, layout, id=str(thr) if layout == "C" else f"{thr}-{layout}")
+        for thr in (5, 9, 10**4)
+        for layout in LAYOUTS
+    ],
+)
+def test_kernel_matches_row_gather_reference(scan_inputs, thr, layout):
+    # first, sig_at, eta_at and the minimum of best equal the previous kernel's,
+    # and the memory layout of xs changes no output
     _, tab, xs = scan_inputs
     S, p = tab.scaled_sigma, tab.p
-    first, best, sig_at, eta_at = scan(xs, S, p, 3, thr)
-    want = scan_chunk(xs, compose_multipliers(S, p), 3, p, thr)
+    rows = LAYOUTS[layout](xs)
+    assert rows.flags.c_contiguous == (layout == "C") and rows.flags.f_contiguous == (layout == "F")
+    first, best, sig_at, eta_at = scan(rows, S, p, 3, thr)
+    assert_same((first, best, sig_at, eta_at), scan(np.ascontiguousarray(rows), S, p, 3, thr))
+    want = scan_chunk(np.ascontiguousarray(rows), compose_multipliers(S, p), 3, p, thr)
     assert_same((first, sig_at, eta_at), (want[0], want[2], want[3]))
     assert best.min() == want[1].min() and (best <= want[1]).all()
 

@@ -123,6 +123,7 @@ def _classes(part):
     xs, sizes = enumerate_isotropic_classes(part)
     assert xs.dtype == sizes.dtype == np.int64
     assert xs.shape == (len(sizes), part.rank)
+    assert xs.flags.f_contiguous  # the scan kernel gathers through whole columns
     return [(tuple(rep), size) for rep, size in zip(xs.tolist(), sizes.tolist())]
 
 

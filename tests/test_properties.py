@@ -156,4 +156,9 @@ def adversarial_scan_cases(draw):
 @given(st.one_of(scan_cases(), adversarial_scan_cases()))
 def test_scan_kernel_matches_elementwise_loop(case):
     p, S, xs, s1, thr = case
-    assert_bounded_scan(scan_classes(xs, S, s1, p, thr), xs, S, p, s1, thr)
+    got = scan_classes(xs, S, s1, p, thr)
+    assert_bounded_scan(got, xs, S, p, s1, thr)
+    # column-major and row-strided copies of the same rows give identical outputs
+    for rows in (np.asfortranarray(xs), np.repeat(xs, 3, axis=0)[::3]):
+        for a, b in zip(scan_classes(rows, S, s1, p, thr), got, strict=True):
+            assert np.array_equal(a, b)
