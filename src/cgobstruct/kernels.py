@@ -25,17 +25,19 @@ exact only under this invariant.
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
 p*eta), not every best(x).  Stage 1 evaluates k = 1..BLOCK for every
-class; a witness found there is the first one, and the block maximum is
-a lower bound L(x) <= best(x).  Stage 2 scans all (p-1)/2 multipliers
-of every class without a stage-1 witness, then of the witnessed classes
-in increasing L while L < U, U the smallest exact best so far; every
-class left has best >= L >= U and cannot set the margin.  Full scans run
-in batches that double from one class up to BATCH, so U tightens before
-large batches.  Stage 1 reads each column xs[:, j] (contiguous in the
-column-major class array) once, through the composed table B[j, a, k-1]
-= S[j, k*a mod p], k <= BLOCK (`compose_block`, 40 KB at p = 307): one
-gather per piece and class.  Stage 2 gathers through the product table
-mult[a, k-1] = k*a mod p and then S[j], built once per call.
+class, column by column from k = BLOCK down: a witness found there is
+the first one, and the block maximum is a lower bound L(x) <= best(x).
+Stage 2 scans all (p-1)/2 multipliers.  It seeds the bound U, the
+smallest exact best so far, with every class without a stage-1 witness
+and the witnessed class of smallest L, in pieces of BATCH classes.  Only
+witnessed classes with L < U can still set the margin: they are selected
+by one mask, ordered by L and scanned while L < U, in batches doubling
+from one class to BATCH so U tightens before large batches; every class
+left has best >= L >= U.  Stage 1 reads each column xs[:, j] (contiguous
+in the column-major class array) once, through the composed table
+B[j, a, k-1] = S[j, k*a mod p], k <= BLOCK (`compose_block`, 40 KB at
+p = 307): one gather per piece and class.  Stage 2 gathers through the
+product table mult[a, k-1] = k*a mod p and then S[j], built once per call.
 
 Per row the kernel reports the first witnessing multiplier (0 when
 none), a lower bound on best that is exact for every row able to set the
@@ -65,7 +67,7 @@ def scan_classes(xs, S, s1, p, thr):
     [0, p) and S the (r, p) scaled sigma table.  Returns (first, best,
     sig_at, eta_at), each an int64 array of length n.
     """
-    n, r = xs.shape
+    r = xs.shape[1]
     mult = np.arange(p, dtype=np.int64)[:, None] * np.arange(1, (p + 1) // 2) % p
     B = compose_block(S, p)
     eta = np.count_nonzero(xs, axis=1).astype(np.int64) - 1
@@ -76,23 +78,36 @@ def scan_classes(xs, S, s1, p, thr):
         val = look(0, xb[:, 0]) + p * s1
         for j in range(1, r):
             val += look(j, xb[:, j])
-        mag = np.abs(val)
-        hit = mag > (p * (thr + eta[rows]))[:, None]
+        mag, lim = np.abs(val), p * (thr + eta[rows])
+        if mag.shape[1] <= BLOCK:  # numpy's row reductions are slow on short rows
+            first = sig = np.zeros(len(xb), dtype=np.int64)
+            for k in range(mag.shape[1], 0, -1):
+                hit = mag[:, k - 1] > lim
+                first, sig = np.where(hit, k, first), np.where(hit, val[:, k - 1], sig)
+            return first, reduce(np.maximum, mag.T) - p * eta[rows], sig - p * s1
+        hit = mag > lim[:, None]
         at, pick = hit.argmax(axis=1), np.arange(len(xb))
         first = np.where(hit[pick, at], at + 1, 0)
-        # numpy's row max is slow on short rows: stage 1 reduces column by column
-        top = reduce(np.maximum, mag.T) if mag.shape[1] <= BLOCK else mag.max(axis=1)
-        return first, top - p * eta[rows], val[pick, at] - p * s1
+        return first, mag.max(axis=1) - p * eta[rows], val[pick, at] - p * s1
+
+    def full(rows):
+        """Scan rows at every multiplier; the smallest exact best among them."""
+        first[rows], best[rows], sig_at[rows] = settle(rows, lambda j, c: S[j][mult[c]])
+        return int(best[rows].min())
 
     first, best, sig_at = settle(slice(None), lambda j, c: B[j].take(c, axis=0))
-    key = np.where(first > 0, best, np.iinfo(np.int64).min)  # unwitnessed first
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    bound, pos, size = np.iinfo(np.int64).max, 0, 1
-    while pos < n and key[pos] < bound:
-        rows = order[pos : min(pos + size, int(np.searchsorted(key, bound)))]
-        first[rows], best[rows], sig_at[rows] = settle(rows, lambda j, c: S[j][mult[c]])
-        bound = min(bound, int(best[rows].min()))
+    has, bound = first > 0, np.iinfo(np.int64).max
+    seed = np.flatnonzero(~has)
+    if has.any():
+        seed = np.append(seed, np.argmin(np.where(has, best, bound)))
+    for i in range(0, len(seed), BATCH):
+        bound = min(bound, full(seed[i : i + BATCH]))
+    rest = np.flatnonzero(has & (best < bound))  # the seeded minimum now has best >= bound
+    rest = rest[np.argsort(best[rest], kind="stable")]
+    key, pos, size = best[rest], 0, 1
+    while pos < len(rest) and key[pos] < bound:
+        rows = rest[pos : min(pos + size, int(np.searchsorted(key, bound)))]
+        bound = min(bound, full(rows))
         pos, size = pos + len(rows), min(2 * size, BATCH)
     has = first > 0
     return first, best, np.where(has, sig_at, 0), np.where(has, eta, 0)

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional
 
 from . import __version__
 from .knots import build_family
-from .obstruction import ObstructionReport, genus_lower_bound
+from .obstruction import genus_lower_bound
 from .primes import is_odd_prime, odd_primes_in
 
 RANKINGS: dict[str, Callable[[tuple[int, int, int, int, int]], tuple]] = {
@@ -95,12 +95,6 @@ def enumerate_candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, int
                 out.append((p1, p2, q1, q2, q3))
     out.sort(key=key)
     yield from out
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    candidate: tuple[int, int, int, int, int]
-    report: ObstructionReport
 
 
 def _run_candidate(cand: tuple[int, int, int, int, int], cfg: SearchConfig) -> dict:

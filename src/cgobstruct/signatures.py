@@ -156,9 +156,13 @@ def torus_signature_at_angle(m: int, x: Fraction) -> int:
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"torus parameter must be odd and >= 1, got {m}")
-    a, b = x.numerator, x.denominator
-    if not 0 < a < 2 * b:
+    if not 0 < x < 2:
         raise ValueError(f"angle fraction must lie in (0, 2), got {x}")
+    return _lattice_signature(m, x.numerator, x.denominator)
+
+
+def _lattice_signature(m: int, a: int, b: int) -> int:
+    """`torus_signature_at_angle(m, a/b)`, 0 < a < 2b; scaling a and b keeps the count."""
     if m == 1:
         return 0
     # pos = #{1 <= k <= m-1 : k < t} with t = m*|1-x|/2 = num/den in [0, m/2)
@@ -168,46 +172,47 @@ def torus_signature_at_angle(m: int, x: Fraction) -> int:
         kmax -= 1  # strict inequality
     pos = min(m - 1, max(0, kmax))
     zero = 1 if rem == 0 and 1 <= num // den <= m - 1 else 0
-    neg = (m - 1) - pos - zero
-    return pos - neg
+    return 2 * pos + zero - (m - 1)  # pos - neg, neg = (m-1) - pos - zero
 
 
-def _arc_ends(K: GAKnot) -> list[Fraction]:
-    """Sorted right ends of arcs of (0, 1] on which sigma_K is constant.
+def _arc_ends(K: GAKnot) -> tuple[int, list[int]]:
+    """(L, ends): right ends over L of the arcs of (0, 1] where sigma_K is constant.
 
     A piece's factors can only change signature where exp(i*pi*x) is a
     root of t^p + 1 (cable) or of t^(2q') + 1 (companion at w^2, q' > 1),
-    i.e. at x = j/p or x = j/(2q') with j odd.  Every jump of sigma_K is
-    among these angles; x = 1/2 (from companions) and x = 1 are not jumps.
+    i.e. at x = j/p or x = j/(2q') with j odd; L is the lcm of these
+    denominators.  Every jump of sigma_K is among these angles; x = 1/2
+    (from companions) and x = 1 are not jumps.
     """
     dens = {pc.cable_p for pc in K.pieces}
     dens.update(2 * pc.companion_q for pc in K.pieces if pc.companion_q > 1)
-    ends = {Fraction(1)}
+    L = math.lcm(*dens)
+    ends = {L}
     for m in dens:
-        ends.update(Fraction(j, m) for j in range(1, m, 2))
-    return sorted(ends)
+        ends.update(range(L // m, L, 2 * L // m))  # j*L/m, j odd
+    return L, sorted(ends)
 
 
 def signature_function_samples(K: GAKnot) -> list[tuple[Fraction, int]]:
     """sigma_K at w = exp(i*pi*x), one sample per arc of constancy in (0, 1].
 
     Each arc between consecutive candidate jump angles (`_arc_ends`) is
-    sampled at its midpoint, so the list determines sigma_K on the whole
-    circle off its jumps: the arc (x_n, 1] continues through w = -1, and
-    x -> 2 - x (complex conjugation) mirrors (1, 2) onto (0, 1).  Each
-    piece contributes sign * (sigma_{T(2,p)}(w) + sigma_{T(2,q')}(w^2)) by
-    the cabling rule.
+    sampled at its midpoint x = (lo+hi)/(2L), so the list determines
+    sigma_K on the whole circle off its jumps: the arc (x_n, 1] continues
+    through w = -1, and x -> 2 - x (complex conjugation) mirrors (1, 2)
+    onto (0, 1).  Each piece contributes sign * (sigma_{T(2,p)}(w) +
+    sigma_{T(2,q')}(w^2)) by the cabling rule.
     """
+    L, ends = _arc_ends(K)
     out: list[tuple[Fraction, int]] = []
-    lo = Fraction(0)
-    for hi in _arc_ends(K):
-        x = (lo + hi) / 2
-        lo = hi
+    lo = 0
+    for hi in ends:
+        u, lo = lo + hi, hi
         total = 0
         for pc in K.pieces:
-            s = torus_signature_at_angle(pc.cable_p, x)
+            s = _lattice_signature(pc.cable_p, u, 2 * L)
             if pc.companion_q > 1:
-                s += torus_signature_at_angle(pc.companion_q, 2 * x)
+                s += _lattice_signature(pc.companion_q, u, L)  # 2x = u/L
             total += pc.sign * s
-        out.append((x, total))
+        out.append((Fraction(u, 2 * L), total))
     return out

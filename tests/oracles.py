@@ -284,20 +284,28 @@ def scan_chunk(xs, T, s1, p, thr):
 
 
 def assert_bounded_scan(got, xs, S, p: int, s1: int, thr: int) -> None:
-    """Check branch-and-bound kernel outputs against `loop_scan`.
+    """Check branch-and-bound kernel outputs against `loop_scan`."""
+    from cgobstruct.kernels import BLOCK
 
-    first, sig_at and eta_at must equal the exact scan's row by row.  best
-    must be a lower bound on the exact best with the same minimum.  A row
-    left below its exact value must hold its bound over k = 1..BLOCK and a
-    witness inside that block, and best must be exact wherever the exact
-    value lies below the smallest best of the rows that may have been left
-    so (witnessed in the block, best equal to the block bound).
+    want = loop_scan(xs, S, p, s1, thr)
+    assert_bounded(got, want, loop_scan(xs, S, p, s1, thr, k_max=BLOCK)[1])
+
+
+def assert_bounded(got, want, block) -> None:
+    """Check branch-and-bound kernel outputs against an exact scan.
+
+    want is an exact scan's (first, best, sig_at, eta_at) and block its
+    best over k = 1..BLOCK only.  first, sig_at and eta_at must equal the
+    exact scan's row by row.  best must be a lower bound on the exact best
+    with the same minimum.  A row left below its exact value must hold its
+    bound over k = 1..BLOCK and a witness inside that block, and best must
+    be exact wherever the exact value lies below the smallest best of the
+    rows that may have been left so (witnessed in the block, best equal to
+    the block bound).
     """
     from cgobstruct.kernels import BLOCK
 
     first, best, sig_at, eta_at = got
-    want = loop_scan(xs, S, p, s1, thr)
-    block = loop_scan(xs, S, p, s1, thr, k_max=BLOCK)[1]
     for a, b in zip(got, want, strict=True):
         assert a.dtype == np.int64 and a.shape == b.shape
     for a, b in ((first, want[0]), (sig_at, want[2]), (eta_at, want[3])):

@@ -35,6 +35,7 @@ from cgobstruct import (
     sigma_torus,
     signature_at_minus_one,
     signature_function_samples,
+    torus_signature_at_angle,
 )
 from cgobstruct.cli import main
 from cgobstruct.primes import odd_primes_in
@@ -134,6 +135,22 @@ def test_three_more_knots_certify_genus_two():
     assert elapsed < 300.0, f"three verifications took {elapsed:.0f}s"
 
 
+def test_family_near_p_1000_certifies_with_margin_seven():
+    # 128k classes per prime: the scan runs many BATCH pieces per stage
+    K = build_family(1009, 1013, 17, 11, 13)
+    rep = genus_lower_bound(K)
+    assert rep.genus.lower_bound == 2
+    assert [(pr.p, pr.points) for pr in rep.primes] == [(1009, 1020100), (1013, 1028196)]
+    parts = {part.p: part for part in primary_parts(K)}
+    for pr in rep.primes:
+        assert pr.verified and pr.points == (pr.p + 1) ** 2
+        assert pr.margin == Fraction(7)
+        assert pr.witnesses
+        tab = build_sigma_tables(K, pr.p)
+        for w in pr.witnesses:
+            assert check_point(w.x, parts[pr.p], tab, 1, 0) == w
+
+
 # -- vanishing classical obstructions ----------------------------------------
 
 
@@ -209,6 +226,37 @@ def test_signature_function_matches_grid_oracle_on_random_knots():
         assert all(_grid_hits_per_arc(K, _resolution_finer_than_arcs(K))), str(K)
         nonzero += any(v != 0 for _, v in signature_function_samples(K))
     assert nonzero >= 30
+
+
+def _midpoint_samples(K):
+    """sigma_K at the Fraction midpoint of each oracle arc, piece by piece."""
+    out = []
+    for lo, hi in signature_arcs(K):
+        x, total = (lo + hi) / 2, 0
+        for pc in K.pieces:
+            s = torus_signature_at_angle(pc.cable_p, x)
+            if pc.companion_q > 1:
+                s += torus_signature_at_angle(pc.companion_q, 2 * x)
+            total += pc.sign * s
+        out.append((x, total))
+    return out
+
+
+def test_integer_sweep_matches_fraction_midpoints():
+    # the sweep walks arc ends as integers over the lcm of the jump
+    # denominators; it must give the Fraction evaluation at each midpoint
+    knots = [build_family(*params) for params in [FLAGSHIP_PARAMS] + OTHER_PARAMS]
+    rng = random.Random(2107)
+    primes = odd_primes_in(3, 31)
+    for _ in range(60):
+        pieces = []
+        for _ in range(rng.randint(1, 5)):
+            p = rng.choice(primes)
+            q = rng.choice([q for q in range(1, 16, 2) if q % p])
+            pieces.append(Piece(q, p, rng.choice((1, -1))))
+        knots.append(GAKnot(tuple(pieces)))
+    for K in knots:
+        assert signature_function_samples(K) == _midpoint_samples(K), str(K)
 
 
 def test_signature_function_nonzero_on_non_slice_controls():

@@ -1,13 +1,25 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cgobstruct import build_sigma_tables, check_point, primary_parts
-from cgobstruct.kernels import BLOCK, assert_int64_budget, compose_block, scan_classes, select_kernel
-from cgobstruct.linking_form import PrimaryPart, enumerate_projective_isotropic
+from cgobstruct import build_family, build_sigma_tables, check_point, primary_parts
+from cgobstruct.kernels import (
+    BATCH,
+    BLOCK,
+    assert_int64_budget,
+    compose_block,
+    scan_classes,
+    select_kernel,
+)
+from cgobstruct.linking_form import (
+    PrimaryPart,
+    enumerate_isotropic_classes,
+    enumerate_projective_isotropic,
+)
 
-from oracles import assert_bounded_scan, compose_multipliers, loop_scan, scan_chunk
+from oracles import assert_bounded, assert_bounded_scan, compose_multipliers, loop_scan, scan_chunk
 
 
 def scan(xs, S, p, s1, thr):
@@ -156,6 +168,48 @@ def test_kernel_many_rows_tie_at_the_minimum():
     exact = loop_scan(xs, S, p, 0, 1)[1]
     assert (exact == exact.min()).sum() == 40 and (got[0] > BLOCK).sum() == 50
     assert (got[1] < exact).any()
+
+
+@pytest.fixture(scope="module")
+def p300_classes():
+    # every class of family(293,307,17,11,13): 10,953 and 12,013 rows
+    K = build_family(293, 307, 17, 11, 13)
+    parts = primary_parts(K)
+    return [(build_sigma_tables(K, part.p), enumerate_isotropic_classes(part)[0]) for part in parts]
+
+
+def reference(xs, S, p, s1, thr, k_max=None):
+    """`scan_chunk` over k = 1..k_max (default (p-1)/2), 2,048 rows at a time."""
+    T = compose_multipliers(S, p)[:, :, :k_max]
+    outs = [scan_chunk(xs[i : i + 2048], T, s1, p, thr) for i in range(0, len(xs), 2048)]
+    return tuple(np.concatenate(col) for col in zip(*outs))
+
+
+def test_kernel_bounded_on_full_class_arrays(p300_classes):
+    # real tables at more than ten BATCHes of classes: stage 1 over all of
+    # them, then the seed (the 39 and 177 classes without a block witness)
+    for tab, xs in p300_classes:
+        S, p = tab.scaled_sigma, tab.p
+        assert len(xs) > 10 * BATCH
+        got = scan(xs, S, p, 0, 5)
+        assert (got[0] > 0).all()
+        assert_bounded(got, reference(xs, S, p, 0, 5), reference(xs, S, p, 0, 5, BLOCK)[1])
+
+
+def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):
+    # nothing is witnessed, so every class is seeded and scanned in full,
+    # about 12 pieces of BATCH rows, in bounded memory
+    for tab, xs in p300_classes:
+        S, p = tab.scaled_sigma, tab.p
+        tracemalloc.start()
+        try:
+            got = scan(xs, S, p, 0, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not got[0].any()
+        assert_same(got, reference(xs, S, p, 0, 10**6))
+        assert peak < 8 * 2**20, f"scan peak {peak / 2**20:.1f} MiB at p={p}"
 
 
 def test_select_kernel_env():
