@@ -58,9 +58,9 @@ from .signatures import (
     seifert_matrix_T2,
     signature_at_minus_one,
     signature_function_samples,
+    signature_nullity_exact,
     torus_signature_at_angle,
 )
-from .sturm import PrecisionError, signature_nullity_exact
 
 __all__ = [
     "Character",
@@ -69,7 +69,6 @@ __all__ = [
     "LaurentPoly",
     "ObstructionReport",
     "Piece",
-    "PrecisionError",
     "PrimaryPart",
     "PrimeResult",
     "RANKINGS",

@@ -8,11 +8,13 @@ mod p on the cover's p-summand:
 
 with both zero at a = 0.  Values add over connected sums; mirrors negate
 sigma and preserve eta; a character with support of size s contributes an
-extra s-1 to the nullity of the sum.  Exact rationals are Python
-Fractions throughout (denominators always divide the product of support
-primes); the scaled-integer tables consumed by the scan kernel clear the
-denominator by the prime p, so they are exact int64 values, built one
-integer numpy row per piece from the companion's lattice-count signature.
+extra s-1 to the nullity of the sum.  The companion's signature is
+Litherland's lattice count (`signatures.lt_signature`), and nothing here
+uses floating point.  Exact rationals are Python Fractions throughout
+(denominators always divide the product of support primes); the
+scaled-integer tables consumed by the scan kernel clear the denominator
+by the prime p, so they are exact int64 values, built one integer numpy
+row per piece from the same lattice count.
 """
 
 from __future__ import annotations

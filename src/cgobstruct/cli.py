@@ -106,6 +106,8 @@ def _knot_from_args(args) -> GAKnot:
 
 
 def cmd_verify(args) -> int:
+    if args.genus < 0:
+        raise ValueError(f"--genus must be >= 0, got {args.genus}")
     K = _knot_from_args(args)
     report = genus_lower_bound(
         K, g_max=max(args.genus, 1), threads=args.threads, max_witnesses=args.witnesses

@@ -285,6 +285,8 @@ def genus_lower_bound(
     """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     parts = primary_parts(K)
     s1 = signature_at_minus_one(K)
     tables = {part.p: build_sigma_tables(K, part.p) for part in parts}

@@ -62,6 +62,10 @@ class SearchConfig:
             raise ValueError(f"unknown ranking {self.ranking!r} (have {sorted(RANKINGS)})")
         if self.genus < 1:
             raise ValueError(f"genus hypothesis must be >= 1, got {self.genus}")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be >= 1, got {self.limit}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         object.__setattr__(self, "p_primes", tuple(sorted(set(self.p_primes))))
         object.__setattr__(self, "q_primes", tuple(sorted(set(self.q_primes))))
 

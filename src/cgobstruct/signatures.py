@@ -1,19 +1,19 @@
 """Levine-Tristram signatures and nullities of T(2,q) and of cabled sums.
 
 The twisted form at w is H(w) = (1-w)V + (1-conj(w))V^T for the standard
-bidiagonal Seifert matrix V of T(2,q).  Signatures are computed by double
-precision eigenvalue counts guarded by a tolerance; any eigenvalue inside
-the tolerance band triggers the exact Sturm-chain evaluation in `sturm`,
-so every returned value is certified; this engine serves `lt_signature`
-(the `signature` and `cg` commands), while the Casson-Gordon tables use
-the closed-form lattice count below.  Nullities never touch floating
-point: the kernel of H(w) is nontrivial exactly when w is a root of the
-Alexander polynomial of T(2,q), an arithmetic condition on the order of w.
+bidiagonal Seifert matrix V of T(2,q).  Its eigenvalues along the unit
+circle factor explicitly, so the signature at w = exp(i*pi*x) is a count
+of lattice points (Litherland, "Signatures of iterated torus knots",
+1979), exact in integer arithmetic: `torus_signature_at_angle`.  That one
+closed form serves `lt_signature` (the `signature` and `cg` commands),
+the Casson-Gordon tables and the signature-function diagnostic.
+Nullities never touch floating point either: the kernel of H(w) is
+nontrivial exactly when w is a root of the Alexander polynomial of
+T(2,q), an arithmetic condition on the order of w.
 
 The signature function of a whole knot (used as a sliceness diagnostic)
 is a step function whose jumps lie at known rational angles (Litherland's
-cabling formula), so it is evaluated exactly, once per arc between them,
-via the explicit eigenvalue parametrization of H along the unit circle.
+cabling formula), so it is evaluated exactly, once per arc between them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from .knots import GAKnot
-from .sturm import signature_nullity_exact
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,6 @@ class RootOfUnity:
     def conjugate(self) -> "RootOfUnity":
         return RootOfUnity(self.m - self.a, self.m) if self.a else self
 
-    def as_complex(self) -> complex:
-        return complex(np.exp(2j * np.pi * self.a / self.m))
-
 
 def seifert_matrix_T2(q: int) -> np.ndarray:
     """Standard (q-1)x(q-1) Seifert matrix of T(2,q): -1 diagonal, +1 super.
@@ -73,32 +69,23 @@ def seifert_matrix_T2(q: int) -> np.ndarray:
     return V
 
 
-def _hermitian_form(q: int, omega: RootOfUnity) -> np.ndarray:
-    w = omega.as_complex()
-    V = seifert_matrix_T2(q).astype(np.complex128)
-    return (1 - w) * V + (1 - w.conjugate()) * V.T
-
-
 @lru_cache(maxsize=65536)
 def _lt_pair(q: int, a: int, m: int) -> tuple[int, int]:
-    """(signature, nullity) of T(2,q) at exp(2*pi*i*a/m), certified."""
-    nullity = _nullity_arith(q, a, m)
-    H = _hermitian_form(q, RootOfUnity(a, m))
-    eig = np.linalg.eigvalsh(H)
-    tau = 1e-8 * max(1.0, float(np.abs(H).sum(axis=1).max()))
-    small = int(np.count_nonzero(np.abs(eig) <= tau))
-    if small == nullity:
-        # every eigenvalue outside the band is certainly nonzero, and the
-        # in-band ones are exactly the arithmetic kernel
-        pos = int(np.count_nonzero(eig > tau))
-        neg = int(np.count_nonzero(eig < -tau))
-        return pos - neg, nullity
-    sig, nul = signature_nullity_exact(q, a, m)
-    if nul != nullity:
-        raise ArithmeticError(
-            f"nullity mismatch between arithmetic shortcut and exact chain: q={q}, a={a}, m={m}"
-        )
-    return sig, nul
+    """(signature, nullity) of T(2,q) at exp(2*pi*i*a/m), 0 < a < m; exact."""
+    return _lattice_signature(q, 2 * a, m), _nullity_arith(q, a, m)
+
+
+def signature_nullity_exact(q: int, a: int, m: int) -> tuple[int, int]:
+    """Exact (signature, nullity) of H(exp(2*pi*i*a/m)) for T(2,q).
+
+    Requires q odd >= 1 and a not divisible by m (w = 1 makes the form
+    identically zero and is handled by convention upstream).
+    """
+    if q % 2 == 0 or q < 1:
+        raise ValueError(f"q must be odd and >= 1, got {q}")
+    if a % m == 0:
+        raise ValueError("w = 1 is excluded (degenerate form, handled by caller)")
+    return _lt_pair(q, a % m, m)
 
 
 def _nullity_arith(q: int, a: int, m: int) -> int:

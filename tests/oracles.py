@@ -1,10 +1,10 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the package's computation paths: the signature
-oracle runs the tridiagonal minor recurrence in 260-digit floating point
-(the package counts double precision eigenvalues, escalating to an exact
-integer chain), the kernel-dimension oracle uses singular values, and the
-isotropic-set oracle is a full quartic-space filter.  Each oracle
+These deliberately avoid the package's computation paths: one signature
+oracle runs the tridiagonal minor recurrence in 260-digit floating point,
+another counts double precision eigenvalue signs (the package counts
+lattice points), the kernel-dimension oracle uses singular values, and
+the isotropic-set oracle is a full quartic-space filter.  Each oracle
 self-checks that no value lands in its ambiguity band, so a wrong
 threshold fails loudly instead of silently agreeing.  The scan oracle
 reads the package's sigma tables but none of its reductions: it checks
@@ -77,21 +77,45 @@ def sturm_signature_nullity(q: int, a: int, m: int) -> tuple[int, int]:
     return pos - neg, nullity
 
 
+def _twisted_form(q: int, a: int, m: int) -> np.ndarray:
+    """H(w) = (1-w)V + (1-conj(w))V^T at w = exp(2*pi*i*a/m), complex128."""
+    d = q - 1
+    w = np.exp(2j * np.pi * a / m)
+    V = -np.eye(d, dtype=np.complex128)
+    for i in range(d - 1):
+        V[i, i + 1] = 1
+    return (1 - w) * V + (1 - np.conj(w)) * V.conj().T
+
+
+def eigen_signature(q: int, a: int, m: int) -> int:
+    """Signature of the T(2,q) form at exp(2*pi*i*a/m) by double eigenvalues.
+
+    Eigenvalues below 1e-11 of the row-sum norm count as zero modes, and
+    none may fall in the band [1e-11, 1e-8] of that norm, where a zero
+    and a small nonzero eigenvalue cannot be told apart.  Over odd
+    q <= 43 and prime m <= 211 the smallest nonzero |eigenvalue| is 6.9e-6
+    of the norm, at (q, a, m) = (43, 101, 193).
+    """
+    if q == 1:
+        return 0
+    H = _twisted_form(q, a, m)
+    eig = np.linalg.eigvalsh(H)
+    scale = max(1.0, float(np.abs(H).sum(axis=1).max()))
+    low, high = 1e-11 * scale, 1e-8 * scale
+    small = np.abs(eig)
+    assert not np.any((small >= low) & (small <= high)), f"ambiguous eigenvalue: {eig}"
+    return int(np.count_nonzero(eig > high)) - int(np.count_nonzero(eig < -high))
+
+
 def kernel_dimension(q: int, a: int, m: int) -> int:
     """Kernel dimension of the twisted form by singular values.
 
     Self-checks that no singular value falls into the ambiguous decade
     band around the cut.
     """
-    d = q - 1
-    if d == 0:
+    if q == 1:
         return 0
-    w = np.exp(2j * np.pi * a / m)
-    V = -np.eye(d, dtype=np.complex128)
-    for i in range(d - 1):
-        V[i, i + 1] = 1
-    H = (1 - w) * V + (1 - np.conj(w)) * V.conj().T
-    sv = np.linalg.svd(H, compute_uv=False)
+    sv = np.linalg.svd(_twisted_form(q, a, m), compute_uv=False)
     scale = max(1.0, float(sv.max(initial=0.0)))
     low, high = 1e-9 * scale, 1e-5 * scale
     assert not np.any((sv >= low) & (sv <= high)), f"ambiguous singular value: {sv}"

@@ -8,6 +8,8 @@ import pytest
 from cgobstruct import build_family, parse_knot
 from cgobstruct.cli import main
 
+from oracles import eigen_signature, kernel_dimension, sturm_signature_nullity
+
 FLAGSHIP = ["--family", "83,103,17,11,13"]
 SLICE = ["--knot", "T(2,5;2,7) # -T(2,5;2,7)"]
 
@@ -94,6 +96,34 @@ def test_verify_reports_nonzero_signature_function(capsys):
 def test_verify_genus_too_high_exit_1(capsys):
     rc, _, _ = run(capsys, ["verify", *FLAGSHIP, "--genus", "2", "--threads", "2"])
     assert rc == 1
+
+
+def test_verify_rejects_negative_genus_and_witnesses(capsys):
+    rc, out, err = run(capsys, ["verify", *FLAGSHIP, "--genus", "-4"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --genus must be >= 0, got -4\n"
+    rc, out, err = run(capsys, ["verify", *FLAGSHIP, "--witnesses", "-2"])
+    assert (rc, out) == (2, "")
+    assert err == "error: max_witnesses must be >= 0, got -2\n"
+    # zero stays valid: genus 0 is certified by any bound, and no witnesses are listed
+    rc, out, _ = run(capsys, ["verify", *FLAGSHIP, "--genus", "0", "--witnesses", "0", "--format", "json"])
+    assert rc == 0
+    d = json.loads(out)
+    assert d["genus"]["lower_bound"] == 2
+    assert all(p["witnesses"] == [] for p in d["primes"])
+
+
+def test_search_rejects_nonpositive_limit_and_threads(tmp_path, capsys):
+    pools = ["search", "--p-set", "83,103", "--q-set", "11,13,17"]
+    for flag, value in (("--limit", "0"), ("--limit", "-3"), ("--threads", "-2"), ("--threads", "0")):
+        rc, out, err = run(capsys, [*pools, flag, value])
+        assert (rc, out) == (2, ""), (flag, value)
+        assert err == f"error: {flag[2:]} must be >= 1, got {value}\n"
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("p_set = 83,103\nq_set = 11,13,17\nlimit = 0\n")
+    rc, out, err = run(capsys, ["search", "--config", str(cfgfile)])
+    assert (rc, out) == (2, "")
+    assert err == "error: limit must be >= 1, got 0\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -240,16 +270,22 @@ def test_nonzero_eta_cable_exit_3(capsys, monkeypatch):
     assert err.startswith("internal error: nonzero eta_cable at p=83")
 
 
-def test_cli_import_does_not_load_mpmath():
-    # mpmath serves only the exact Sturm fallback, which imports it on use
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cgobstruct.cli; print('mpmath' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+NO_MPMATH = "import sys; sys.modules['mpmath'] = None; from cgobstruct.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_cli_runs_without_mpmath(capsys):
+    # with mpmath unimportable, each command prints what it prints in process
+    for argv, want_rc in (
+        (["signature", "--q", "43", "--m", "211", "--format", "json"], 0),
+        (["cg", *FLAGSHIP, "--character", "1,1,0,0,5,0,0,7"], 0),
+        (["verify", *SLICE], 1),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_MPMATH, *argv], capture_output=True, text=True, timeout=120
+        )
+        rc, out, err = run(capsys, argv)
+        assert rc == want_rc, argv
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
 
 
 def test_cli_import_does_not_load_thread_pool():
@@ -284,6 +320,31 @@ def test_signature_cli_other_formats(capsys):
     rc, out, _ = run(capsys, ["signature", "--q", "3", "--m", "3", "--format", "human"])
     assert rc == 0
     assert "T(2,3) at order-3 roots:" in out
+
+
+# w = -1 (m = 2), Alexander roots (m | 2q), q = 1, m = q and the CLI's largest cases
+SIGNATURE_CASES = [
+    (1, 7), (3, 2), (3, 6), (5, 10), (7, 7), (9, 6), (9, 18), (11, 2), (13, 50),
+    (15, 5), (15, 30), (21, 14), (25, 60), (33, 22), (43, 2), (43, 86), (43, 211),
+]
+
+
+@pytest.mark.parametrize("q,m", SIGNATURE_CASES)
+def test_signature_cli_output_matches_oracles(q, m, capsys):
+    rows = [(0, 0, 0)]
+    for a in range(1, m):
+        row = (a, eigen_signature(q, a, m), kernel_dimension(q, a, m))
+        if q <= 15 and m <= 50:
+            assert row[1:] == sturm_signature_nullity(q, a, m), (q, a, m)
+        rows.append(row)
+    want = {
+        "csv": "a,sigma,eta\n" + "".join(f"{a},{s},{e}\n" for a, s, e in rows),
+        "json": json.dumps([{"a": a, "sigma": s, "eta": e} for a, s, e in rows]) + "\n",
+        "human": f"T(2,{q}) at order-{m} roots:\n"
+        + "".join(f"  a={a:>4}  sigma={s:>5}  eta={e}\n" for a, s, e in rows),
+    }
+    for fmt, text in want.items():
+        assert run(capsys, ["signature", "--q", str(q), "--m", str(m), "--format", fmt]) == (0, text, "")
 
 
 def test_signature_cli_rejects_bad_args(capsys):

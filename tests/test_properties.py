@@ -1,7 +1,7 @@
 """Property tests: knot string round trips, the int64 budget boundary,
-the closed-form sigma table rows against the eigenvalue engine and the
-branch-and-bound scan kernel against an element-wise loop, on random and
-on adversarial tables."""
+the closed-form sigma table rows against a double precision eigenvalue
+count and the branch-and-bound scan kernel against an element-wise loop,
+on random and on adversarial tables."""
 
 from fractions import Fraction
 
@@ -11,11 +11,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cgobstruct import GAKnot, Piece, build_sigma_tables, eta_cable, format_knot, parse_knot, sigma_cable
+from cgobstruct import GAKnot, Piece, build_sigma_tables, eta_cable, format_knot, parse_knot
 from cgobstruct.kernels import assert_int64_budget, scan_classes
 from cgobstruct.primes import odd_primes_in
 
-from oracles import assert_bounded_scan
+from oracles import assert_bounded_scan, eigen_signature
 
 PRIMES = odd_primes_in(3, 211)
 BUDGET = 2**62
@@ -49,12 +49,13 @@ def test_parse_ignores_whitespace(K):
 @settings(deadline=None)
 @given(valid_pieces(43))
 def test_sigma_table_rows_match_eigenvalue_engine(pc):
-    # the rows use the lattice-count closed form; sigma_cable goes through
-    # lt_signature's eigenvalue counts with the exact Sturm fallback
+    # the rows use the lattice-count closed form; the oracle counts the
+    # signs of double precision eigenvalues, refusing any in its ambiguity band
     p, qc = pc.cable_p, pc.companion_q
     tab = build_sigma_tables(GAKnot((pc,)), p)
-    for a in range(p):
-        want = pc.sign * sigma_cable(qc, p, a)
+    assert tab.scaled_sigma[0, 0] == tab.eta_arr[0, 0] == 0
+    for a in range(1, p):
+        want = pc.sign * (-p + Fraction(2 * a * (p - a), p) + 2 * eigen_signature(qc, a, p))
         assert tab.scaled_sigma[0, a] == p * want
         assert Fraction(int(tab.scaled_sigma[0, a]), p) == want
         assert tab.eta_arr[0, a] == eta_cable(qc, p, a)

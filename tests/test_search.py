@@ -128,6 +128,11 @@ def test_config_validation():
         SearchConfig(p_primes=(83,), q_primes=(11,), ranking="nope")
     with pytest.raises(ValueError):
         SearchConfig(p_primes=(83,), q_primes=(11,), genus=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"limit must be >= 1, got {bad}"):
+            SearchConfig(p_primes=(83,), q_primes=(11,), limit=bad)
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {bad}"):
+            SearchConfig(p_primes=(83,), q_primes=(11,), threads=bad)
     cfg = SearchConfig(p_primes=(103, 83, 83), q_primes=(17, 11, 13))
     assert cfg.p_primes == (83, 103)
     assert cfg.q_primes == (11, 13, 17)

@@ -15,15 +15,16 @@ from cgobstruct import (
     seifert_matrix_T2,
     signature_at_minus_one,
     signature_function_samples,
+    signature_nullity_exact,
     torus_signature_at_angle,
 )
-from cgobstruct.signatures import _hermitian_form
-from cgobstruct.sturm import cyclotomic, signature_nullity_exact
 
 from oracles import (
+    eigen_signature,
     hits_alexander_root,
     hits_alexander_root_scaled,
     grid_signature_samples,
+    kernel_dimension,
     signature_arcs,
     sturm_signature_nullity,
 )
@@ -127,21 +128,23 @@ def test_no_jump_before_first_alexander_root():
 
 
 def test_eigencount_matches_independent_sturm_oracle():
+    # the two float oracles agree with each other and with the lattice count
     for q in (3, 7, 15):
         for m in range(2, 31):
             for a in range(1, m):
                 sig = lt_signature(q, RootOfUnity(a, m))
                 nul = lt_nullity(q, RootOfUnity(a, m))
                 assert (sig, nul) == sturm_signature_nullity(q, a, m), (q, a, m)
+                assert sig == eigen_signature(q, a, m), (q, a, m)
 
 
 def test_exact_chain_matches_eigencount():
-    for q in (3, 5, 9, 13):
+    for q in (1, 3, 5, 9, 13):
         for m in range(2, 25):
             for a in range(1, m):
-                sig, nul = signature_nullity_exact(q, a, m)
-                assert sig == lt_signature(q, RootOfUnity(a, m)), (q, a, m)
-                assert nul == lt_nullity(q, RootOfUnity(a, m)), (q, a, m)
+                want = (eigen_signature(q, a, m), kernel_dimension(q, a, m))
+                assert signature_nullity_exact(q, a, m) == want, (q, a, m)
+                assert signature_nullity_exact(q, a - 2 * m, m) == want, (q, a, m)
 
 
 def test_exact_chain_rejects_w_equal_one():
@@ -149,20 +152,8 @@ def test_exact_chain_rejects_w_equal_one():
         signature_nullity_exact(3, 0, 5)
     with pytest.raises(ValueError):
         signature_nullity_exact(3, 5, 5)
-
-
-def test_cyclotomic_polynomials():
-    assert cyclotomic(1) == (-1, 1)
-    assert cyclotomic(2) == (1, 1)
-    assert cyclotomic(3) == (1, 1, 1)
-    assert cyclotomic(6) == (1, -1, 1)
-    assert cyclotomic(12) == (1, 0, -1, 0, 1)
-    sympy = pytest.importorskip("sympy")
-    t = sympy.symbols("t")
-    for m in range(1, 40):
-        ours = list(cyclotomic(m))
-        theirs = sympy.Poly(sympy.cyclotomic_poly(m, t), t).all_coeffs()[::-1]
-        assert ours == [int(c) for c in theirs], m
+    with pytest.raises(ValueError):
+        signature_nullity_exact(4, 1, 5)
 
 
 def test_angle_formula_matches_hermitian_eigenvalues():
@@ -170,12 +161,18 @@ def test_angle_formula_matches_hermitian_eigenvalues():
     for q in (3, 5, 9):
         for num, den in ((1, 5), (2, 5), (1, 2), (3, 4), (7, 9), (13, 10), (9, 5)):
             x = Fraction(num, den)
-            w = RootOfUnity(num, 2 * den)  # exp(i*pi*x)
-            H = _hermitian_form(q, w)
-            eig = np.linalg.eigvalsh(H)
-            tau = 1e-8 * max(1.0, float(np.abs(H).sum(axis=1).max()))
-            numeric = int((eig > tau).sum()) - int((eig < -tau).sum())
-            assert torus_signature_at_angle(q, x) == numeric, (q, x)
+            assert torus_signature_at_angle(q, x) == eigen_signature(q, num, 2 * den), (q, x)
+
+
+def test_eigen_oracle_fails_loudly_inside_its_band(monkeypatch):
+    # an eigenvalue between the zero cut and the sign cut is ambiguous
+    import oracles
+
+    real = oracles._twisted_form
+    monkeypatch.setattr(oracles, "_twisted_form", lambda q, a, m: real(q, a, m) + 1e-9 * np.eye(q - 1))
+    with pytest.raises(AssertionError, match="ambiguous eigenvalue"):
+        eigen_signature(3, 1, 6)  # a zero mode, shifted into the band
+    assert eigen_signature(3, 1, 3) == -2
 
 
 def test_signature_at_minus_one(flagship):
