@@ -5,6 +5,11 @@ of (2,p)-cables of (2,q) torus knots, enumerates isotropic characters of
 the double-branched-cover linking form, and certifies topological
 four-genus lower bounds by exhausting the signature inequality over all
 of them.  Includes a search mode over prime tuples.
+
+Records are `typing.NamedTuple`s or `__slots__` classes, not dataclasses:
+they are immutable and compare by value like frozen dataclasses, but
+defining them generates no code, which a cold CLI process would pay for
+at every import.
 """
 
 # set before the submodule imports: search.py stamps it into checkpoints
@@ -23,15 +28,12 @@ from .casson_gordon import (
 from .knots import (
     FoxMilnorResult,
     GAKnot,
-    LaurentPoly,
     Piece,
-    alexander_polynomial,
     build_family,
     format_knot,
     fox_milnor_check,
     is_algebraic_piece,
     parse_knot,
-    torus_alexander,
 )
 from .linking_form import (
     PrimaryPart,
@@ -55,7 +57,6 @@ from .signatures import (
     RootOfUnity,
     lt_nullity,
     lt_signature,
-    seifert_matrix_T2,
     signature_at_minus_one,
     signature_function_samples,
     signature_nullity_exact,
@@ -66,7 +67,6 @@ __all__ = [
     "Character",
     "FoxMilnorResult",
     "GAKnot",
-    "LaurentPoly",
     "ObstructionReport",
     "Piece",
     "PrimaryPart",
@@ -76,7 +76,6 @@ __all__ = [
     "SearchConfig",
     "SigmaTable",
     "Witness",
-    "alexander_polynomial",
     "build_family",
     "build_sigma_tables",
     "check_point",
@@ -97,7 +96,6 @@ __all__ = [
     "parse_knot",
     "primary_parts",
     "search",
-    "seifert_matrix_T2",
     "sigma_cable",
     "sigma_knot",
     "sigma_torus",
@@ -105,7 +103,6 @@ __all__ = [
     "signature_function_samples",
     "signature_nullity_exact",
     "sqrt_table",
-    "torus_alexander",
     "torus_signature_at_angle",
     "verify_primary_part",
 ]

@@ -20,8 +20,8 @@ row per piece from the same lattice count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .knots import GAKnot
 from .primes import is_odd_prime
 from .signatures import RootOfUnity, lt_nullity, lt_signature
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """One residue per piece: residues[j] = a_j mod cable prime p_j."""
 
     residues: tuple[int, ...]
@@ -140,8 +139,7 @@ def _check_character(K: GAKnot, chi: Character) -> None:
             raise ValueError(f"residue {a} at piece {j} not reduced mod {pc.cable_p}")
 
 
-@dataclass(frozen=True)
-class SigmaTable:
+class SigmaTable(NamedTuple):
     """Per-prime lookup tables for the scan kernels.
 
     For each piece j with cable prime p (in piece order):

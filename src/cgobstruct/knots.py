@@ -7,36 +7,37 @@ plain torus knot T(2,p).  A sign of -1 marks the reverse mirror image of
 the positive piece; every invariant computed in this package is blind to
 reversal, so only the mirror flag is stored.
 
-Alexander polynomials are carried exactly and only in the structured form
-that cabling produces, which is what makes the slice-compatibility check
-(`fox_milnor_check`) a finite pairing problem instead of a factorization
-problem.
+Alexander polynomials are never expanded: the slice-compatibility check
+(`fox_milnor_check`) pairs the structured factors that cabling produces,
+a finite pairing problem instead of a factorization problem.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .primes import is_odd_prime
 
 
-@dataclass(frozen=True)
-class Piece:
+class _PieceFields(NamedTuple):
+    companion_q: int
+    cable_p: int
+    sign: int
+
+
+class Piece(_PieceFields):
     """One signed connected-sum piece: the (2,cable_p)-cable of T(2,companion_q).
 
     companion_q = 1 encodes the torus knot T(2,cable_p) itself.  sign = -1
     is the reverse mirror image.
     """
 
-    companion_q: int
-    cable_p: int
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        q, p, s = self.companion_q, self.cable_p, self.sign
+    def __new__(cls, companion_q: int, cable_p: int, sign: int) -> "Piece":
+        q, p, s = companion_q, cable_p, sign
         if s not in (1, -1):
             raise ValueError(f"piece sign must be +1 or -1, got {s}")
         if q < 1 or q % 2 == 0:
@@ -48,6 +49,7 @@ class Piece:
             raise ValueError(
                 f"cable prime {p} must not divide twice the companion parameter {q}"
             )
+        return super().__new__(cls, q, p, s)
 
     @property
     def is_plain_torus(self) -> bool:
@@ -65,17 +67,35 @@ class Piece:
         return body if self.sign > 0 else "-" + body
 
 
-@dataclass(frozen=True)
 class GAKnot:
-    """Ordered connected sum of pieces (n >= 1)."""
+    """Ordered connected sum of pieces (n >= 1); immutable, equal by pieces."""
 
+    __slots__ = ("pieces",)
     pieces: tuple[Piece, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.pieces, tuple):
-            object.__setattr__(self, "pieces", tuple(self.pieces))
-        if len(self.pieces) == 0:
+    def __init__(self, pieces) -> None:
+        pieces = tuple(pieces)
+        if not pieces:
             raise ValueError("a knot needs at least one piece")
+        object.__setattr__(self, "pieces", pieces)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self.pieces == other.pieces if type(other) is GAKnot else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.pieces)
+
+    def __repr__(self) -> str:
+        return f"GAKnot(pieces={self.pieces!r})"
+
+    def __reduce__(self):
+        return GAKnot, (self.pieces,)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -155,112 +175,7 @@ def is_algebraic_piece(piece: Piece) -> bool:
     return piece.cable_p > 4 * piece.companion_q
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials (Alexander polynomial carrier)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Integer Laurent polynomial as an exponent -> coefficient map."""
-
-    coeffs: tuple[tuple[int, int], ...]  # sorted ((exponent, coefficient), ...)
-
-    @staticmethod
-    def from_dict(d: dict[int, int]) -> "LaurentPoly":
-        return LaurentPoly(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly(((0, 1),))
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(acc)
-
-    def substitute_square(self) -> "LaurentPoly":
-        """t -> t**2."""
-        return LaurentPoly(tuple((2 * e, c) for e, c in self.coeffs))
-
-    def normalized(self) -> "LaurentPoly":
-        """Shift so the lowest exponent is 0 and its coefficient is positive."""
-        if not self.coeffs:
-            return self
-        lo, c_lo = self.coeffs[0]
-        flip = -1 if c_lo < 0 else 1
-        return LaurentPoly(tuple((e - lo, flip * c) for e, c in self.coeffs))
-
-    def degree_span(self) -> int:
-        """Highest exponent minus lowest exponent (0 for constants)."""
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1][0] - self.coeffs[0][0]
-
-    def __call__(self, t: int) -> int:
-        """Exact evaluation at an integer t != 0 (negative exponents allowed
-        only when they cancel; normalized polynomials never have them)."""
-        total = 0
-        for e, c in self.coeffs:
-            if e < 0:
-                raise ValueError("evaluate only normalized (nonnegative exponent) polynomials")
-            total += c * t**e
-        return total
-
-    def is_palindromic(self) -> bool:
-        """After normalization, coefficients read the same in both directions."""
-        p = self.normalized()
-        d = dict(p.coeffs)
-        span = p.degree_span()
-        return all(d.get(e, 0) == d.get(span - e, 0) for e in range(span + 1))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in reversed(self.coeffs):
-            mag = abs(c)
-            term = (
-                f"{mag}"
-                if e == 0
-                else ("t" if e == 1 else f"t^{e}") if mag == 1 else (f"{mag}*t" if e == 1 else f"{mag}*t^{e}")
-            )
-            parts.append(("- " if c < 0 else "+ ") + term)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-
-def torus_alexander(m: int) -> LaurentPoly:
-    """Alexander polynomial of T(2,m) for odd m: (t^m + 1)/(t + 1).
-
-    Alternating coefficients t^(m-1) - t^(m-2) + ... + 1; the constant 1
-    for m = 1.
-    """
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"torus parameter must be odd and >= 1, got {m}")
-    return LaurentPoly(tuple((e, (-1) ** e) for e in range(m)))
-
-
-def alexander_polynomial(K: GAKnot) -> LaurentPoly:
-    """Product over pieces of companion factor at t^2 times cable factor.
-
-    Each piece contributes Delta_{T(2,q')}(t^2) * Delta_{T(2,p)}(t); mirrors
-    leave the polynomial unchanged up to units.  Result is normalized:
-    lowest exponent 0, positive lowest coefficient.
-    """
-    acc = LaurentPoly.one()
-    for pc in K.pieces:
-        if pc.companion_q > 1:
-            acc = acc * torus_alexander(pc.companion_q).substitute_square()
-        acc = acc * torus_alexander(pc.cable_p)
-    return acc.normalized()
-
-
-@dataclass(frozen=True)
-class FoxMilnorResult:
+class FoxMilnorResult(NamedTuple):
     """Outcome of the structured slice-compatibility check.
 
     ok is true when every irreducible-in-structure factor of the Alexander

@@ -20,9 +20,8 @@ streams every point lazily, and reports and witnesses use its points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from .knots import GAKnot
 PrimaryVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrimaryPart:
+class PrimaryPart(NamedTuple):
     """Diagonal sign form of one prime: Q(x) = sum eps_i x_i^2 mod p."""
 
     p: int

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .casson_gordon import SigmaTable, build_sigma_tables
 from .kernels import assert_int64_budget, select_kernel
@@ -45,8 +44,7 @@ SCHEMA_VERSION = 1
 UPPER_BOUND_SOURCE = "ribbon-move construction (cited)"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One violating character: y = k*x with |sigma + s1| > threshold + eta."""
 
     p: int
@@ -57,8 +55,7 @@ class Witness:
     threshold: int
 
 
-@dataclass(frozen=True)
-class PrimeResult:
+class PrimeResult(NamedTuple):
     p: int
     points: int
     verified: bool
@@ -66,8 +63,7 @@ class PrimeResult:
     margin: Optional[Fraction]  # None when there are no isotropic points
 
 
-@dataclass(frozen=True)
-class GenusConclusion:
+class GenusConclusion(NamedTuple):
     hypotheses_refuted: tuple[int, ...]
     lower_bound: int
     upper_bound: Optional[int]
@@ -75,8 +71,7 @@ class GenusConclusion:
     justification: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     knot: str
     sigma_minus_one: int
     genus_hypothesis: int  # the hypothesis whose scan the primes section shows
@@ -280,11 +275,14 @@ def genus_lower_bound(
     (r_p - 2g >= 2) and every qualifying prime verifies.  Refutations are
     monotone (a violation against threshold 4g+1 is one against any
     smaller threshold, and qualification only shrinks with g), so the
-    certified lower bound is (largest refuted g) + 1.  threads is accepted
-    for callers that pass it and changes nothing: each prime is one scan.
+    certified lower bound is (largest refuted g) + 1.  threads (>= 1) is
+    accepted for callers that pass it and changes nothing: each prime is
+    one scan.
     """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     parts = primary_parts(K)

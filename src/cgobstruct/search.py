@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import __version__
 from .knots import build_family
@@ -37,15 +36,7 @@ RANKINGS: dict[str, Callable[[tuple[int, int, int, int, int]], tuple]] = {
 }
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Sweep definition: prime pools, constraints and ranking.
-
-    p_primes / q_primes are explicit ascending pools (build them from
-    interval bounds with `SearchConfig.from_bounds`).  require_algebraic
-    keeps only candidates whose cable pieces all satisfy p > 4q.
-    """
-
+class _ConfigFields(NamedTuple):
     p_primes: tuple[int, ...]
     q_primes: tuple[int, ...]
     require_algebraic: bool = True
@@ -54,20 +45,34 @@ class SearchConfig:
     limit: Optional[int] = None
     threads: int = 1
 
-    def __post_init__(self) -> None:
-        for v in self.p_primes + self.q_primes:
+
+class SearchConfig(_ConfigFields):
+    """Sweep definition: prime pools, constraints and ranking.
+
+    p_primes / q_primes are explicit pools, stored ascending without
+    repeats (build them from interval bounds with
+    `SearchConfig.from_bounds`).  require_algebraic keeps only candidates
+    whose cable pieces all satisfy p > 4q.  Called with the fields, by
+    position or keyword; omitted ones take the defaults above.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SearchConfig":
+        cfg = super().__new__(cls, *args, **kwargs)
+        for v in cfg.p_primes + cfg.q_primes:
             if not is_odd_prime(v):
                 raise ValueError(f"search pools must contain odd primes, got {v}")
-        if self.ranking not in RANKINGS:
-            raise ValueError(f"unknown ranking {self.ranking!r} (have {sorted(RANKINGS)})")
-        if self.genus < 1:
-            raise ValueError(f"genus hypothesis must be >= 1, got {self.genus}")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be >= 1, got {self.limit}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        object.__setattr__(self, "p_primes", tuple(sorted(set(self.p_primes))))
-        object.__setattr__(self, "q_primes", tuple(sorted(set(self.q_primes))))
+        if cfg.ranking not in RANKINGS:
+            raise ValueError(f"unknown ranking {cfg.ranking!r} (have {sorted(RANKINGS)})")
+        if cfg.genus < 1:
+            raise ValueError(f"genus hypothesis must be >= 1, got {cfg.genus}")
+        if cfg.limit is not None and cfg.limit < 1:
+            raise ValueError(f"limit must be >= 1, got {cfg.limit}")
+        if cfg.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {cfg.threads}")
+        pools = (tuple(sorted(set(cfg.p_primes))), tuple(sorted(set(cfg.q_primes))))
+        return super().__new__(cls, *pools, *cfg[2:])
 
     @staticmethod
     def from_bounds(
@@ -169,45 +174,44 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     """Run the sweep; return the kept records in ranking order.
 
     With a checkpoint path, completed candidates are skipped on resume and
-    new completions are appended as JSON lines; the final kept list is
-    identical to an uninterrupted run.  Resuming a checkpoint written
-    under another genus, require_algebraic or package version raises
-    ValueError.  Per-candidate errors become error records and never
-    abort the sweep.  cfg.threads > 1 evaluates candidates concurrently
-    while preserving ranking order of results.
+    new completions are appended as JSON lines in ranking order; the final
+    kept list is identical to an uninterrupted run.  Resuming a checkpoint
+    written under another genus, require_algebraic or package version
+    raises ValueError.  Per-candidate errors become error records and
+    never abort the sweep.  With cfg.limit, the sweep stops at the
+    limit-th kept record: later candidates are neither evaluated nor
+    recorded.  cfg.threads > 1 evaluates candidates concurrently, ahead of
+    the ranking walk; evaluations not yet started when the walk stops are
+    cancelled.
     """
     fingerprint = _fingerprint(cfg)
     done = _load_checkpoint(checkpoint, fingerprint)
     candidates = list(enumerate_candidates(cfg))
     todo = [c for c in candidates if c not in done]
 
-    fresh: dict[tuple, dict] = {}
+    kept: list[dict] = []
+    pool = None
     sink = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     try:
         if cfg.threads > 1 and len(todo) > 1:
             from concurrent.futures import ThreadPoolExecutor  # only pooled sweeps pay for it
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                for rec in pool.map(lambda c: _run_candidate(c, cfg), todo):
-                    fresh[tuple(rec["tuple"])] = rec
-                    if sink:
-                        _append(sink, rec, fingerprint)
-        else:
-            for cand in todo:
-                rec = _run_candidate(cand, cfg)
-                fresh[cand] = rec
+            pool = ThreadPoolExecutor(max_workers=cfg.threads)
+            futures = {c: pool.submit(_run_candidate, c, cfg) for c in todo}
+        for cand in candidates:
+            rec = done.get(cand)
+            if rec is None:
+                rec = futures[cand].result() if pool else _run_candidate(cand, cfg)
                 if sink:
                     _append(sink, rec, fingerprint)
+            if rec.get("kept"):
+                kept.append(rec)
+                if len(kept) == cfg.limit:
+                    break
     finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
         if sink:
             sink.close()
-
-    kept: list[dict] = []
-    for cand in candidates:
-        rec = done.get(cand) or fresh.get(cand)
-        if rec and rec.get("kept"):
-            kept.append(rec)
-            if cfg.limit is not None and len(kept) >= cfg.limit:
-                break
     return kept
 
 

@@ -19,29 +19,29 @@ cabling formula), so it is evaluated exactly, once per arc between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import NamedTuple
 
 from .knots import GAKnot
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """exp(2*pi*i*a/m), stored in lowest terms with 0 <= a < m."""
-
+class _RootFields(NamedTuple):
     a: int
     m: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"order must be positive, got {self.m}")
-        a = self.a % self.m
-        g = math.gcd(a, self.m)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "m", self.m // g)
+
+class RootOfUnity(_RootFields):
+    """exp(2*pi*i*a/m), stored in lowest terms with 0 <= a < m."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, m: int) -> "RootOfUnity":
+        if m < 1:
+            raise ValueError(f"order must be positive, got {m}")
+        a %= m
+        g = math.gcd(a, m)
+        return super().__new__(cls, a // g, m // g)
 
     @property
     def is_one(self) -> bool:
@@ -53,20 +53,6 @@ class RootOfUnity:
 
     def conjugate(self) -> "RootOfUnity":
         return RootOfUnity(self.m - self.a, self.m) if self.a else self
-
-
-def seifert_matrix_T2(q: int) -> np.ndarray:
-    """Standard (q-1)x(q-1) Seifert matrix of T(2,q): -1 diagonal, +1 super.
-
-    Satisfies det(tV - V^T) = Delta_{T(2,q)}(t) up to units and
-    sign(V + V^T) = -(q-1).
-    """
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 3, got {q}")
-    V = -np.eye(q - 1, dtype=np.int64)
-    for i in range(q - 2):
-        V[i, i + 1] = 1
-    return V
 
 
 @lru_cache(maxsize=65536)
@@ -188,18 +174,23 @@ def signature_function_samples(K: GAKnot) -> list[tuple[Fraction, int]]:
     sigma_K on the whole circle off its jumps: the arc (x_n, 1] continues
     through w = -1, and x -> 2 - x (complex conjugation) mirrors (1, 2)
     onto (0, 1).  Each piece contributes sign * (sigma_{T(2,p)}(w) +
-    sigma_{T(2,q')}(w^2)) by the cabling rule.
+    sigma_{T(2,q')}(w^2)) by the cabling rule, so each distinct term is
+    counted once, weighted by the net sign of the pieces that carry it;
+    terms of net sign zero (a piece and its mirror) are skipped.
     """
     L, ends = _arc_ends(K)
+    # one term per (m, scale): sigma_{T(2,m)} at angle u/scale (a cable at
+    # x = u/(2L), a companion at 2x = u/L), weighted by the pieces' net sign
+    net: dict[tuple[int, int], int] = {}
+    for pc in K.pieces:
+        net[pc.cable_p, 2 * L] = net.get((pc.cable_p, 2 * L), 0) + pc.sign
+        if pc.companion_q > 1:
+            net[pc.companion_q, L] = net.get((pc.companion_q, L), 0) + pc.sign
+    terms = [(m, scale, w) for (m, scale), w in net.items() if w]
     out: list[tuple[Fraction, int]] = []
     lo = 0
     for hi in ends:
         u, lo = lo + hi, hi
-        total = 0
-        for pc in K.pieces:
-            s = _lattice_signature(pc.cable_p, u, 2 * L)
-            if pc.companion_q > 1:
-                s += _lattice_signature(pc.companion_q, u, L)  # 2x = u/L
-            total += pc.sign * s
+        total = sum(w * _lattice_signature(m, u, scale) for m, scale, w in terms)
         out.append((Fraction(u, 2 * L), total))
     return out

@@ -14,12 +14,17 @@ branch-and-bound kernel: it evaluates every class at every multiplier
 1..(p-1)/2 through a composed (r, p, (p-1)/2) table.  The grid oracle for
 the signature function reads the package's T(2,m) angle formula but not
 its arc enumeration: it samples a fixed grid of angles, nudging any that
-lands on an Alexander root.
+lands on an Alexander root.  The per-piece sweep is the signature
+function before terms were merged by net sign: it adds every piece's
+cable and companion term at every arc.  The Laurent polynomials, the
+T(2,q) Alexander polynomial and Seifert matrix check the structured
+Fox-Milnor pairing and the signature formulas against expanded objects.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -120,6 +125,128 @@ def kernel_dimension(q: int, a: int, m: int) -> int:
     low, high = 1e-9 * scale, 1e-5 * scale
     assert not np.any((sv >= low) & (sv <= high)), f"ambiguous singular value: {sv}"
     return int(np.count_nonzero(sv < low))
+
+
+def seifert_matrix_T2(q: int) -> np.ndarray:
+    """Standard (q-1)x(q-1) Seifert matrix of T(2,q): -1 diagonal, +1 super.
+
+    Satisfies det(tV - V^T) = Delta_{T(2,q)}(t) up to units and
+    sign(V + V^T) = -(q-1).
+    """
+    if q < 3 or q % 2 == 0:
+        raise ValueError(f"q must be odd and >= 3, got {q}")
+    V = -np.eye(q - 1, dtype=np.int64)
+    for i in range(q - 2):
+        V[i, i + 1] = 1
+    return V
+
+
+def piece_signature_samples(K) -> list[tuple[Fraction, int]]:
+    """`signature_function_samples(K)` summed piece by piece at every arc.
+
+    Walks the package's arc ends over L and adds, for each piece, sign *
+    (sigma_{T(2,p)}(w) + sigma_{T(2,q')}(w^2)) through the lattice count,
+    never merging a piece with its mirror or with a repeat.
+    """
+    from cgobstruct.signatures import _arc_ends, _lattice_signature
+
+    L, ends = _arc_ends(K)
+    out: list[tuple[Fraction, int]] = []
+    lo = 0
+    for hi in ends:
+        u, lo = lo + hi, hi
+        total = 0
+        for pc in K.pieces:
+            s = _lattice_signature(pc.cable_p, u, 2 * L)
+            if pc.companion_q > 1:
+                s += _lattice_signature(pc.companion_q, u, L)  # 2x = u/L
+            total += pc.sign * s
+        out.append((Fraction(u, 2 * L), total))
+    return out
+
+
+@dataclass(frozen=True)
+class LaurentPoly:
+    """Integer Laurent polynomial as an exponent -> coefficient map."""
+
+    coeffs: tuple[tuple[int, int], ...]  # sorted ((exponent, coefficient), ...)
+
+    @staticmethod
+    def from_dict(d: dict[int, int]) -> "LaurentPoly":
+        return LaurentPoly(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
+
+    @staticmethod
+    def one() -> "LaurentPoly":
+        return LaurentPoly(((0, 1),))
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        acc: dict[int, int] = {}
+        for e1, c1 in self.coeffs:
+            for e2, c2 in other.coeffs:
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return LaurentPoly.from_dict(acc)
+
+    def substitute_square(self) -> "LaurentPoly":
+        """t -> t**2."""
+        return LaurentPoly(tuple((2 * e, c) for e, c in self.coeffs))
+
+    def normalized(self) -> "LaurentPoly":
+        """Shift so the lowest exponent is 0 and its coefficient is positive."""
+        if not self.coeffs:
+            return self
+        lo, c_lo = self.coeffs[0]
+        flip = -1 if c_lo < 0 else 1
+        return LaurentPoly(tuple((e - lo, flip * c) for e, c in self.coeffs))
+
+    def degree_span(self) -> int:
+        """Highest exponent minus lowest exponent (0 for constants)."""
+        if not self.coeffs:
+            return 0
+        return self.coeffs[-1][0] - self.coeffs[0][0]
+
+    def __call__(self, t: int) -> int:
+        """Exact evaluation at an integer t != 0 (negative exponents allowed
+        only when they cancel; normalized polynomials never have them)."""
+        total = 0
+        for e, c in self.coeffs:
+            if e < 0:
+                raise ValueError("evaluate only normalized (nonnegative exponent) polynomials")
+            total += c * t**e
+        return total
+
+    def is_palindromic(self) -> bool:
+        """After normalization, coefficients read the same in both directions."""
+        p = self.normalized()
+        d = dict(p.coeffs)
+        span = p.degree_span()
+        return all(d.get(e, 0) == d.get(span - e, 0) for e in range(span + 1))
+
+
+def torus_alexander(m: int) -> LaurentPoly:
+    """Alexander polynomial of T(2,m) for odd m: (t^m + 1)/(t + 1).
+
+    Alternating coefficients t^(m-1) - t^(m-2) + ... + 1; the constant 1
+    for m = 1.
+    """
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"torus parameter must be odd and >= 1, got {m}")
+    return LaurentPoly(tuple((e, (-1) ** e) for e in range(m)))
+
+
+def alexander_polynomial(K) -> LaurentPoly:
+    """Product over pieces of companion factor at t^2 times cable factor.
+
+    Each piece contributes Delta_{T(2,q')}(t^2) * Delta_{T(2,p)}(t); mirrors
+    leave the polynomial unchanged up to units.  Result is normalized:
+    lowest exponent 0, positive lowest coefficient.
+    """
+    acc = LaurentPoly.one()
+    for pc in K.pieces:
+        if pc.companion_q > 1:
+            acc = acc * torus_alexander(pc.companion_q).substitute_square()
+        acc = acc * torus_alexander(pc.cable_p)
+    return acc.normalized()
 
 
 def brute_isotropic(p: int, signs: tuple[int, ...]) -> set[tuple[int, ...]]:

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from oracles import eigen_signature, kernel_dimension, sturm_signature_nullity
 
 FLAGSHIP = ["--family", "83,103,17,11,13"]
 SLICE = ["--knot", "T(2,5;2,7) # -T(2,5;2,7)"]
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, argv):
@@ -96,6 +98,31 @@ def test_verify_reports_nonzero_signature_function(capsys):
 def test_verify_genus_too_high_exit_1(capsys):
     rc, _, _ = run(capsys, ["verify", *FLAGSHIP, "--genus", "2", "--threads", "2"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("fmt, name", [("json", "verify_flagship.json"), ("human", "verify_flagship.txt"), ("csv", "verify_flagship.csv")])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_flagship_golden_bytes(capsys, fmt, name, threads):
+    rc, out, err = run(capsys, ["verify", *FLAGSHIP, "--format", fmt, "--threads", threads])
+    assert (rc, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_search_pool_golden_bytes(tmp_path, capsys, threads):
+    ckpt = tmp_path / "sweep.jsonl"
+    argv = ["search", "--p-set", "103,83", "--q-set", "19,11,17,13", "--format", "json"]
+    rc, out, err = run(capsys, [*argv, "--checkpoint", str(ckpt), "--threads", threads])
+    assert (rc, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "search_pool.stdout.jsonl").read_bytes()
+    assert ckpt.read_bytes() == (GOLDEN / "search_pool.checkpoint.jsonl").read_bytes()
+
+
+def test_verify_rejects_nonpositive_threads(capsys):
+    for value in ("-2", "0"):
+        rc, out, err = run(capsys, ["verify", *FLAGSHIP, "--threads", value, "--format", "csv"])
+        assert (rc, out) == (2, "")
+        assert err == f"error: threads must be >= 1, got {value}\n"
 
 
 def test_verify_rejects_negative_genus_and_witnesses(capsys):
@@ -292,6 +319,18 @@ def test_cli_import_does_not_load_thread_pool():
     # only a search with --threads > 1 imports concurrent.futures
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cgobstruct.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # records are NamedTuples or __slots__ classes: no dataclass code generation at import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cgobstruct.cli; print('dataclasses' in sys.modules)"],
         capture_output=True,
         text=True,
         timeout=120,

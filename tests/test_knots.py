@@ -3,14 +3,14 @@ import pytest
 from cgobstruct import (
     GAKnot,
     Piece,
-    alexander_polynomial,
     build_family,
     format_knot,
     fox_milnor_check,
     is_algebraic_piece,
     parse_knot,
-    torus_alexander,
 )
+
+from oracles import alexander_polynomial, torus_alexander
 
 
 def test_piece_validation():

@@ -1,7 +1,8 @@
 """Property tests: knot string round trips, the int64 budget boundary,
 the closed-form sigma table rows against a double precision eigenvalue
-count and the branch-and-bound scan kernel against an element-wise loop,
-on random and on adversarial tables."""
+count, the net-sign signature function against the per-piece sweep and
+the branch-and-bound scan kernel against an element-wise loop, on random
+and on adversarial tables."""
 
 from fractions import Fraction
 
@@ -9,13 +10,21 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cgobstruct import GAKnot, Piece, build_sigma_tables, eta_cable, format_knot, parse_knot
+from cgobstruct import (
+    GAKnot,
+    Piece,
+    build_sigma_tables,
+    eta_cable,
+    format_knot,
+    parse_knot,
+    signature_function_samples,
+)
 from cgobstruct.kernels import assert_int64_budget, scan_classes
 from cgobstruct.primes import odd_primes_in
 
-from oracles import assert_bounded_scan, eigen_signature
+from oracles import assert_bounded_scan, eigen_signature, piece_signature_samples
 
 PRIMES = odd_primes_in(3, 211)
 BUDGET = 2**62
@@ -59,6 +68,39 @@ def test_sigma_table_rows_match_eigenvalue_engine(pc):
         assert tab.scaled_sigma[0, a] == p * want
         assert Fraction(int(tab.scaled_sigma[0, a]), p) == want
         assert tab.eta_arr[0, a] == eta_cable(qc, p, a)
+
+
+# few distinct pieces, so repeats are common
+small_pieces = st.tuples(
+    st.sampled_from((1, 3, 5, 7, 9)),
+    st.sampled_from((3, 5, 7, 11, 13)),
+    st.sampled_from((1, -1)),
+).filter(lambda t: t[0] % t[1] != 0).map(lambda t: Piece(*t))  # p must not divide q'
+
+
+@st.composite
+def knots_with_repeats_and_mirrors(draw):
+    base = draw(st.lists(small_pieces, min_size=1, max_size=5))
+    extra = [pc.mirror() if draw(st.booleans()) else pc for pc in base if draw(st.booleans())]
+    return GAKnot(draw(st.permutations(base + extra)))
+
+
+def _net_signs(K):
+    net = {}
+    for pc in K.pieces:
+        net["cable", pc.cable_p] = net.get(("cable", pc.cable_p), 0) + pc.sign
+        if pc.companion_q > 1:
+            net["companion", pc.companion_q] = net.get(("companion", pc.companion_q), 0) + pc.sign
+    return net
+
+
+@settings(deadline=None)
+@given(knots_with_repeats_and_mirrors())
+def test_signature_function_matches_per_piece_sweep(K):
+    # merging terms by net sign must not change any sample; knots whose
+    # terms all cancel read zero everywhere (tested on the family knots)
+    assume(any(_net_signs(K).values()))
+    assert signature_function_samples(K) == piece_signature_samples(K)
 
 
 def _tables_with_peak(peak, r, p, thr, emax, negative):

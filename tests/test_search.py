@@ -119,6 +119,64 @@ def test_search_limit():
     assert len(search(cfg)) == 1
 
 
+SWEEP_POOLS = dict(p_primes=(83, 103), q_primes=(11, 13, 17, 19))  # 12 candidates, 4 kept
+SWEEP_ORDER = [
+    [83, 103, 11, 13, 17],
+    [83, 103, 11, 13, 19],
+    [83, 103, 11, 17, 19],  # kept
+    [83, 103, 13, 11, 17],
+    [83, 103, 13, 11, 19],
+    [83, 103, 13, 17, 19],  # kept
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_limit_stops_evaluating(tmp_path, monkeypatch, threads):
+    # the first kept record is the third candidate: nothing after it is
+    # recorded, and the pool cancels what it has not started
+    import sys
+    import time
+
+    search_mod = sys.modules["cgobstruct.search"]
+    run_candidate, calls = search_mod._run_candidate, []
+
+    def counted(cand, cfg):
+        calls.append(cand)
+        if list(cand) not in SWEEP_ORDER[:3]:
+            time.sleep(0.2)  # keep later candidates in flight while the walk stops
+        return run_candidate(cand, cfg)
+
+    monkeypatch.setattr(search_mod, "_run_candidate", counted)
+    ckpt = tmp_path / "limit.jsonl"
+    kept = search(SearchConfig(limit=1, threads=threads, **SWEEP_POOLS), checkpoint=str(ckpt))
+    assert [r["tuple"] for r in kept] == [SWEEP_ORDER[2]]
+    records = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    assert [r["tuple"] for r in records] == SWEEP_ORDER[:3]
+    started = sorted(list(c) for c in calls)
+    assert started[:3] == SWEEP_ORDER[:3]
+    assert len(started) <= (3 if threads == 1 else 3 + threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_limit_resume_matches_fresh(tmp_path, threads):
+    ckpt = tmp_path / "sweep.jsonl"
+
+    def run(limit, path):
+        cfg = SearchConfig(limit=limit, threads=threads, **SWEEP_POOLS)
+        return json.dumps(search(cfg, checkpoint=path), sort_keys=True)
+
+    assert run(1, str(ckpt)) == run(1, None)
+    assert len(ckpt.read_text().splitlines()) == 3
+    assert run(2, str(ckpt)) == run(2, None)
+    assert len(ckpt.read_text().splitlines()) == 6
+    assert run(None, str(ckpt)) == run(None, None)
+    fresh = tmp_path / "fresh.jsonl"
+    run(None, str(fresh))
+    assert ckpt.read_bytes() == fresh.read_bytes()
+    assert run(1, str(ckpt)) == run(1, None)  # a smaller limit reads the records back
+    assert ckpt.read_bytes() == fresh.read_bytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(p_primes=(9, 83), q_primes=(11,))

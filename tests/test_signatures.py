@@ -12,7 +12,6 @@ from cgobstruct import (
     build_family,
     lt_nullity,
     lt_signature,
-    seifert_matrix_T2,
     signature_at_minus_one,
     signature_function_samples,
     signature_nullity_exact,
@@ -25,8 +24,10 @@ from oracles import (
     hits_alexander_root_scaled,
     grid_signature_samples,
     kernel_dimension,
+    seifert_matrix_T2,
     signature_arcs,
     sturm_signature_nullity,
+    torus_alexander,
 )
 
 
@@ -55,8 +56,6 @@ def test_seifert_matrix():
 
 def test_seifert_matrix_determinant_contract():
     # det(tV - V^T) equals the Alexander polynomial up to units
-    from cgobstruct import torus_alexander
-
     for q in (3, 5, 7):
         V = seifert_matrix_T2(q)
         # integer evaluation at a few points determines the degree-(q-1) poly
