@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -159,12 +159,40 @@ class SigmaTable(NamedTuple):
     eta_arr: np.ndarray
 
 
-def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
-    """Tabulate sign * sigma_cable and eta_cable over all residues mod p."""
+def shared_arrays(
+    cache: Optional[dict], key: tuple, build: Callable[..., tuple], *args
+) -> tuple[np.ndarray, ...]:
+    """build(*args), a tuple of arrays, kept in cache under key.
+
+    `search` owns one cache dict per sweep, so candidates that share a
+    prime reuse its arrays: keys are ("rows", q', p) for `_cable_rows`
+    and ("classes", p, signs) for the isotropic classes.  Cached arrays
+    are read-only, so no candidate can change what a later one reads.
+    With cache None (a verify), the arrays are built fresh every call.
+    """
+    if cache is None:
+        return build(*args)
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = build(*args)
+        for arr in out:
+            arr.flags.writeable = False
+    return out
+
+
+def build_sigma_tables(K: GAKnot, p: int, cache: Optional[dict] = None) -> SigmaTable:
+    """Tabulate sign * sigma_cable and eta_cable over all residues mod p.
+
+    cache, when given, shares the per-piece rows (see `shared_arrays`);
+    the symmetry and eta checks still run on every table.
+    """
     idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == p)
     if not idx:
         raise ValueError(f"{p} is not a cable prime of the knot")
-    rows = [_cable_rows(K.pieces[j].companion_q, p) for j in idx]
+    rows = [
+        shared_arrays(cache, ("rows", qc, p), _cable_rows, qc, p)
+        for qc in (K.pieces[j].companion_q for j in idx)
+    ]
     signs = np.array([[K.pieces[j].sign] for j in idx], dtype=np.int64)
     scaled = signs * np.array([sig for sig, _ in rows])
     etas = np.array([eta for _, eta in rows])

@@ -28,8 +28,7 @@ from .signatures import (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
@@ -40,14 +39,38 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with arguments built only for the subcommand it names."""
+    # the top-level parser takes no option values, so the first bare word names the command
+    named = next((a for a in argv if not a.startswith("-")), None)
+    return _build_parser((named,)).parse_args(argv)
+
+
+def _build_parser(commands: tuple | None = None) -> argparse.ArgumentParser:
+    """The parser, with arguments only for the subcommands in commands (all for None).
+
+    All four subcommands are registered either way, so the top-level help
+    and the unknown-command errors do not depend on commands; a run needs
+    only its own subcommand's arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="cgobstruct",
         description="Casson-Gordon signature obstructions for cabled torus knot sums",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in (
+        ("verify", "certify a four-genus lower bound for a knot", _verify_arguments),
+        ("search", "sweep prime tuples for verified family knots", _search_arguments),
+        ("signature", "table of T(2,q) signatures at order-m roots", _signature_arguments),
+        ("cg", "sigma and eta of a knot at one character", _cg_arguments),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        if commands is None or name in commands:
+            add_arguments(sp)
+    return parser
 
-    pv = sub.add_parser("verify", help="certify a four-genus lower bound for a knot")
+
+def _verify_arguments(pv: argparse.ArgumentParser) -> None:
     _add_knot_args(pv)
     pv.add_argument("--genus", type=int, default=1, help="genus hypothesis to refute (default 1)")
     pv.add_argument("--format", choices=("human", "json", "csv"), default="human")
@@ -55,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--witnesses", type=int, default=3, help="sample witnesses recorded per prime")
     pv.set_defaults(func=cmd_verify)
 
-    ps = sub.add_parser("search", help="sweep prime tuples for verified family knots")
+
+def _search_arguments(ps: argparse.ArgumentParser) -> None:
     ps.add_argument("--config", help="key=value config file (see README)")
     ps.add_argument("--p-min", type=int)
     ps.add_argument("--p-max", type=int)
@@ -76,18 +100,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", choices=("human", "json", "csv"), default="json")
     ps.set_defaults(func=cmd_search)
 
-    pg = sub.add_parser("signature", help="table of T(2,q) signatures at order-m roots")
+
+def _signature_arguments(pg: argparse.ArgumentParser) -> None:
     pg.add_argument("--q", type=int, required=True)
     pg.add_argument("--m", type=int, required=True)
     pg.add_argument("--format", choices=("human", "json", "csv"), default="csv")
     pg.set_defaults(func=cmd_signature)
 
-    pc = sub.add_parser("cg", help="sigma and eta of a knot at one character")
+
+def _cg_arguments(pc: argparse.ArgumentParser) -> None:
     _add_knot_args(pc)
     pc.add_argument("--character", required=True, help="comma list, one residue per piece")
     pc.add_argument("--format", choices=("human", "json", "csv"), default="human")
     pc.set_defaults(func=cmd_cg)
-    return parser
 
 
 def _add_knot_args(p: argparse.ArgumentParser) -> None:

@@ -20,7 +20,6 @@ streams every point lazily, and reports and witnesses use its points.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -81,7 +80,6 @@ def isotropic_point_count(part: PrimaryPart) -> int:
     return count
 
 
-@lru_cache(maxsize=64)
 def sqrt_table(p: int) -> tuple[int, ...]:
     """Smallest square root of each residue mod p, or -1 for non-residues."""
     table = [-1] * p

@@ -27,9 +27,9 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .casson_gordon import SigmaTable, build_sigma_tables
+from .casson_gordon import SigmaTable, build_sigma_tables, shared_arrays
 from .kernels import assert_int64_budget, select_kernel
-from .knots import GAKnot, build_family
+from .knots import GAKnot
 from .linking_form import (
     PrimaryPart,
     PrimaryVector,
@@ -38,6 +38,7 @@ from .linking_form import (
     isotropic_point_count,
     primary_parts,
 )
+from .primes import is_odd_prime
 from .signatures import signature_at_minus_one
 
 SCHEMA_VERSION = 1
@@ -208,6 +209,7 @@ def verify_primary_part(
     sigma_minus_one: Optional[int] = None,
     max_witnesses: int = 3,
     tables: Optional[SigmaTable] = None,
+    cache: Optional[dict] = None,
 ) -> PrimeResult:
     """Scan every projective isotropic point of one primary part.
 
@@ -220,14 +222,16 @@ def verify_primary_part(
     per class and its minimum are exact, so the report does not depend on
     how far each class was scanned.  Witnesses are the first points in
     enumeration order whose class is witnessed, each reported with its
-    class's values.
+    class's values.  cache, when given, shares the class arrays with
+    other knots of a sweep (see `casson_gordon.shared_arrays`); the point
+    count check still runs.
     """
     p = part.p
     thr = 4 * g + 1
     if tables is None:
         tables = build_sigma_tables(K, p)
     s1 = signature_at_minus_one(K) if sigma_minus_one is None else sigma_minus_one
-    xs, sizes = enumerate_isotropic_classes(part)
+    xs, sizes = shared_arrays(cache, ("classes", p, part.signs), enumerate_isotropic_classes, part)
     n = int(sizes.sum())
     want = isotropic_point_count(part)
     if n != want:
@@ -268,6 +272,7 @@ def genus_lower_bound(
     *,
     threads: int = 1,
     max_witnesses: int = 3,
+    cache: Optional[dict] = None,
 ) -> ObstructionReport:
     """Refute genus hypotheses g = 1..g_max and assemble the certificate.
 
@@ -277,7 +282,8 @@ def genus_lower_bound(
     smaller threshold, and qualification only shrinks with g), so the
     certified lower bound is (largest refuted g) + 1.  threads (>= 1) is
     accepted for callers that pass it and changes nothing: each prime is
-    one scan.
+    one scan.  cache is the per-sweep dict of `search` (None builds every
+    table row and class array afresh); it never changes the report.
     """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
@@ -287,12 +293,13 @@ def genus_lower_bound(
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     parts = primary_parts(K)
     s1 = signature_at_minus_one(K)
-    tables = {part.p: build_sigma_tables(K, part.p) for part in parts}
+    tables = {part.p: build_sigma_tables(K, part.p, cache=cache) for part in parts}
 
     def verify_parts(parts: list[PrimaryPart], g: int) -> list[PrimeResult]:
         return [
             verify_primary_part(
-                part, K, g, sigma_minus_one=s1, max_witnesses=max_witnesses, tables=tables[part.p]
+                part, K, g, sigma_minus_one=s1, max_witnesses=max_witnesses,
+                tables=tables[part.p], cache=cache,
             )
             for part in parts
         ]
@@ -350,15 +357,22 @@ def genus_lower_bound(
 
 
 def family_parameters(K: GAKnot) -> Optional[tuple[int, int, int, int, int]]:
-    """Recover (p1,p2,q1,q2,q3) if K is exactly a built family knot."""
-    if len(K.pieces) != 8:
-        return None
+    """Recover (p1,p2,q1,q2,q3) if K is exactly a built family knot.
+
+    Compares the pieces with `knots.build_family`'s layout directly.
+    Every `Piece` has already checked that its cable parameter is an odd
+    prime, so only the companions need the prime check.
+    """
     pc = K.pieces
-    try:
-        p1, p2 = pc[0].cable_p, pc[4].cable_p
-        q1, q2, q3 = pc[0].companion_q, pc[1].companion_q, pc[3].companion_q
-        if K == build_family(p1, p2, q1, q2, q3):
-            return (p1, p2, q1, q2, q3)
-    except ValueError:
+    if len(pc) != 8:
         return None
-    return None
+    p1, p2 = pc[0].cable_p, pc[4].cable_p
+    q1, q2, q3 = pc[0].companion_q, pc[1].companion_q, pc[3].companion_q
+    layout = (
+        (q1, p1, 1), (q2, p1, -1), (1, p1, 1), (q3, p1, -1),
+        (q2, p2, 1), (1, p2, -1), (q3, p2, 1), (q1, p2, -1),
+    )
+    params = (p1, p2, q1, q2, q3)
+    if pc != layout or len(set(params)) != 5 or not all(map(is_odd_prime, (q1, q2, q3))):
+        return None
+    return params

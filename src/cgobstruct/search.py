@@ -9,12 +9,20 @@ ranking orders candidates by N = p1*p2, then lexicographically; the
 ranking key is configurable and recorded in the results.
 
 Each candidate runs the full genus pipeline; candidates certifying a
-lower bound of at least genus+1 are retained.  Progress is checkpointed
-as JSON lines keyed by the candidate tuple, and a resumed sweep yields
-byte-identical results because every stage is deterministic.  Every
-checkpoint line also carries a "config" fingerprint (genus,
-require_algebraic, package version); a resume under a different
-fingerprint is refused rather than mixing verdicts of two configs.
+lower bound of at least genus+1 are retained.  The sweep is one serial
+walk in ranking order.  Candidates share a prime's isotropic classes and
+its (q', p) sigma table rows through one cache that lives for a single
+sweep (see `casson_gordon.shared_arrays`); it grows with the number of
+distinct primes, about 5 MB per prime near 1000.  Every check of the
+pipeline still runs per candidate, so a record does not depend on what
+was cached.  `threads` is accepted and validated but changes nothing:
+the work is interpreter-bound, and a thread pool made the sweep slower.
+Progress is checkpointed as JSON lines keyed by the candidate tuple,
+and a resumed sweep yields byte-identical results because every stage
+is deterministic.  Every checkpoint line also carries a "config"
+fingerprint (genus, require_algebraic, package version); a resume under
+a different fingerprint is refused rather than mixing verdicts of two
+configs.
 """
 
 from __future__ import annotations
@@ -52,7 +60,8 @@ class SearchConfig(_ConfigFields):
     p_primes / q_primes are explicit pools, stored ascending without
     repeats (build them from interval bounds with
     `SearchConfig.from_bounds`).  require_algebraic keeps only candidates
-    whose cable pieces all satisfy p > 4q.  Called with the fields, by
+    whose cable pieces all satisfy p > 4q.  threads (>= 1) is accepted
+    and changes nothing: the sweep is serial.  Called with the fields, by
     position or keyword; omitted ones take the defaults above.
     """
 
@@ -106,12 +115,14 @@ def enumerate_candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, int
     yield from out
 
 
-def _run_candidate(cand: tuple[int, int, int, int, int], cfg: SearchConfig) -> dict:
+def _run_candidate(
+    cand: tuple[int, int, int, int, int], cfg: SearchConfig, cache: Optional[dict] = None
+) -> dict:
     """One candidate -> checkpoint record (kept/rejected/error)."""
     record: dict = {"tuple": list(cand)}
     try:
         K = build_family(*cand)
-        report = genus_lower_bound(K, g_max=cfg.genus)
+        report = genus_lower_bound(K, g_max=cfg.genus, cache=cache)
         kept = report.genus.lower_bound >= cfg.genus + 1
         record["kept"] = kept
         record["margins"] = {
@@ -180,27 +191,19 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     raises ValueError.  Per-candidate errors become error records and
     never abort the sweep.  With cfg.limit, the sweep stops at the
     limit-th kept record: later candidates are neither evaluated nor
-    recorded.  cfg.threads > 1 evaluates candidates concurrently, ahead of
-    the ranking walk; evaluations not yet started when the walk stops are
-    cancelled.
+    recorded.  Candidates run one at a time, in ranking order, sharing one
+    per-sweep cache of classes and table rows; cfg.threads changes nothing.
     """
     fingerprint = _fingerprint(cfg)
     done = _load_checkpoint(checkpoint, fingerprint)
-    candidates = list(enumerate_candidates(cfg))
-    todo = [c for c in candidates if c not in done]
-
+    cache: dict = {}
     kept: list[dict] = []
-    pool = None
     sink = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     try:
-        if cfg.threads > 1 and len(todo) > 1:
-            from concurrent.futures import ThreadPoolExecutor  # only pooled sweeps pay for it
-            pool = ThreadPoolExecutor(max_workers=cfg.threads)
-            futures = {c: pool.submit(_run_candidate, c, cfg) for c in todo}
-        for cand in candidates:
+        for cand in enumerate_candidates(cfg):
             rec = done.get(cand)
             if rec is None:
-                rec = futures[cand].result() if pool else _run_candidate(cand, cfg)
+                rec = _run_candidate(cand, cfg, cache)
                 if sink:
                     _append(sink, rec, fingerprint)
             if rec.get("kept"):
@@ -208,8 +211,6 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
                 if len(kept) == cfg.limit:
                     break
     finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
         if sink:
             sink.close()
     return kept

@@ -281,7 +281,7 @@ def test_cable_with_trivial_companion_reduces_to_torus():
 # -- signature engine vs independent oracles ---------------------------------
 
 
-def test_signatures_match_sturm_and_svd_oracles():
+def test_lattice_signatures_match_minor_recurrence_and_svd_oracles():
     for q in (3, 5, 7, 9, 11, 13, 15):
         assert lt_signature(q, RootOfUnity(0, 1)) == 0
         assert lt_nullity(q, RootOfUnity(0, 1)) == 0

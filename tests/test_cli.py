@@ -315,8 +315,14 @@ def test_cli_runs_without_mpmath(capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
 
 
+SEARCH_THEN_PRINT = (
+    "import sys; from cgobstruct.cli import main; rc = main(sys.argv[1:]); "
+    "print('concurrent.futures' in sys.modules); sys.exit(rc)"
+)
+
+
 def test_cli_import_does_not_load_thread_pool():
-    # only a search with --threads > 1 imports concurrent.futures
+    # the search sweep is serial: no command imports concurrent.futures
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cgobstruct.cli; print('concurrent.futures' in sys.modules)"],
         capture_output=True,
@@ -325,6 +331,12 @@ def test_cli_import_does_not_load_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    argv = ["search", "--p-set", "83,103", "--q-set", "11,13,17", "--format", "csv", "--threads", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", SEARCH_THEN_PRINT, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["p1,p2,q1,q2,q3,lower_bound", "83,103,17,11,13,2", "False"]
 
 
 def test_cli_import_does_not_load_dataclasses():
@@ -337,6 +349,43 @@ def test_cli_import_does_not_load_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+PARSER_ARGVS = [
+    [],
+    ["--help"],
+    ["nope"],
+    ["-x", "verify"],
+    *(
+        argv
+        for name in ("verify", "search", "signature", "cg")
+        for argv in ([name, "--help"], [name, "-h"], [name], [name, "--bogus"], [name, "--format", "xml"])
+    ),
+    ["verify", "--family", "1,2,3,4,5", "--knot", "T(2,3)"],
+    ["signature", "--q", "x", "--m", "3"],
+    ["cg", "--family", "83,103,17,11,13"],
+    ["verify", *FLAGSHIP, "--genus", "2"],
+    ["search", "--p-set", "83,103", "--limit", "1"],
+    ["signature", "--m", "5", "--q", "3"],
+    ["cg", *SLICE, "--character", "1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_cli_parses_as_with_every_subcommands_arguments(capsys, argv):
+    # a run builds only its own subcommand's arguments; help, usage errors,
+    # exit codes and parsed values must be those of the full parser
+    from cgobstruct import cli
+
+    def outcome(parse):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    assert outcome(cli._parse_args) == outcome(cli._build_parser().parse_args)
 
 
 def test_signature_cli_csv(capsys):

@@ -191,6 +191,69 @@ def test_family_parameters_roundtrip(flagship):
     assert family_parameters(scrambled) is None
 
 
+def _family_parameters_by_rebuilding(K):
+    """The previous definition: rebuild the family and compare whole knots."""
+    pc = K.pieces
+    if len(pc) != 8:
+        return None
+    params = (pc[0].cable_p, pc[4].cable_p, pc[0].companion_q, pc[1].companion_q, pc[3].companion_q)
+    try:
+        return params if K == build_family(*params) else None
+    except ValueError:
+        return None
+
+
+def test_family_parameters_matches_rebuilding_the_family(flagship):
+    def layout(p1, p2, q1, q2, q3):  # build_family's pieces, without its checks
+        return GAKnot((
+            Piece(q1, p1, 1), Piece(q2, p1, -1), Piece(1, p1, 1), Piece(q3, p1, -1),
+            Piece(q2, p2, 1), Piece(1, p2, -1), Piece(q3, p2, 1), Piece(q1, p2, -1),
+        ))
+
+    knots = [
+        flagship,
+        build_family(107, 131, 23, 17, 19),
+        build_family(293, 307, 17, 11, 13),
+        flagship.mirror(),
+        flagship + parse_knot("T(2,3)"),
+        GAKnot(flagship.pieces[4:] + flagship.pieces[:4]),
+        parse_knot("T(2,5;2,7) # -T(2,5;2,7)"),
+        layout(83, 103, 17, 11, 9),  # composite companion
+        layout(83, 103, 17, 11, 1),  # unknot companion
+        layout(83, 103, 17, 11, 11),  # repeated companion
+        layout(83, 83, 17, 11, 13),  # one cable prime twice
+        *(small_knot(p) + small_knot(p).mirror() for p in SMALL_COMPANIONS),
+    ]
+    got = [family_parameters(K) for K in knots]
+    assert got == [_family_parameters_by_rebuilding(K) for K in knots]
+    assert got[:3] == [(83, 103, 17, 11, 13), (107, 131, 23, 17, 19), (293, 307, 17, 11, 13)]
+    assert got[3:] == [None] * (len(knots) - 3)
+
+
+def test_sweep_cache_arrays_are_read_only(flagship):
+    cache: dict = {}
+    report = genus_lower_bound(flagship, cache=cache)
+    assert report == genus_lower_bound(flagship)
+    assert set(cache) == {
+        ("classes", 83, (1, -1, 1, -1)),
+        ("classes", 103, (1, -1, 1, -1)),
+        *(("rows", q, p) for p in (83, 103) for q in (1, 11, 13, 17)),
+    }
+    xs, sizes = cache[("classes", 83, (1, -1, 1, -1))]
+    with pytest.raises(ValueError, match="read-only"):
+        xs[0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        sizes[0] = 0
+    sig, eta = cache[("rows", 17, 83)]
+    with pytest.raises(ValueError, match="read-only"):
+        sig[1] += 1
+    # a second knot over the same primes reads the cached arrays
+    assert genus_lower_bound(build_family(83, 103, 13, 11, 17), cache=cache) == genus_lower_bound(
+        build_family(83, 103, 13, 11, 17)
+    )
+    assert cache[("classes", 83, (1, -1, 1, -1))][0] is xs
+
+
 def test_genus_lower_bound_rejects_bad_gmax(flagship):
     with pytest.raises(ValueError):
         genus_lower_bound(flagship, g_max=0)

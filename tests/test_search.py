@@ -5,7 +5,9 @@ import pytest
 from cgobstruct import (
     RANKINGS,
     SearchConfig,
+    build_family,
     enumerate_candidates,
+    genus_lower_bound,
     parse_config_file,
     search,
 )
@@ -132,19 +134,16 @@ SWEEP_ORDER = [
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_search_limit_stops_evaluating(tmp_path, monkeypatch, threads):
-    # the first kept record is the third candidate: nothing after it is
-    # recorded, and the pool cancels what it has not started
+    # the first kept record is the third candidate: the serial walk
+    # evaluates and records nothing after it, at any thread count
     import sys
-    import time
 
     search_mod = sys.modules["cgobstruct.search"]
     run_candidate, calls = search_mod._run_candidate, []
 
-    def counted(cand, cfg):
-        calls.append(cand)
-        if list(cand) not in SWEEP_ORDER[:3]:
-            time.sleep(0.2)  # keep later candidates in flight while the walk stops
-        return run_candidate(cand, cfg)
+    def counted(cand, *args):
+        calls.append(list(cand))
+        return run_candidate(cand, *args)
 
     monkeypatch.setattr(search_mod, "_run_candidate", counted)
     ckpt = tmp_path / "limit.jsonl"
@@ -152,9 +151,27 @@ def test_search_limit_stops_evaluating(tmp_path, monkeypatch, threads):
     assert [r["tuple"] for r in kept] == [SWEEP_ORDER[2]]
     records = [json.loads(line) for line in ckpt.read_text().splitlines()]
     assert [r["tuple"] for r in records] == SWEEP_ORDER[:3]
-    started = sorted(list(c) for c in calls)
-    assert started[:3] == SWEEP_ORDER[:3]
-    assert len(started) <= (3 if threads == 1 else 3 + threads)
+    assert calls == SWEEP_ORDER[:3]
+
+
+def test_cached_sweep_records_match_uncached_runs(tmp_path):
+    # each p-prime meets both others, so its classes and (q', p) rows are
+    # reused by candidates with a different partner prime
+    ckpt = tmp_path / "sweep.jsonl"
+    cfg = SearchConfig(p_primes=(83, 103, 107), q_primes=(11, 13, 17, 19))
+    search(cfg, checkpoint=str(ckpt))
+    records = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    assert [tuple(r["tuple"]) for r in records] == list(enumerate_candidates(cfg))
+    assert len(records) == 36 and sum(r["kept"] for r in records) > 0
+    for rec in records:
+        report = genus_lower_bound(build_family(*rec["tuple"]), g_max=1)
+        margins = {str(pr.p): f"{pr.margin.numerator}/{pr.margin.denominator}" for pr in report.primes}
+        assert rec["margins"] == margins, rec["tuple"]
+        assert rec["kept"] == (report.genus.lower_bound >= 2), rec["tuple"]
+        if rec["kept"]:
+            assert rec["report"] == json.loads(json.dumps(report.to_dict())), rec["tuple"]
+        else:
+            assert rec["lower_bound"] == report.genus.lower_bound, rec["tuple"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
