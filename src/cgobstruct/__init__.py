@@ -52,7 +52,8 @@ from .obstruction import (
     genus_lower_bound,
     verify_primary_part,
 )
-from .search import RANKINGS, SearchConfig, enumerate_candidates, parse_config_file, search
+from .search import RANKINGS, SearchConfig, config_from_settings, enumerate_candidates
+from .search import parse_config_file, search
 from .signatures import (
     RootOfUnity,
     lt_nullity,
@@ -79,6 +80,7 @@ __all__ = [
     "build_family",
     "build_sigma_tables",
     "check_point",
+    "config_from_settings",
     "enumerate_candidates",
     "enumerate_isotropic_classes",
     "enumerate_projective_isotropic",

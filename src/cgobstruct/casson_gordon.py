@@ -36,15 +36,9 @@ class Character(NamedTuple):
 
     @staticmethod
     def for_knot(K: GAKnot, residues) -> "Character":
-        res = tuple(int(r) for r in residues)
-        if len(res) != len(K.pieces):
-            raise ValueError(
-                f"character length {len(res)} does not match piece count {len(K.pieces)}"
-            )
-        for j, (r, pc) in enumerate(zip(res, K.pieces)):
-            if not 0 <= r < pc.cable_p:
-                raise ValueError(f"residue {r} at piece {j} not reduced mod {pc.cable_p}")
-        return Character(res)
+        chi = Character(tuple(int(r) for r in residues))
+        _check_character(K, chi)
+        return chi
 
     def negated(self, K: GAKnot) -> "Character":
         return Character(

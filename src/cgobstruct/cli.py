@@ -2,7 +2,7 @@
 
 Exit codes: 0 when the requested certification (or query) succeeded, 1
 when a verification ran but did not certify, 2 on usage or input errors,
-3 when an internal invariant check failed (a bug, not a verdict).
+3 when an internal check failed or any other exception escaped (a bug).
 Machine formats (json, csv) print exact fractions; decimals are advisory.
 """
 
@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .casson_gordon import Character, eta_knot, sigma_knot
 from .knots import GAKnot, build_family, fox_milnor_check, parse_knot
 from .obstruction import genus_lower_bound
-from .primes import odd_primes_in
-from .search import SearchConfig, parse_config_file, search
+from .search import SETTINGS, config_from_settings, parse_config_file, search
 from .signatures import (
     RootOfUnity,
     lt_nullity,
@@ -36,6 +34,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 
@@ -74,23 +75,23 @@ def _verify_arguments(pv: argparse.ArgumentParser) -> None:
     _add_knot_args(pv)
     pv.add_argument("--genus", type=int, default=1, help="genus hypothesis to refute (default 1)")
     pv.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    pv.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    pv.add_argument("--threads", type=int, default=1, help="accepted, changes nothing (>= 1)")
     pv.add_argument("--witnesses", type=int, default=3, help="sample witnesses recorded per prime")
     pv.set_defaults(func=cmd_verify)
 
 
 def _search_arguments(ps: argparse.ArgumentParser) -> None:
-    ps.add_argument("--config", help="key=value config file (see README)")
-    ps.add_argument("--p-min", type=int)
-    ps.add_argument("--p-max", type=int)
-    ps.add_argument("--q-min", type=int)
-    ps.add_argument("--q-max", type=int)
+    ps.add_argument("--config", help="key = value config file (see README)")
+    ps.add_argument("--p-min")
+    ps.add_argument("--p-max")
+    ps.add_argument("--q-min")
+    ps.add_argument("--q-max")
     ps.add_argument("--p-set", help="explicit comma list of p primes")
     ps.add_argument("--q-set", help="explicit comma list of q primes")
-    ps.add_argument("--genus", type=int, default=None)
-    ps.add_argument("--ranking", choices=("product", "lex", "maxprime"), default=None)
-    ps.add_argument("--limit", type=int, default=None)
-    ps.add_argument("--threads", type=int, default=None)
+    ps.add_argument("--genus")
+    ps.add_argument("--ranking", help="product, lex or maxprime")
+    ps.add_argument("--limit")
+    ps.add_argument("--threads", type=int, default=1, help="accepted, changes nothing (>= 1)")
     ps.add_argument("--checkpoint", help="JSON-lines progress file, resumable")
     ps.add_argument(
         "--no-require-algebraic",
@@ -164,34 +165,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    kwargs: dict = {}
-    if args.config:
-        kwargs.update(parse_config_file(args.config))
-    if args.p_set:
-        kwargs["p_primes"] = tuple(int(x) for x in args.p_set.split(",") if x.strip())
-    elif args.p_min is not None or args.p_max is not None:
-        if args.p_min is None or args.p_max is None:
-            raise ValueError("--p-min and --p-max must be given together")
-        kwargs["p_primes"] = tuple(odd_primes_in(args.p_min, args.p_max))
-    if args.q_set:
-        kwargs["q_primes"] = tuple(int(x) for x in args.q_set.split(",") if x.strip())
-    elif args.q_min is not None or args.q_max is not None:
-        if args.q_min is None or args.q_max is None:
-            raise ValueError("--q-min and --q-max must be given together")
-        kwargs["q_primes"] = tuple(odd_primes_in(args.q_min, args.q_max))
-    for key, val in (
-        ("genus", args.genus),
-        ("ranking", args.ranking),
-        ("limit", args.limit),
-        ("threads", args.threads),
-    ):
-        if val is not None:
-            kwargs[key] = val
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
+    settings = parse_config_file(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if k in SETTINGS and v is not None}
     if args.no_require_algebraic:
-        kwargs["require_algebraic"] = False
-    if "p_primes" not in kwargs or "q_primes" not in kwargs:
-        raise ValueError("search needs p and q pools (flags or config file)")
-    cfg = SearchConfig(**kwargs)
+        flags["require_algebraic"] = "false"
+    # a pool given by flags replaces the file's pool; other flags override their own key
+    replaced = {k[:2] for k in flags} & {"p_", "q_"}
+    settings = {k: v for k, v in settings.items() if k[:2] not in replaced}
+    cfg = config_from_settings({**settings, **flags})
     kept = search(cfg, checkpoint=args.checkpoint)
     if args.format == "json":
         for rec in kept:

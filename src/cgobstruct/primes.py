@@ -1,18 +1,23 @@
 """Small deterministic primality helpers.
 
-Every prime handled by this package is far below 3.3 * 10^14, so the
-deterministic Miller-Rabin witness set {2, 3, 5, 7, 11, 13, 17} suffices.
+Miller-Rabin with the witness set {2, 3, 5, 7, 11, 13, 17} is exact below
+341,550,071,728,321 = 10,670,053 * 32,010,157, the least strong
+pseudoprime to all of those bases.  `is_prime` refuses larger numbers
+instead of answering without proof.
 """
 
 from __future__ import annotations
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17)
+LIMIT = 341_550_071_728_321
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^14."""
+    """Deterministic Miller-Rabin; raises ValueError for n >= LIMIT."""
     if n < 2:
         return False
+    if n >= LIMIT:
+        raise ValueError(f"{n} is too large for the exact primality test (it needs n < {LIMIT})")
     for w in _WITNESSES:
         if n == w:
             return True

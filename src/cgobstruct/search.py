@@ -15,14 +15,15 @@ its (q', p) sigma table rows through one cache that lives for a single
 sweep (see `casson_gordon.shared_arrays`); it grows with the number of
 distinct primes, about 5 MB per prime near 1000.  Every check of the
 pipeline still runs per candidate, so a record does not depend on what
-was cached.  `threads` is accepted and validated but changes nothing:
-the work is interpreter-bound, and a thread pool made the sweep slower.
-Progress is checkpointed as JSON lines keyed by the candidate tuple,
-and a resumed sweep yields byte-identical results because every stage
-is deterministic.  Every checkpoint line also carries a "config"
-fingerprint (genus, require_algebraic, package version); a resume under
-a different fingerprint is refused rather than mixing verdicts of two
-configs.
+was cached.  Progress is checkpointed as JSON lines keyed by the
+candidate tuple, and a resumed sweep yields byte-identical results
+because every stage is deterministic.  Every checkpoint line also
+carries a "config" fingerprint (genus, require_algebraic, package
+version); a resume under a different fingerprint is refused rather than
+mixing verdicts of two configs.
+
+Settings are strings under the keys of `SETTINGS`, from a config file or
+from flags; `config_from_settings` alone turns them into a `SearchConfig`.
 """
 
 from __future__ import annotations
@@ -51,18 +52,15 @@ class _ConfigFields(NamedTuple):
     genus: int = 1
     ranking: str = "product"
     limit: Optional[int] = None
-    threads: int = 1
 
 
 class SearchConfig(_ConfigFields):
     """Sweep definition: prime pools, constraints and ranking.
 
-    p_primes / q_primes are explicit pools, stored ascending without
-    repeats (build them from interval bounds with
-    `SearchConfig.from_bounds`).  require_algebraic keeps only candidates
-    whose cable pieces all satisfy p > 4q.  threads (>= 1) is accepted
-    and changes nothing: the sweep is serial.  Called with the fields, by
-    position or keyword; omitted ones take the defaults above.
+    p_primes / q_primes are pools, stored ascending without repeats;
+    require_algebraic keeps only candidates whose cable pieces all satisfy
+    p > 4q.  Fields go by position or keyword, omitted ones take the
+    defaults above; `config_from_settings` builds one from string settings.
     """
 
     __slots__ = ()
@@ -78,20 +76,57 @@ class SearchConfig(_ConfigFields):
             raise ValueError(f"genus hypothesis must be >= 1, got {cfg.genus}")
         if cfg.limit is not None and cfg.limit < 1:
             raise ValueError(f"limit must be >= 1, got {cfg.limit}")
-        if cfg.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {cfg.threads}")
         pools = (tuple(sorted(set(cfg.p_primes))), tuple(sorted(set(cfg.q_primes))))
         return super().__new__(cls, *pools, *cfg[2:])
 
-    @staticmethod
-    def from_bounds(
-        p_min: int, p_max: int, q_min: int, q_max: int, **kwargs
-    ) -> "SearchConfig":
-        return SearchConfig(
-            p_primes=tuple(odd_primes_in(p_min, p_max)),
-            q_primes=tuple(odd_primes_in(q_min, q_max)),
-            **kwargs,
-        )
+
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_INT = (int, "an integer")
+_SET = (lambda s: tuple(int(x) for x in s.split(",") if x.strip()), "a comma list of integers")
+
+# setting key -> (reader of its string value, what the string must be)
+SETTINGS: dict[str, tuple[Callable[[str], object], str]] = {
+    "p_set": _SET,
+    "p_min": _INT,
+    "p_max": _INT,
+    "q_set": _SET,
+    "q_min": _INT,
+    "q_max": _INT,
+    "genus": _INT,
+    "require_algebraic": (lambda text: _BOOLEANS[text.lower()], "one of true/false/yes/no/1/0"),
+    "ranking": (str, "a ranking name"),
+    "limit": _INT,
+}
+
+
+def config_from_settings(settings: dict[str, str]) -> SearchConfig:
+    """The SearchConfig that string settings (keys of SETTINGS) describe.
+
+    Each pool is a set (p_set) or both ends of a prime interval (p_min,
+    p_max), likewise for q; other keys override the defaults.  Raises
+    ValueError naming the key for an unknown key, a bad value, a missing
+    pool, half an interval or a set given with an interval.
+    """
+    values = {}
+    for key, text in settings.items():
+        if key not in SETTINGS:
+            raise ValueError(f"unknown search setting {key!r} (have {', '.join(SETTINGS)})")
+        read, expected = SETTINGS[key]
+        try:
+            values[key] = read(text.strip())
+        except (ValueError, KeyError):
+            raise ValueError(f"{key} must be {expected}, got {text!r}") from None
+    for pool in "pq":
+        named, lo, hi = f"{pool}_set", f"{pool}_min", f"{pool}_max"
+        if named in values and (lo in values or hi in values):
+            raise ValueError(f"{named} and {lo}/{hi} both given: use a set or an interval")
+        if (lo in values) != (hi in values):
+            raise ValueError(f"{lo} and {hi} must be given together")
+        if lo in values:
+            values[named] = tuple(odd_primes_in(values.pop(lo), values.pop(hi)))
+        elif named not in values:
+            raise ValueError(f"search needs a {pool} pool: {named}, or {lo} and {hi}")
+    return SearchConfig(p_primes=values.pop("p_set"), q_primes=values.pop("q_set"), **values)
 
 
 def enumerate_candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, int, int]]:
@@ -192,7 +227,7 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     never abort the sweep.  With cfg.limit, the sweep stops at the
     limit-th kept record: later candidates are neither evaluated nor
     recorded.  Candidates run one at a time, in ranking order, sharing one
-    per-sweep cache of classes and table rows; cfg.threads changes nothing.
+    per-sweep cache of classes and table rows.
     """
     fingerprint = _fingerprint(cfg)
     done = _load_checkpoint(checkpoint, fingerprint)
@@ -221,40 +256,20 @@ def _append(sink, rec: dict, fingerprint: dict) -> None:
     sink.flush()
 
 
-def parse_config_file(path: str) -> dict:
-    """Read the documented key=value search config format.
+def parse_config_file(path: str) -> dict[str, str]:
+    """Read a search config file into {key: value string} for `config_from_settings`.
 
-    Keys: p_min/p_max or p_set (comma list); q_min/q_max or q_set;
-    genus; require_algebraic (true/false); ranking; limit; threads.
-    Blank lines and lines starting with # are skipped.
+    A # starts a comment anywhere on a line; any nonblank line that is not
+    `key = value` with a key of SETTINGS raises ValueError with path:line.
     """
-    raw: dict[str, str] = {}
+    settings: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.split("#", 1)[0].strip()
+            if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            raw[k.strip()] = v.strip()
-    out: dict = {}
-    if "p_set" in raw:
-        out["p_primes"] = tuple(int(x) for x in raw["p_set"].split(",") if x.strip())
-    elif "p_min" in raw or "p_max" in raw:
-        out["p_primes"] = tuple(odd_primes_in(int(raw["p_min"]), int(raw["p_max"])))
-    if "q_set" in raw:
-        out["q_primes"] = tuple(int(x) for x in raw["q_set"].split(",") if x.strip())
-    elif "q_min" in raw or "q_max" in raw:
-        out["q_primes"] = tuple(odd_primes_in(int(raw["q_min"]), int(raw["q_max"])))
-    if "genus" in raw:
-        out["genus"] = int(raw["genus"])
-    if "require_algebraic" in raw:
-        out["require_algebraic"] = raw["require_algebraic"].lower() in ("1", "true", "yes")
-    if "ranking" in raw:
-        out["ranking"] = raw["ranking"]
-    if "limit" in raw:
-        out["limit"] = int(raw["limit"])
-    if "threads" in raw:
-        out["threads"] = int(raw["threads"])
-    return out
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key not in SETTINGS:
+                raise ValueError(f"{path}:{ln}: expected key = value for a known key, got {line!r}")
+            settings[key] = value
+    return settings

@@ -204,6 +204,123 @@ def test_search_cli_config_file(tmp_path, capsys):
     assert "83,103,17,11,13,2" in out
 
 
+def _search_config(tmp_path, capsys, text, *argv):
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(text)
+    rc, out, err = run(capsys, ["search", "--config", str(cfgfile), *argv])
+    return rc, out, err.replace(str(cfgfile), "FILE")
+
+
+@pytest.fixture
+def search_configs(monkeypatch):
+    """The SearchConfigs that cmd_search builds; the sweeps themselves are skipped."""
+    from cgobstruct import cli
+
+    configs = []
+    monkeypatch.setattr(cli, "search", lambda cfg, checkpoint=None: configs.append(cfg) or [])
+    return configs
+
+
+# (key, value) pairs that exercise each search setting, valid and invalid
+SETTING_CASES = [
+    ("p_set", "83,103"),
+    ("p_set", "83,9"),
+    ("p_min", "80"),
+    ("p_max", "110"),
+    ("q_set", "11,13,17"),
+    ("q_min", "10"),
+    ("q_max", "x"),
+    ("genus", "2"),
+    ("genus", "0"),
+    ("genus", "one"),
+    ("require_algebraic", "false"),
+    ("ranking", "lex"),
+    ("ranking", "nope"),
+    ("limit", "2"),
+    ("limit", "0"),
+    ("limit", "1.5"),
+]
+
+
+@pytest.mark.parametrize("key, value", SETTING_CASES, ids=lambda v: v)
+def test_search_flag_and_config_key_agree(tmp_path, capsys, search_configs, key, value):
+    # a flag and the same key in a file give the same config or the same error
+    from cgobstruct.search import SETTINGS
+
+    assert {k for k, _ in SETTING_CASES} == set(SETTINGS)
+    # the pools the tested key does not set
+    base = "".join(
+        f"{k} = {v}\n" for k, v in (("p_set", "83,103"), ("q_set", "11,13,17")) if k[:2] != key[:2]
+    )
+    flag = [f"--{key.replace('_', '-')}", value]
+    if key == "require_algebraic":
+        flag = ["--no-require-algebraic"]
+    outcomes = []
+    for text, argv in ((f"{base}{key} = {value}\n", []), (base, flag)):
+        outcomes.append((*_search_config(tmp_path, capsys, text, *argv), search_configs[:]))
+        search_configs.clear()
+    assert outcomes[0] == outcomes[1]
+    rc, out, err, cfgs = outcomes[0]
+    assert (rc, len(cfgs)) in ((0, 1), (2, 0)) and out == ""
+    if rc == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_search_flag_pool_replaces_file_pool(tmp_path, capsys, search_configs):
+    text = "p_min = 80\np_max = 90\nq_set = 11,13\ngenus = 2\n"
+    assert _search_config(tmp_path, capsys, text, "--p-set", "103", "--genus", "3") == (0, "", "")
+    assert search_configs[0][:4] == ((103,), (11, 13), True, 3)
+    rc, _, err = _search_config(tmp_path, capsys, text, "--p-min", "100")
+    assert (rc, err) == (2, "error: p_min and p_max must be given together\n")
+
+
+def test_search_config_half_interval_exit_2(tmp_path, capsys):
+    rc, out, err = _search_config(tmp_path, capsys, "p_min = 80\nq_set = 11,13,17\n")
+    assert (rc, out, err) == (2, "", "error: p_min and p_max must be given together\n")
+
+
+def test_search_config_previous_readme_example_exit_2(tmp_path, capsys):
+    # the example as documented before comments were stripped and threads went away
+    text = (
+        "# pools: explicit sets or inclusive prime intervals\n"
+        "p_set = 83,103        # or p_min = 80 / p_max = 110\n"
+        "q_min = 10\n"
+        "q_max = 18\n"
+        "genus = 1\n"
+        "ranking = product\n"
+        "limit = 5\n"
+        "threads = 4                # accepted, changes nothing\n"
+        "require_algebraic = true   # keep only candidates with p > 4q\n"
+    )
+    rc, out, err = _search_config(tmp_path, capsys, text)
+    assert (rc, out) == (2, "")
+    assert err == "error: FILE:8: expected key = value for a known key, got 'threads = 4'\n"
+
+
+def test_search_config_unknown_key_exit_2(tmp_path, capsys):
+    rc, out, err = _search_config(tmp_path, capsys, "p_sets = 83,103\nq_set = 11,13,17\n")
+    assert (rc, out) == (2, "")
+    assert err == "error: FILE:1: expected key = value for a known key, got 'p_sets = 83,103'\n"
+
+
+def test_search_config_bad_boolean_exit_2(tmp_path, capsys):
+    text = "p_set = 83,103\nq_set = 11,13,17\nrequire_algebraic = flase\n"
+    rc, out, err = _search_config(tmp_path, capsys, text)
+    assert (rc, out) == (2, "")
+    assert err == "error: require_algebraic must be one of true/false/yes/no/1/0, got 'flase'\n"
+
+
+def test_search_config_commented_boolean_is_read(tmp_path, capsys):
+    # 61 <= 4*17, so require_algebraic = true leaves no candidate to evaluate
+    ckpt = tmp_path / "sweep.jsonl"
+    text = "p_set = 61,83\nq_set = 11,13,17\nrequire_algebraic = true   # keep only p > 4q\n"
+    rc, out, err = _search_config(tmp_path, capsys, text, "--checkpoint", str(ckpt))
+    assert (rc, out, err) == (0, "", "")
+    assert ckpt.read_text() == ""
+
+
 def test_search_cli_checkpoint_resume(tmp_path, capsys):
     ckpt = tmp_path / "sweep.jsonl"
     argv = [
@@ -295,6 +412,19 @@ def test_nonzero_eta_cable_exit_3(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert err.startswith("internal error: nonzero eta_cable at p=83")
+
+
+def test_unexpected_exception_exit_3(capsys, monkeypatch):
+    # any exception that is not bad input is a bug: exit 3, never 1 ("did not certify")
+    from cgobstruct import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "genus_lower_bound", broken)
+    rc, out, err = run(capsys, ["verify", *FLAGSHIP])
+    assert (rc, out) == (3, "")
+    assert err == "internal error: KeyError: 'boom'\n"
 
 
 NO_MPMATH = "import sys; sys.modules['mpmath'] = None; from cgobstruct.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -464,6 +594,13 @@ def test_cg_cli(capsys):
 def test_cg_cli_rejects_bad_character(capsys):
     assert run(capsys, ["cg", "--knot", "T(2,3)", "--character", "1,2"])[0] == 2
     assert run(capsys, ["cg", "--knot", "T(2,3)", "--character", "3"])[0] == 2
+
+
+def test_cg_cli_rejects_prime_beyond_exact_test(capsys):
+    # 341550071728321 is a strong pseudoprime to every Miller-Rabin witness used
+    rc, out, err = run(capsys, ["cg", "--knot", "T(2,341550071728321)", "--character", "1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: 341550071728321 is too large for the exact primality test")
 
 
 @pytest.mark.skipif(shutil.which("cgobstruct") is None, reason="entry point not on PATH")

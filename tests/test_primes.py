@@ -1,4 +1,6 @@
-from cgobstruct.primes import is_odd_prime, is_prime, odd_primes_in
+import pytest
+
+from cgobstruct.primes import LIMIT, is_odd_prime, is_prime, odd_primes_in
 
 
 def test_is_prime_small():
@@ -30,3 +32,21 @@ def test_odd_primes_in():
     assert odd_primes_in(2, 3) == [3]
     assert odd_primes_in(83, 103) == [83, 89, 97, 101, 103]
     assert odd_primes_in(24, 28) == []
+
+
+def test_is_prime_refuses_numbers_beyond_exact_witness_set():
+    # the least strong pseudoprime to bases 2..17 would pass every witness
+    assert LIMIT == 341_550_071_728_321 == 10_670_053 * 32_010_157
+    for n in (LIMIT, LIMIT + 2, 10**20):
+        with pytest.raises(ValueError, match="too large for the exact primality test"):
+            is_prime(n)
+    with pytest.raises(ValueError, match="too large"):
+        odd_primes_in(LIMIT - 4, LIMIT)
+
+
+def test_is_prime_below_the_limit():
+    assert is_prime(2**31 - 1)  # Mersenne prime
+    assert not is_prime(2**31 + 1)  # 3 * 715827883
+    assert is_prime(341_550_071_728_289)  # the largest prime below LIMIT
+    assert not is_prime(LIMIT - 1)
+    assert not is_prime(10_670_053 * 32_010_151)  # a composite just below LIMIT

@@ -94,7 +94,7 @@ def test_records_normalise_their_fields():
     assert RootOfUnity(2, 6) == RootOfUnity(1, 3) and RootOfUnity(-1, 7).a == 6
     cfg = SearchConfig(p_primes=(103, 83, 83), q_primes=(17, 11, 13))
     assert (cfg.p_primes, cfg.q_primes) == ((83, 103), (11, 13, 17))
-    assert cfg == SearchConfig((83, 103), (11, 13, 17), True, 1, "product", None, 1)
+    assert cfg == SearchConfig((83, 103), (11, 13, 17), True, 1, "product", None)
     assert GAKnot([Piece(1, 3, 1)]).pieces == (Piece(1, 3, 1),)
 
 
@@ -115,7 +115,6 @@ def test_records_normalise_their_fields():
         ),
         (lambda: SearchConfig((83,), (11,), genus=0), "genus hypothesis must be >= 1, got 0"),
         (lambda: SearchConfig((83,), (11,), limit=0), "limit must be >= 1, got 0"),
-        (lambda: SearchConfig((83,), (11,), threads=-1), "threads must be >= 1, got -1"),
     ],
 )
 def test_record_validation_messages(build, message):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from cgobstruct import (
     RANKINGS,
     SearchConfig,
     build_family,
+    config_from_settings,
     enumerate_candidates,
     genus_lower_bound,
     parse_config_file,
@@ -93,12 +95,6 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert len(partial.read_text().splitlines()) == 3
 
 
-def test_search_threads_agree():
-    one = search(SearchConfig(threads=1, **FLAGSHIP_POOLS))
-    two = search(SearchConfig(threads=2, **FLAGSHIP_POOLS))
-    assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
-
-
 def test_search_records_errors_and_continues(tmp_path, monkeypatch):
     import sys
 
@@ -130,12 +126,13 @@ SWEEP_ORDER = [
     [83, 103, 13, 11, 19],
     [83, 103, 13, 17, 19],  # kept
 ]
+LINES_AT_LIMIT = {1: 3, 2: 6, 3: 7}  # checkpoint lines when the limit-th record is kept
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_search_limit_stops_evaluating(tmp_path, monkeypatch, threads):
-    # the first kept record is the third candidate: the serial walk
-    # evaluates and records nothing after it, at any thread count
+@pytest.mark.parametrize("limit", [1, 2])
+def test_search_limit_stops_evaluating(tmp_path, monkeypatch, limit):
+    # the limit-th kept record is the 3rd or 6th candidate: the serial
+    # walk evaluates and records nothing after it
     import sys
 
     search_mod = sys.modules["cgobstruct.search"]
@@ -147,11 +144,11 @@ def test_search_limit_stops_evaluating(tmp_path, monkeypatch, threads):
 
     monkeypatch.setattr(search_mod, "_run_candidate", counted)
     ckpt = tmp_path / "limit.jsonl"
-    kept = search(SearchConfig(limit=1, threads=threads, **SWEEP_POOLS), checkpoint=str(ckpt))
-    assert [r["tuple"] for r in kept] == [SWEEP_ORDER[2]]
+    kept = search(SearchConfig(limit=limit, **SWEEP_POOLS), checkpoint=str(ckpt))
+    assert [r["tuple"] for r in kept] == [SWEEP_ORDER[2], SWEEP_ORDER[5]][:limit]
     records = [json.loads(line) for line in ckpt.read_text().splitlines()]
-    assert [r["tuple"] for r in records] == SWEEP_ORDER[:3]
-    assert calls == SWEEP_ORDER[:3]
+    assert [r["tuple"] for r in records] == SWEEP_ORDER[: LINES_AT_LIMIT[limit]]
+    assert calls == SWEEP_ORDER[: LINES_AT_LIMIT[limit]]
 
 
 def test_cached_sweep_records_match_uncached_runs(tmp_path):
@@ -174,23 +171,23 @@ def test_cached_sweep_records_match_uncached_runs(tmp_path):
             assert rec["lower_bound"] == report.genus.lower_bound, rec["tuple"]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_search_limit_resume_matches_fresh(tmp_path, threads):
+@pytest.mark.parametrize("first", [1, 2])
+def test_search_limit_resume_matches_fresh(tmp_path, first):
+    # a sweep stopped at limit `first` resumes under a larger limit, then none
     ckpt = tmp_path / "sweep.jsonl"
 
     def run(limit, path):
-        cfg = SearchConfig(limit=limit, threads=threads, **SWEEP_POOLS)
+        cfg = SearchConfig(limit=limit, **SWEEP_POOLS)
         return json.dumps(search(cfg, checkpoint=path), sort_keys=True)
 
-    assert run(1, str(ckpt)) == run(1, None)
-    assert len(ckpt.read_text().splitlines()) == 3
-    assert run(2, str(ckpt)) == run(2, None)
-    assert len(ckpt.read_text().splitlines()) == 6
+    for limit in (first, first + 1):
+        assert run(limit, str(ckpt)) == run(limit, None)
+        assert len(ckpt.read_text().splitlines()) == LINES_AT_LIMIT[limit]
     assert run(None, str(ckpt)) == run(None, None)
     fresh = tmp_path / "fresh.jsonl"
     run(None, str(fresh))
     assert ckpt.read_bytes() == fresh.read_bytes()
-    assert run(1, str(ckpt)) == run(1, None)  # a smaller limit reads the records back
+    assert run(first, str(ckpt)) == run(first, None)  # a smaller limit reads the records back
     assert ckpt.read_bytes() == fresh.read_bytes()
 
 
@@ -206,15 +203,13 @@ def test_config_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError, match=f"limit must be >= 1, got {bad}"):
             SearchConfig(p_primes=(83,), q_primes=(11,), limit=bad)
-        with pytest.raises(ValueError, match=f"threads must be >= 1, got {bad}"):
-            SearchConfig(p_primes=(83,), q_primes=(11,), threads=bad)
     cfg = SearchConfig(p_primes=(103, 83, 83), q_primes=(17, 11, 13))
     assert cfg.p_primes == (83, 103)
     assert cfg.q_primes == (11, 13, 17)
 
 
 def test_from_bounds():
-    cfg = SearchConfig.from_bounds(80, 110, 10, 20)
+    cfg = config_from_settings({"p_min": "80", "p_max": "110", "q_min": "10", "q_max": "20"})
     assert cfg.p_primes == (83, 89, 97, 101, 103, 107, 109)
     assert cfg.q_primes == (11, 13, 17, 19)
 
@@ -224,32 +219,109 @@ def test_parse_config_file(tmp_path):
     path.write_text(
         "# flagship sweep\n"
         "p_set = 83,103\n"
-        "q_min = 10\n"
+        "q_min = 10  # inclusive\n"
         "q_max = 18\n"
+        "\n"
         "genus = 1\n"
         "ranking = maxprime\n"
         "limit = 5\n"
-        "threads = 2\n"
         "require_algebraic = false\n"
     )
     parsed = parse_config_file(str(path))
     assert parsed == {
-        "p_primes": (83, 103),
-        "q_primes": (11, 13, 17),
-        "genus": 1,
+        "p_set": "83,103",
+        "q_min": "10",
+        "q_max": "18",
+        "genus": "1",
         "ranking": "maxprime",
-        "limit": 5,
-        "threads": 2,
-        "require_algebraic": False,
+        "limit": "5",
+        "require_algebraic": "false",
     }
-    SearchConfig(**parsed)
+    assert config_from_settings(parsed) == SearchConfig(
+        p_primes=(83, 103),
+        q_primes=(11, 13, 17),
+        genus=1,
+        ranking="maxprime",
+        limit=5,
+        require_algebraic=False,
+    )
 
 
 def test_parse_config_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("p_set 83,103\n")
-    with pytest.raises(ValueError, match="bad.cfg:1"):
+    with pytest.raises(ValueError) as exc:
         parse_config_file(str(path))
+    assert str(exc.value).endswith(
+        "bad.cfg:1: expected key = value for a known key, got 'p_set 83,103'"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "q_set = 11\np_sets = 83  # typo\n",
+            "bad.cfg:2: expected key = value for a known key, got 'p_sets = 83'",
+        ),
+        ("threads = 2\n", "bad.cfg:1: expected key = value for a known key, got 'threads = 2'"),
+    ],
+)
+def test_parse_config_file_rejects_unknown_keys(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        parse_config_file(str(path))
+    assert str(exc.value).endswith(message)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("true", True), ("Yes", True), ("1", True), ("false", False), ("no", False), ("0", False)],
+)
+def test_config_from_settings_reads_booleans(value, expected):
+    cfg = config_from_settings({"p_set": "83", "q_set": "11", "require_algebraic": value})
+    assert cfg.require_algebraic is expected
+
+
+POOLS = {"p_set": "83", "q_set": "11"}
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"q_set": "11"}, "search needs a p pool: p_set, or p_min and p_max"),
+        ({"p_set": "83", "q_min": "10"}, "q_min and q_max must be given together"),
+        ({**POOLS, "p_max": "90"}, "p_set and p_min/p_max both given: use a set or an interval"),
+        (
+            {**POOLS, "p_sets": "83"},
+            "unknown search setting 'p_sets' (have p_set, p_min, p_max, q_set, q_min, q_max, "
+            "genus, require_algebraic, ranking, limit)",
+        ),
+        (
+            {**POOLS, "require_algebraic": "flase"},
+            "require_algebraic must be one of true/false/yes/no/1/0, got 'flase'",
+        ),
+        ({**POOLS, "p_set": "83,x"}, "p_set must be a comma list of integers, got '83,x'"),
+        ({**POOLS, "limit": "1.5"}, "limit must be an integer, got '1.5'"),
+        ({**POOLS, "genus": ""}, "genus must be an integer, got ''"),
+    ],
+)
+def test_config_from_settings_errors_name_the_key(settings, message):
+    with pytest.raises(ValueError) as exc:
+        config_from_settings(settings)
+    assert str(exc.value) == message
+
+
+def test_readme_config_example(tmp_path):
+    # the documented format: the README's fenced example must parse as described
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("A config file (`--config`)", 1)[1].split("```\n")[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    assert config_from_settings(parse_config_file(str(path))) == SearchConfig(
+        p_primes=(83, 103), q_primes=(11, 13, 17), genus=1, ranking="product", limit=5
+    )
 
 
 def test_checkpoint_resume_ignores_torn_final_line(tmp_path):
