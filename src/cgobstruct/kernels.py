@@ -29,15 +29,19 @@ class, column by column from k = BLOCK down: a witness found there is
 the first one, and the block maximum is a lower bound L(x) <= best(x).
 Stage 2 scans all (p-1)/2 multipliers.  It seeds the bound U, the
 smallest exact best so far, with every class without a stage-1 witness
-and the witnessed class of smallest L, in pieces of BATCH classes.  Only
-witnessed classes with L < U can still set the margin: they are selected
-by one mask, ordered by L and scanned while L < U, in batches doubling
-from one class to BATCH so U tightens before large batches; every class
-left has best >= L >= U.  Stage 1 reads each column xs[:, j] (contiguous
-in the column-major class array) once, through the composed table
-B[j, a, k-1] = S[j, k*a mod p], k <= BLOCK (`compose_block`, 40 KB at
-p = 307): one gather per piece and class.  Stage 2 gathers through the
-product table mult[a, k-1] = k*a mod p and then S[j], built once per call.
+and the witnessed class of smallest L.  Only witnessed classes with
+L < U can still set the margin: they are selected by one mask, ordered
+by L and scanned while L < U, in batches doubling from one class so U
+tightens before large batches; every class left has best >= L >= U.
+Stage 1 reads the columns of xs (contiguous in the column-major class
+array) through the composed table B[j, a, k-1] = S[j, k*a mod p],
+k <= BLOCK (`compose_block`, 40 KB at p = 307): one gather per piece and
+class.  Stage 2 computes k*x mod p for the rows of its batch only.
+
+Scratch: no temporary exceeds CELLS int64 cells (64 KB), a size the
+allocator reuses instead of mapping afresh.  Stage 1 runs over blocks of
+CELLS // BLOCK rows, stage 2 over at most CELLS // ((p-1)/2) rows (at
+least one); beyond its outputs the scan keeps only stage 2's indices.
 
 Per row the kernel reports the first witnessing multiplier (0 when
 none), a lower bound on best that is exact for every row able to set the
@@ -52,7 +56,7 @@ from functools import reduce
 import numpy as np
 
 BLOCK = 4
-BATCH = 1024
+CELLS = 8192
 
 
 def compose_block(S: np.ndarray, p: int) -> np.ndarray:
@@ -67,10 +71,10 @@ def scan_classes(xs, S, s1, p, thr):
     [0, p) and S the (r, p) scaled sigma table.  Returns (first, best,
     sig_at, eta_at), each an int64 array of length n.
     """
-    r = xs.shape[1]
-    mult = np.arange(p, dtype=np.int64)[:, None] * np.arange(1, (p + 1) // 2) % p
+    n, r = xs.shape
+    ks = np.arange(1, (p + 1) // 2, dtype=np.int64)
     B = compose_block(S, p)
-    eta = np.count_nonzero(xs, axis=1).astype(np.int64) - 1
+    first, best, sig_at, eta_at = np.empty((4, n), dtype=np.int64)
 
     def settle(rows, look):
         """(first, max, sig at first) over the k columns look(j, xs[rows, j]) gives."""
@@ -78,39 +82,49 @@ def scan_classes(xs, S, s1, p, thr):
         val = look(0, xb[:, 0]) + p * s1
         for j in range(1, r):
             val += look(j, xb[:, j])
-        mag, lim = np.abs(val), p * (thr + eta[rows])
+        mag, lim = np.abs(val), p * (thr + eta_at[rows])
         if mag.shape[1] <= BLOCK:  # numpy's row reductions are slow on short rows
             first = sig = np.zeros(len(xb), dtype=np.int64)
             for k in range(mag.shape[1], 0, -1):
                 hit = mag[:, k - 1] > lim
                 first, sig = np.where(hit, k, first), np.where(hit, val[:, k - 1], sig)
-            return first, reduce(np.maximum, mag.T) - p * eta[rows], sig - p * s1
+            return first, reduce(np.maximum, mag.T) - p * eta_at[rows], sig - p * s1
         hit = mag > lim[:, None]
         at, pick = hit.argmax(axis=1), np.arange(len(xb))
         first = np.where(hit[pick, at], at + 1, 0)
-        return first, mag.max(axis=1) - p * eta[rows], val[pick, at] - p * s1
+        return first, mag.max(axis=1) - p * eta_at[rows], val[pick, at] - p * s1
 
     def full(rows):
         """Scan rows at every multiplier; the smallest exact best among them."""
-        first[rows], best[rows], sig_at[rows] = settle(rows, lambda j, c: S[j][mult[c]])
+        first[rows], best[rows], sig_at[rows] = settle(
+            rows, lambda j, c: S[j].take(np.multiply.outer(c, ks) % p)
+        )
         return int(best[rows].min())
 
-    first, best, sig_at = settle(slice(None), lambda j, c: B[j].take(c, axis=0))
-    has, bound = first > 0, np.iinfo(np.int64).max
-    seed = np.flatnonzero(~has)
-    if has.any():
-        seed = np.append(seed, np.argmin(np.where(has, best, bound)))
-    for i in range(0, len(seed), BATCH):
-        bound = min(bound, full(seed[i : i + BATCH]))
-    rest = np.flatnonzero(has & (best < bound))  # the seeded minimum now has best >= bound
+    step, low, arg = max(1, CELLS // BLOCK), np.iinfo(np.int64).max, None
+    for i in range(0, n, step):  # stage 1 in row blocks; eta_at holds every eta until the end
+        blk = slice(i, i + step)
+        eta_at[blk] = np.count_nonzero(xs[blk], axis=1) - 1
+        first[blk], best[blk], sig_at[blk] = settle(blk, lambda j, c: B[j].take(c, axis=0))
+        lows = np.where(first[blk] > 0, best[blk], low)
+        m = int(lows.argmin())
+        if lows[m] < low:  # the witnessed class of smallest L so far
+            low, arg = lows[m], i + m
+    seed, bound, step = np.flatnonzero(first == 0), np.iinfo(np.int64).max, max(1, CELLS // len(ks))
+    if arg is not None:
+        seed = np.append(seed, arg)
+    for i in range(0, len(seed), step):
+        bound = min(bound, full(seed[i : i + step]))
+    rest = np.flatnonzero((first > 0) & (best < bound))  # the seeded minimum now has best >= bound
     rest = rest[np.argsort(best[rest], kind="stable")]
     key, pos, size = best[rest], 0, 1
     while pos < len(rest) and key[pos] < bound:
         rows = rest[pos : min(pos + size, int(np.searchsorted(key, bound)))]
         bound = min(bound, full(rows))
-        pos, size = pos + len(rows), min(2 * size, BATCH)
-    has = first > 0
-    return first, best, np.where(has, sig_at, 0), np.where(has, eta, 0)
+        pos, size = pos + len(rows), min(2 * size, step)
+    none = first == 0
+    sig_at[none] = eta_at[none] = 0
+    return first, best, sig_at, eta_at
 
 
 def assert_int64_budget(S: np.ndarray, E: np.ndarray, p: int, s1: int, thr: int) -> None:

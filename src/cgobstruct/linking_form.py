@@ -20,10 +20,12 @@ streams every point lazily, and reports and witnesses use its points.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .casson_gordon import Character
 from .knots import GAKnot
 
@@ -141,26 +143,34 @@ def enumerate_isotropic_classes(part: PrimaryPart) -> tuple[np.ndarray, np.ndarr
     xs is an (n, rank) int64 array of representatives in ascending
     lexicographic order (per leading position, a C-order grid of the free
     coordinates over [0, (p-1)/2], Q an outer sum of their squares, the
-    last one solved for all at once) and sizes their int64 orbit sizes,
-    which sum to the length of `enumerate_projective_isotropic(part)`.
-    xs is column-major, built as (rank, n), so each xs[:, j] is contiguous.
+    last one solved from it) and sizes their int64 orbit sizes, which sum
+    to the length of `enumerate_projective_isotropic(part)`.  Each grid is
+    built in slabs along its first axis, at most `kernels.CELLS` cells or
+    one row of it.  xs is column-major, built as (rank, n), so each
+    xs[:, j] is contiguous.
     """
     p, signs, r = part.p, part.signs, part.rank
     if r < 2:
         return np.zeros((0, r), dtype=np.int64), np.zeros(0, dtype=np.int64)
     roots = np.array(sqrt_table(p), dtype=np.int64)
-    inv_last = pow(signs[-1] % p, p - 2, p)
+    neg_inv = -pow(signs[-1] % p, p - 2, p)
     sq, blocks = np.arange((p + 1) // 2, dtype=np.int64) ** 2 % p, []
     for lead in range(r - 2, -1, -1):
-        partial = np.full(1, signs[lead], dtype=np.int64)
-        for e in signs[lead + 1 : r - 1]:
-            partial = np.add.outer(partial, e * sq)
-        root = roots[partial.ravel() * -inv_last % p]
-        keep = np.flatnonzero(root >= 0)
-        x = np.zeros((r, len(keep)), dtype=np.int64)
-        x[lead : r - 1] = np.unravel_index(keep, partial.shape)
-        x[lead] = 1
-        x[r - 1] = root[keep]
-        blocks.append(x)
+        # the last coordinate is a root of t = -Q(the others)/eps_last mod p, over the grid
+        # of coordinates lead+1..r-2 (or of lead alone, set to 1, when that is empty)
+        rows = [neg_inv * e * sq % p for e in signs[lead + 1 : r - 1]] or [np.zeros(1, np.int64)]
+        inner = reduce(lambda a, b: np.add.outer(a, b) % p, rows[1:], np.zeros((), dtype=np.int64))
+        head, step = rows[0] + neg_inv * signs[lead] % p, max(1, kernels.CELLS // inner.size)
+        for v in range(0, len(head), step):
+            t = np.add.outer(head[v : v + step], inner)
+            t %= p
+            root = roots[t].ravel()
+            keep = np.flatnonzero(root >= 0)
+            x = np.zeros((r, len(keep)), dtype=np.int64)
+            x[r - 1 - t.ndim : r - 1] = np.unravel_index(keep, t.shape)
+            x[r - 1 - t.ndim] += v
+            x[lead] = 1
+            x[r - 1] = root[keep]
+            blocks.append(x)
     cols = np.concatenate(blocks, axis=1)
     return cols.T, 1 << (np.count_nonzero(cols, axis=0) - 1)

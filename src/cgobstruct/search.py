@@ -83,6 +83,7 @@ class SearchConfig(_ConfigFields):
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _INT = (int, "an integer")
 _SET = (lambda s: tuple(int(x) for x in s.split(",") if x.strip()), "a comma list of integers")
+MAX_WIDTH = 10**6  # widest p_min..p_max or q_min..q_max interval; each odd number in it is tested
 
 # setting key -> (reader of its string value, what the string must be)
 SETTINGS: dict[str, tuple[Callable[[str], object], str]] = {
@@ -103,9 +104,10 @@ def config_from_settings(settings: dict[str, str]) -> SearchConfig:
     """The SearchConfig that string settings (keys of SETTINGS) describe.
 
     Each pool is a set (p_set) or both ends of a prime interval (p_min,
-    p_max), likewise for q; other keys override the defaults.  Raises
-    ValueError naming the key for an unknown key, a bad value, a missing
-    pool, half an interval or a set given with an interval.
+    p_max) at most MAX_WIDTH wide, likewise for q; other keys override the
+    defaults.  Raises ValueError naming the key for an unknown key, a bad
+    value, a missing pool, half an interval, a wider interval or a set
+    given with an interval.
     """
     values = {}
     for key, text in settings.items():
@@ -123,6 +125,9 @@ def config_from_settings(settings: dict[str, str]) -> SearchConfig:
         if (lo in values) != (hi in values):
             raise ValueError(f"{lo} and {hi} must be given together")
         if lo in values:
+            width = values[hi] - values[lo]
+            if width > MAX_WIDTH:
+                raise ValueError(f"{hi} - {lo} must be at most {MAX_WIDTH}, got {width}")
             values[named] = tuple(odd_primes_in(values.pop(lo), values.pop(hi)))
         elif named not in values:
             raise ValueError(f"search needs a {pool} pool: {named}, or {lo} and {hi}")
@@ -260,9 +265,11 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Read a search config file into {key: value string} for `config_from_settings`.
 
     A # starts a comment anywhere on a line; any nonblank line that is not
-    `key = value` with a key of SETTINGS raises ValueError with path:line.
+    `key = value` with a key of SETTINGS, or that repeats a key, raises
+    ValueError with path:line.
     """
     settings: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -271,5 +278,7 @@ def parse_config_file(path: str) -> dict[str, str]:
             key, eq, value = (part.strip() for part in line.partition("="))
             if not eq or key not in SETTINGS:
                 raise ValueError(f"{path}:{ln}: expected key = value for a known key, got {line!r}")
-            settings[key] = value
+            if key in lines:
+                raise ValueError(f"{path}:{ln}: {key} is already set at {path}:{lines[key]}")
+            settings[key], lines[key] = value, ln
     return settings

@@ -7,6 +7,7 @@ point appears only inside the cross-checking oracles.
 """
 
 import bisect
+import hashlib
 import json
 import math
 import random
@@ -136,7 +137,7 @@ def test_three_more_knots_certify_genus_two():
 
 
 def test_family_near_p_1000_certifies_with_margin_seven():
-    # 128k classes per prime: the scan runs many BATCH pieces per stage
+    # 128k classes per prime: the scan runs many row blocks and batches per stage
     K = build_family(1009, 1013, 17, 11, 13)
     rep = genus_lower_bound(K)
     assert rep.genus.lower_bound == 2
@@ -149,6 +150,13 @@ def test_family_near_p_1000_certifies_with_margin_seven():
         tab = build_sigma_tables(K, pr.p)
         for w in pr.witnesses:
             assert check_point(w.x, parts[pr.p], tab, 1, 0) == w
+
+
+def test_family_near_p_1000_report_bytes():
+    # the md5 of this report was taken before the scan's scratch arrays were
+    # bounded: slabs, row blocks and batches change no byte of it
+    report = genus_lower_bound(build_family(1009, 1013, 17, 11, 13), g_max=2).to_json()
+    assert hashlib.md5(report.encode("utf-8")).hexdigest() == "330033b4780fdc6f51779a7a86ef99a4"
 
 
 # -- vanishing classical obstructions ----------------------------------------

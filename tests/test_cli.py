@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cgobstruct import build_family, parse_knot
+from cgobstruct import build_family, kernels, parse_knot
 from cgobstruct.cli import main
 
 from oracles import eigen_signature, kernel_dimension, sturm_signature_nullity
@@ -106,6 +106,17 @@ def test_verify_flagship_golden_bytes(capsys, fmt, name, threads):
     rc, out, err = run(capsys, ["verify", *FLAGSHIP, "--format", fmt, "--threads", threads])
     assert (rc, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("cells", [None, 64])
+def test_verify_p300_golden_bytes(capsys, monkeypatch, cells):
+    # 10,953 and 12,013 classes: many stage-1 row blocks and enumeration
+    # slabs, and many more when the scratch is 64 cells
+    if cells:
+        monkeypatch.setattr(kernels, "CELLS", cells)
+    rc, out, err = run(capsys, ["verify", "--family", "293,307,17,11,13", "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "verify_p300.json").read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -297,6 +308,30 @@ def test_search_config_previous_readme_example_exit_2(tmp_path, capsys):
     rc, out, err = _search_config(tmp_path, capsys, text)
     assert (rc, out) == (2, "")
     assert err == "error: FILE:8: expected key = value for a known key, got 'threads = 4'\n"
+
+
+def test_search_config_repeated_key_exit_2(tmp_path, capsys):
+    # the second p_set used to replace the first without a word
+    text = "p_set = 83,103\nq_set = 11,13,17  # companions\n\np_set = 83\n"
+    rc, out, err = _search_config(tmp_path, capsys, text)
+    assert (rc, out) == (2, "")
+    assert err == "error: FILE:4: p_set is already set at FILE:1\n"
+
+
+@pytest.mark.parametrize("pool", ["p", "q"])
+@pytest.mark.parametrize("source", ["flags", "file"])
+def test_search_interval_wider_than_the_cap_exit_2(tmp_path, capsys, search_configs, pool, source):
+    # a 10^11-wide interval used to hang in primality tests before the first candidate
+    other = "q" if pool == "p" else "p"
+    wide = {f"{pool}_min": "3", f"{pool}_max": "100000000000", f"{other}_set": "11,13,17"}
+    if source == "file":
+        text = "".join(f"{k} = {v}\n" for k, v in wide.items())
+        rc, out, err = _search_config(tmp_path, capsys, text)
+    else:
+        argv = [a for k, v in wide.items() for a in (f"--{k.replace('_', '-')}", v)]
+        rc, out, err = run(capsys, ["search", *argv])
+    assert (rc, out, search_configs) == (2, "", [])
+    assert err == f"error: {pool}_max - {pool}_min must be at most 1000000, got 99999999997\n"
 
 
 def test_search_config_unknown_key_exit_2(tmp_path, capsys):

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cgobstruct import build_family, build_sigma_tables, check_point, primary_parts
+from cgobstruct import build_family, build_sigma_tables, check_point, kernels, primary_parts
 from cgobstruct.kernels import (
-    BATCH,
     BLOCK,
+    CELLS,
     assert_int64_budget,
     compose_block,
     scan_classes,
@@ -117,6 +117,17 @@ def test_kernel_matches_loop_on_flagship_rows(scan_inputs, s1, thr):
     assert_bounded_scan(scan(rows, S, p, s1, thr), rows, S, p, s1, thr)
 
 
+@pytest.mark.parametrize("cells", [1, 7, 60])
+@pytest.mark.parametrize("s1, thr", [(0, 5), (-4, 9), (5, 1), (0, 10**4)])
+def test_kernel_in_tiny_blocks_matches_loop(monkeypatch, scan_inputs, cells, s1, thr):
+    # a few cells of scratch: stage 1 runs 1 or 15 rows per block, stage 2 one
+    # row per batch, so both cross a block edge at nearly every row
+    monkeypatch.setattr(kernels, "CELLS", cells)
+    _, tab, xs = scan_inputs
+    S, p, rows = tab.scaled_sigma, tab.p, xs[::10]
+    assert_bounded_scan(scan(rows, S, p, s1, thr), rows, S, p, s1, thr)
+
+
 LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray, "strided": lambda xs: xs[::3]}
 
 
@@ -186,19 +197,34 @@ def reference(xs, S, p, s1, thr, k_max=None):
 
 
 def test_kernel_bounded_on_full_class_arrays(p300_classes):
-    # real tables at more than ten BATCHes of classes: stage 1 over all of
-    # them, then the seed (the 39 and 177 classes without a block witness)
+    # real tables over more than five stage-1 row blocks of classes, then
+    # the seed (the 39 and 177 classes without a block witness)
     for tab, xs in p300_classes:
         S, p = tab.scaled_sigma, tab.p
-        assert len(xs) > 10 * BATCH
+        assert len(xs) > 5 * (CELLS // BLOCK)
         got = scan(xs, S, p, 0, 5)
         assert (got[0] > 0).all()
         assert_bounded(got, reference(xs, S, p, 0, 5), reference(xs, S, p, 0, 5, BLOCK)[1])
 
 
+def test_kernel_bounded_on_full_class_arrays_in_tiny_blocks(monkeypatch, p300_classes):
+    # 16 rows per stage-1 block, one row per stage-2 batch; the seed alone
+    # settles the margin here, so the same classes are scanned in full and
+    # every output, best included, equals the scan's at the default CELLS
+    for tab, xs in p300_classes:
+        S, p = tab.scaled_sigma, tab.p
+        whole = scan(xs, S, p, 0, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "CELLS", 64)
+            got = scan(xs, S, p, 0, 5)
+        assert_same(got, whole)
+        assert_bounded(got, reference(xs, S, p, 0, 5), reference(xs, S, p, 0, 5, BLOCK)[1])
+
+
 def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):
-    # nothing is witnessed, so every class is seeded and scanned in full,
-    # about 12 pieces of BATCH rows, in bounded memory
+    # nothing is witnessed, so every class is seeded and scanned in full, in
+    # batches of CELLS // 146 and CELLS // 153 rows; beyond the four output
+    # arrays and the seed's indices, scratch stays within eight CELLS-cell blocks
     for tab, xs in p300_classes:
         S, p = tab.scaled_sigma, tab.p
         tracemalloc.start()
@@ -209,7 +235,8 @@ def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):
             tracemalloc.stop()
         assert not got[0].any()
         assert_same(got, reference(xs, S, p, 0, 10**6))
-        assert peak < 8 * 2**20, f"scan peak {peak / 2**20:.1f} MiB at p={p}"
+        cap = 5 * 8 * len(xs) + 8 * 8 * CELLS
+        assert peak < cap, f"scan peak {peak} B at p={p}, cap {cap} B"
 
 
 def test_select_kernel_env():

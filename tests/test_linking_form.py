@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cgobstruct import (
     primary_parts,
     sqrt_table,
 )
+from cgobstruct import kernels
 from cgobstruct.linking_form import PrimaryPart, isotropic_point_count
 
 from oracles import brute_isotropic, expand_projective
@@ -127,33 +129,65 @@ def _classes(part):
     return [(tuple(rep), size) for rep, size in zip(xs.tolist(), sizes.tolist())]
 
 
+def _check_classes_brute_force(part):
+    p, r, half = part.p, part.rank, (part.p - 1) // 2
+    classes = _classes(part)
+    reps = [rep for rep, _ in classes]
+    assert reps == sorted(set(reps))
+    orbits = set()
+    for rep, size in classes:
+        lead = next(i for i, v in enumerate(rep) if v)
+        assert rep[lead] == 1 and is_isotropic(rep, part)
+        assert all(0 <= v <= half for v in rep[lead + 1 :])
+        assert rep[-1] == sqrt_table(p)[rep[-1] ** 2 % p]
+        # every sign pattern on the non-leading coordinates
+        orbit = {
+            rep[: lead + 1] + tuple(s * v % p for s, v in zip(flips, rep[lead + 1 :]))
+            for flips in itertools.product((1, -1), repeat=r - lead - 1)
+        }
+        assert len(orbit) == size
+        assert not orbit & orbits  # classes are disjoint
+        orbits |= orbit
+    points = list(enumerate_projective_isotropic(part))
+    assert sum(size for _, size in classes) == len(points)
+    assert orbits == set(points)
+    assert expand_projective(orbits, p, r) == brute_isotropic(p, part.signs)
+
+
 def test_classes_match_brute_force_all_sign_patterns():
     for p in (5, 7, 11, 13):
-        half = (p - 1) // 2
         for r in (2, 3, 4):
             for signs in itertools.product((1, -1), repeat=r):
-                part = PrimaryPart(p, tuple(range(r)), signs)
-                classes = _classes(part)
-                reps = [rep for rep, _ in classes]
-                assert reps == sorted(set(reps))
-                orbits = set()
-                for rep, size in classes:
-                    lead = next(i for i, v in enumerate(rep) if v)
-                    assert rep[lead] == 1 and is_isotropic(rep, part)
-                    assert all(0 <= v <= half for v in rep[lead + 1 :])
-                    assert rep[-1] == sqrt_table(p)[rep[-1] ** 2 % p]
-                    # every sign pattern on the non-leading coordinates
-                    orbit = {
-                        rep[: lead + 1] + tuple(s * v % p for s, v in zip(flips, rep[lead + 1 :]))
-                        for flips in itertools.product((1, -1), repeat=r - lead - 1)
-                    }
-                    assert len(orbit) == size
-                    assert not orbit & orbits  # classes are disjoint
-                    orbits |= orbit
-                points = list(enumerate_projective_isotropic(part))
-                assert sum(size for _, size in classes) == len(points)
-                assert orbits == set(points)
-                assert expand_projective(orbits, p, r) == brute_isotropic(p, signs)
+                _check_classes_brute_force(PrimaryPart(p, tuple(range(r)), signs))
+
+
+@pytest.mark.parametrize("cells", [1, 5, 40])
+def test_classes_in_tiny_slabs_match_brute_force(monkeypatch, cells):
+    # slabs of one row or of a few cells cut every grid at many slab edges;
+    # the rows, their order and the orbit sizes are those of one slab
+    cases = [(7, (1,)), (7, (1, -1)), (11, (1, 1, -1)), (11, (1, -1, 1, -1)), (7, (1, 1, 1, -1))]
+    cases += [(5, (1, -1, 1, -1, 1)), (7, (-1, -1, 1, 1, 1)), (3, (1, -1, 1, -1, 1, -1)), (5, (1, 1, 1, 1, -1, 1))]
+    whole = [enumerate_isotropic_classes(PrimaryPart(p, tuple(range(len(e))), e)) for p, e in cases]
+    monkeypatch.setattr(kernels, "CELLS", cells)
+    for (p, signs), (xs, sizes) in zip(cases, whole):
+        part = PrimaryPart(p, tuple(range(len(signs))), signs)
+        got = enumerate_isotropic_classes(part)
+        assert np.array_equal(got[0], xs) and np.array_equal(got[1], sizes)
+        _check_classes_brute_force(part)
+
+
+def test_classes_memory_at_p307():
+    # 12,013 classes built slab by slab: the traced peak stays within 2.5x
+    # the bytes of the two arrays returned
+    part = PrimaryPart(307, (0, 1, 2, 3), (1, -1, 1, -1))
+    tracemalloc.start()
+    try:
+        xs, sizes = enumerate_isotropic_classes(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(xs) == 12013
+    assert peak <= 2.5 * (xs.nbytes + sizes.nbytes), (peak, xs.nbytes + sizes.nbytes)
 
 
 def test_classes_rank_below_two_empty():

@@ -2,7 +2,7 @@
 the closed-form sigma table rows against a double precision eigenvalue
 count, the net-sign signature function against the per-piece sweep and
 the branch-and-bound scan kernel against an element-wise loop, on random
-and on adversarial tables."""
+and on adversarial tables and in blocks of a few cells."""
 
 from fractions import Fraction
 
@@ -21,6 +21,7 @@ from cgobstruct import (
     parse_knot,
     signature_function_samples,
 )
+from cgobstruct import kernels
 from cgobstruct.kernels import assert_int64_budget, scan_classes
 from cgobstruct.primes import odd_primes_in
 
@@ -205,3 +206,14 @@ def test_scan_kernel_matches_elementwise_loop(case):
     for rows in (np.asfortranarray(xs), np.repeat(xs, 3, axis=0)[::3]):
         for a, b in zip(scan_classes(rows, S, s1, p, thr), got, strict=True):
             assert np.array_equal(a, b)
+
+
+@given(st.one_of(scan_cases(), adversarial_scan_cases()), st.integers(1, 16))
+def test_scan_kernel_in_tiny_blocks_matches_elementwise_loop(case, cells):
+    # 1 to 4 rows per stage-1 block and few rows per stage-2 batch: the
+    # bound carries across many block edges
+    p, S, xs, s1, thr = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "CELLS", cells)
+        got = scan_classes(xs, S, s1, p, thr)
+    assert_bounded_scan(got, xs, S, p, s1, thr)

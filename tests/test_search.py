@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -311,6 +312,17 @@ def test_config_from_settings_errors_name_the_key(settings, message):
     with pytest.raises(ValueError) as exc:
         config_from_settings(settings)
     assert str(exc.value) == message
+
+
+def test_config_interval_width_cap(monkeypatch):
+    # an interval exactly MAX_WIDTH wide is read, one integer more is refused
+    monkeypatch.setattr(importlib.import_module("cgobstruct.search"), "MAX_WIDTH", 20)
+    ok = {"p_min": "80", "p_max": "100", "q_min": "10", "q_max": "30"}
+    assert config_from_settings(ok)[:2] == ((83, 89, 97), (11, 13, 17, 19, 23, 29))
+    for key in ("p_max", "q_max"):
+        with pytest.raises(ValueError) as exc:
+            config_from_settings({**ok, key: str(int(ok[key]) + 1)})
+        assert str(exc.value) == f"{key} - {key[0]}_min must be at most 20, got 21"
 
 
 def test_readme_config_example(tmp_path):
