@@ -24,24 +24,38 @@ exact only under this invariant.
 
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
-p*eta), not every best(x).  Stage 1 evaluates k = 1..BLOCK for every
-class, column by column from k = BLOCK down: a witness found there is
-the first one, and the block maximum is a lower bound L(x) <= best(x).
-Stage 2 scans all (p-1)/2 multipliers.  It seeds the bound U, the
-smallest exact best so far, with every class without a stage-1 witness
-and the witnessed class of smallest L.  Only witnessed classes with
-L < U can still set the margin: they are selected by one mask, ordered
-by L and scanned while L < U, in batches doubling from one class so U
-tightens before large batches; every class left has best >= L >= U.
-Stage 1 reads the columns of xs (contiguous in the column-major class
-array) through the composed table B[j, a, k-1] = S[j, k*a mod p],
-k <= BLOCK (`compose_block`, 40 KB at p = 307): one gather per piece and
-class.  Stage 2 computes k*x mod p for the rows of its batch only.
+p*eta), not every best(x).  Every running maximum over k = 1..d is a
+lower bound L(x) <= best(x), and the scan deepens a class only as far as
+it must, always visiting multipliers in increasing order, so a witness
+it finds is the first one.  It has three depths:
+
+- depth 1 evaluates k = 1 for every class, one 1-D gather S[j, x_j] per
+  piece.  Most classes are witnessed here, and L is the k = 1 value;
+- depth BLOCK evaluates k = 1..BLOCK for the classes depth 1 left
+  unwitnessed, column by column from k = BLOCK down, through the
+  composed table B[j, a, k-1] = S[j, k*a mod p] (`compose_block`, 40 KB
+  at p = 307), and L becomes the block maximum;
+- the full scan evaluates all (p-1)/2 multipliers, computing k*x mod p
+  for the rows of its batch only.  It seeds the bound U, the smallest
+  exact best so far, with every class still unwitnessed and the
+  witnessed class of smallest L.  Only witnessed classes with L < U can
+  still set the margin: they are selected by one mask, ordered by L and
+  visited while L < U, in batches doubling from one class so U tightens
+  before large batches.  A visited class witnessed at k = 1 is first
+  deepened to BLOCK and scanned in full only if its deeper L is still
+  below U.  Deepening runs CELLS // BLOCK classes ahead of the visits,
+  so it costs one pass per block of classes, not one per batch.
+
+The result is exact: first, sig_at and eta_at come from the first
+witness, and every class not scanned in full keeps an L >= U >= the
+minimum, so min(best) is the margin whatever depth each class reached.
 
 Scratch: no temporary exceeds CELLS int64 cells (64 KB), a size the
-allocator reuses instead of mapping afresh.  Stage 1 runs over blocks of
-CELLS // BLOCK rows, stage 2 over at most CELLS // ((p-1)/2) rows (at
-least one); beyond its outputs the scan keeps only stage 2's indices.
+allocator reuses instead of mapping afresh.  Depth 1 runs over blocks of
+CELLS rows, depth BLOCK over CELLS // BLOCK rows, and the full scan over
+at most CELLS // ((p-1)/2) rows (at least one).  Beyond its outputs the
+scan keeps one index array: the classes depth 1 leaves unwitnessed,
+compacted in place into the full scan's seed.
 
 Per row the kernel reports the first witnessing multiplier (0 when
 none), a lower bound on best that is exact for every row able to set the
@@ -60,7 +74,7 @@ CELLS = 8192
 
 
 def compose_block(S: np.ndarray, p: int) -> np.ndarray:
-    """Stage 1's (r, p, min(BLOCK, (p-1)/2)) table B[j, a, k-1] = S[j, k*a mod p]."""
+    """Depth BLOCK's (r, p, min(BLOCK, (p-1)/2)) table B[j, a, k-1] = S[j, k*a mod p]."""
     return S.take(np.arange(p)[:, None] * np.arange(1, min(BLOCK, (p - 1) // 2) + 1) % p, axis=1)
 
 
@@ -74,6 +88,7 @@ def scan_classes(xs, S, s1, p, thr):
     n, r = xs.shape
     ks = np.arange(1, (p + 1) // 2, dtype=np.int64)
     B = compose_block(S, p)
+    top = np.iinfo(np.int64).max
     first, best, sig_at, eta_at = np.empty((4, n), dtype=np.int64)
 
     def settle(rows, look):
@@ -94,6 +109,10 @@ def scan_classes(xs, S, s1, p, thr):
         first = np.where(hit[pick, at], at + 1, 0)
         return first, mag.max(axis=1) - p * eta_at[rows], val[pick, at] - p * s1
 
+    def deepen(rows):
+        """Depth BLOCK: rows at k = 1..BLOCK through the composed table."""
+        first[rows], best[rows], sig_at[rows] = settle(rows, lambda j, c: B[j].take(c, axis=0))
+
     def full(rows):
         """Scan rows at every multiplier; the smallest exact best among them."""
         first[rows], best[rows], sig_at[rows] = settle(
@@ -101,27 +120,51 @@ def scan_classes(xs, S, s1, p, thr):
         )
         return int(best[rows].min())
 
-    step, low, arg = max(1, CELLS // BLOCK), np.iinfo(np.int64).max, None
-    for i in range(0, n, step):  # stage 1 in row blocks; eta_at holds every eta until the end
-        blk = slice(i, i + step)
-        eta_at[blk] = np.count_nonzero(xs[blk], axis=1) - 1
-        first[blk], best[blk], sig_at[blk] = settle(blk, lambda j, c: B[j].take(c, axis=0))
-        lows = np.where(first[blk] > 0, best[blk], low)
-        m = int(lows.argmin())
-        if lows[m] < low:  # the witnessed class of smallest L so far
-            low, arg = lows[m], i + m
-    seed, bound, step = np.flatnonzero(first == 0), np.iinfo(np.int64).max, max(1, CELLS // len(ks))
-    if arg is not None:
-        seed = np.append(seed, arg)
+    lows = []  # (L, row) of the witnessed class of smallest L in each block
+    for i in range(0, n, CELLS):  # depth 1; eta_at holds every eta until the end
+        blk = slice(i, i + CELLS)
+        eta, sig, val = eta_at[blk], sig_at[blk], best[blk]
+        np.subtract(np.count_nonzero(xs[blk], axis=1), 1, out=eta)
+        S[0].take(xs[blk, 0], out=sig)
+        for j in range(1, r):
+            sig += S[j].take(xs[blk, j])
+        np.add(sig, p * s1, out=val)
+        np.abs(val, out=val)
+        val -= p * eta
+        hit = val > p * thr  # |S + p*s1| > p*(thr + eta)
+        first[blk] = hit
+        low = np.where(hit, val, top)
+        m = int(low.argmin())
+        lows.append((int(low[m]), i + m))
+    miss, kept, step = np.flatnonzero(first == 0), 0, max(1, CELLS // BLOCK)
+    for i in range(0, len(miss), step):  # depth BLOCK for the classes k = 1 leaves unwitnessed
+        rows = miss[i : i + step]
+        deepen(rows)
+        low = np.where(first[rows] > 0, best[rows], top)
+        m = int(low.argmin())
+        lows.append((int(low[m]), int(rows[m])))
+        rows = rows[first[rows] == 0]
+        miss[kept : kept + len(rows)] = rows  # compacted in place into the seed
+        kept += len(rows)
+    low, arg = min(lows, default=(top, 0))
+    seed = miss[:kept] if low == top else np.append(miss[:kept], arg)  # and the witnessed minimum
+    bound, step = top, max(1, CELLS // len(ks))
     for i in range(0, len(seed), step):
         bound = min(bound, full(seed[i : i + step]))
     rest = np.flatnonzero((first > 0) & (best < bound))  # the seeded minimum now has best >= bound
     rest = rest[np.argsort(best[rest], kind="stable")]
-    key, pos, size = best[rest], 0, 1
+    key, pos, size, deep = best[rest], 0, 1, 0
     while pos < len(rest) and key[pos] < bound:
-        rows = rest[pos : min(pos + size, int(np.searchsorted(key, bound)))]
-        bound = min(bound, full(rows))
-        pos, size = pos + len(rows), min(2 * size, step)
+        end = min(pos + size, int(np.searchsorted(key, bound)))
+        while deep < end:  # deepen bounds from k = 1 alone to BLOCK, a block ahead
+            ahead = rest[deep : deep + max(1, CELLS // BLOCK)]
+            deepen(ahead[first[ahead] == 1])
+            deep += len(ahead)
+        rows = rest[pos:end]
+        rows = rows[best[rows] < bound]  # scanned in full only if still below
+        pos, size = end, min(2 * size, step)
+        if len(rows):
+            bound = min(bound, full(rows))
     none = first == 0
     sig_at[none] = eta_at[none] = 0
     return first, best, sig_at, eta_at

@@ -439,20 +439,23 @@ def assert_bounded_scan(got, xs, S, p: int, s1: int, thr: int) -> None:
     from cgobstruct.kernels import BLOCK
 
     want = loop_scan(xs, S, p, s1, thr)
-    assert_bounded(got, want, loop_scan(xs, S, p, s1, thr, k_max=BLOCK)[1])
+    depths = [loop_scan(xs, S, p, s1, thr, k_max=k)[1] for k in (1, BLOCK)]
+    assert_bounded(got, want, *depths)
 
 
-def assert_bounded(got, want, block) -> None:
+def assert_bounded(got, want, one, block) -> None:
     """Check branch-and-bound kernel outputs against an exact scan.
 
-    want is an exact scan's (first, best, sig_at, eta_at) and block its
-    best over k = 1..BLOCK only.  first, sig_at and eta_at must equal the
-    exact scan's row by row.  best must be a lower bound on the exact best
-    with the same minimum.  A row left below its exact value must hold its
-    bound over k = 1..BLOCK and a witness inside that block, and best must
-    be exact wherever the exact value lies below the smallest best of the
-    rows that may have been left so (witnessed in the block, best equal to
-    the block bound).
+    want is an exact scan's (first, best, sig_at, eta_at), one its best at
+    k = 1 and block its best over k = 1..BLOCK.  first, sig_at and eta_at
+    must equal the exact scan's row by row.  best must be a lower bound on
+    the exact best with the same minimum.  A row left below its exact
+    value must have a witness inside the block and hold a running maximum:
+    over k = 1..BLOCK, or, when first == 1, over k = 1 alone or k =
+    1..BLOCK (a row witnessed at k = 1 is deepened only when its k = 1
+    bound might set the minimum).  best must be exact wherever the exact
+    value lies below the smallest best of the rows that may have been left
+    so (witnessed in the block, best equal to such a running maximum).
     """
     from cgobstruct.kernels import BLOCK
 
@@ -465,10 +468,11 @@ def assert_bounded(got, want, block) -> None:
     assert (best <= exact).all()
     if len(best):
         assert best.min() == exact.min()
+    in_block = (first >= 1) & (first <= BLOCK)
+    held = in_block & ((best == block) | ((first == 1) & (best == one)))
     left = best < exact
-    assert np.array_equal(best[left], block[left])
-    assert ((first[left] >= 1) & (first[left] <= BLOCK)).all()
-    maybe_left = (first >= 1) & (first <= BLOCK) & (best == block)
-    if maybe_left.any():
-        low = exact < best[maybe_left].min()
+    assert in_block[left].all()
+    assert held[left].all()
+    if held.any():
+        low = exact < best[held].min()
         assert np.array_equal(best[low], exact[low])

@@ -110,13 +110,23 @@ def test_verify_flagship_golden_bytes(capsys, fmt, name, threads):
 
 @pytest.mark.parametrize("cells", [None, 64])
 def test_verify_p300_golden_bytes(capsys, monkeypatch, cells):
-    # 10,953 and 12,013 classes: many stage-1 row blocks and enumeration
-    # slabs, and many more when the scratch is 64 cells
+    # 10,953 and 12,013 classes: two depth-1 row blocks, one depth-BLOCK
+    # batch (805 and 739 classes) and several enumeration slabs per prime,
+    # and 172 and 188 depth-1 blocks when the scratch is 64 cells
     if cells:
         monkeypatch.setattr(kernels, "CELLS", cells)
     rc, out, err = run(capsys, ["verify", "--family", "293,307,17,11,13", "--format", "json"])
     assert (rc, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / "verify_p300.json").read_bytes()
+
+
+def test_verify_p1000_golden_bytes(capsys):
+    # 128,019 and 129,033 classes, 16 depth-1 row blocks per prime; the
+    # golden bytes were taken while stage 1 still evaluated k = 1..4 for
+    # every class
+    rc, out, err = run(capsys, ["verify", "--family", "1009,1013,17,11,13", "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "verify_p1000.json").read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

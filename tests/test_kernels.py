@@ -54,7 +54,7 @@ def test_numpy_kernel_shapes(scan_inputs):
 
 @pytest.mark.parametrize("p", [3, 7, 11, 31])
 def test_compose_block_entries(p):
-    # stage 1's table: row B[j, a] holds S[j, k*a mod p] for k = 1..BLOCK,
+    # depth BLOCK's table: row B[j, a] holds S[j, k*a mod p] for k = 1..BLOCK,
     # or up to (p-1)/2 when that is smaller
     S = np.arange(3 * p, dtype=np.int64).reshape(3, p) * 7 % 101
     B = compose_block(S, p)
@@ -120,8 +120,9 @@ def test_kernel_matches_loop_on_flagship_rows(scan_inputs, s1, thr):
 @pytest.mark.parametrize("cells", [1, 7, 60])
 @pytest.mark.parametrize("s1, thr", [(0, 5), (-4, 9), (5, 1), (0, 10**4)])
 def test_kernel_in_tiny_blocks_matches_loop(monkeypatch, scan_inputs, cells, s1, thr):
-    # a few cells of scratch: stage 1 runs 1 or 15 rows per block, stage 2 one
-    # row per batch, so both cross a block edge at nearly every row
+    # a few cells of scratch: depth 1 runs 1, 7 or 60 rows per block, depth
+    # BLOCK 1 or 15 rows per batch and the full scan one row per batch, so
+    # every depth crosses a block edge at nearly every row
     monkeypatch.setattr(kernels, "CELLS", cells)
     _, tab, xs = scan_inputs
     S, p, rows = tab.scaled_sigma, tab.p, xs[::10]
@@ -167,7 +168,9 @@ def test_kernel_first_witness_beyond_block():
 
 def test_kernel_many_rows_tie_at_the_minimum():
     # entries from {0, +-p, 2p}: 40 of 256 classes tie at the minimum, 50
-    # are first witnessed beyond the block, and some keep their block bound
+    # are first witnessed at k = 1 and 50 beyond the block, and 83 are left
+    # below their exact best, 27 of them witnessed at k = 1 and left at their
+    # k = 1 bound
     p, half = 31, 15
     rows = np.random.default_rng(11).choice([0, p, -p, 2 * p], (4, half + 1))
     rows[:, 0] = 0
@@ -178,7 +181,9 @@ def test_kernel_many_rows_tie_at_the_minimum():
     assert_bounded_scan(got, xs, S, p, 0, 1)
     exact = loop_scan(xs, S, p, 0, 1)[1]
     assert (exact == exact.min()).sum() == 40 and (got[0] > BLOCK).sum() == 50
-    assert (got[1] < exact).any()
+    assert (got[0] == 1).sum() == 50
+    left = got[1] < exact
+    assert left.sum() == 83 and (left & (got[0] == 1)).sum() == 27
 
 
 @pytest.fixture(scope="module")
@@ -196,21 +201,29 @@ def reference(xs, S, p, s1, thr, k_max=None):
     return tuple(np.concatenate(col) for col in zip(*outs))
 
 
+def assert_bounded_reference(got, xs, S, p, s1, thr):
+    """`assert_bounded` against `reference` at every depth."""
+    depths = [reference(xs, S, p, s1, thr, k)[1] for k in (1, BLOCK)]
+    assert_bounded(got, reference(xs, S, p, s1, thr), *depths)
+
+
 def test_kernel_bounded_on_full_class_arrays(p300_classes):
-    # real tables over more than five stage-1 row blocks of classes, then
-    # the seed (the 39 and 177 classes without a block witness)
+    # real tables over two depth-1 row blocks of classes; depth BLOCK for
+    # the 805 and 739 classes without a k = 1 witness, then the seed (the 39
+    # and 177 classes without a block witness)
     for tab, xs in p300_classes:
         S, p = tab.scaled_sigma, tab.p
-        assert len(xs) > 5 * (CELLS // BLOCK)
+        assert len(xs) > CELLS
         got = scan(xs, S, p, 0, 5)
         assert (got[0] > 0).all()
-        assert_bounded(got, reference(xs, S, p, 0, 5), reference(xs, S, p, 0, 5, BLOCK)[1])
+        assert_bounded_reference(got, xs, S, p, 0, 5)
 
 
 def test_kernel_bounded_on_full_class_arrays_in_tiny_blocks(monkeypatch, p300_classes):
-    # 16 rows per stage-1 block, one row per stage-2 batch; the seed alone
-    # settles the margin here, so the same classes are scanned in full and
-    # every output, best included, equals the scan's at the default CELLS
+    # 64 rows per depth-1 block, 16 per depth-BLOCK batch and one per
+    # full-scan batch; the seed alone settles the margin here, so the same
+    # classes are scanned in full and every output, best included, equals
+    # the scan's at the default CELLS
     for tab, xs in p300_classes:
         S, p = tab.scaled_sigma, tab.p
         whole = scan(xs, S, p, 0, 5)
@@ -218,13 +231,48 @@ def test_kernel_bounded_on_full_class_arrays_in_tiny_blocks(monkeypatch, p300_cl
             patch.setattr(kernels, "CELLS", 64)
             got = scan(xs, S, p, 0, 5)
         assert_same(got, whole)
-        assert_bounded(got, reference(xs, S, p, 0, 5), reference(xs, S, p, 0, 5, BLOCK)[1])
+        assert_bounded_reference(got, xs, S, p, 0, 5)
+
+
+def test_kernel_smallest_k1_bound_is_not_the_margin_class(p300_classes):
+    # at p = 307 the witnessed class of smallest k = 1 bound (9p, block
+    # bound 97p) is seeded and scanned in full: its exact best is 173p,
+    # against the 7p margin that the unwitnessed seed classes set
+    tab, xs = p300_classes[1]
+    S, p = tab.scaled_sigma, tab.p
+    one = reference(xs, S, p, 0, 5, 1)
+    low = np.where(one[0] == 1, one[1], np.iinfo(np.int64).max)
+    arg = int(low.argmin())
+    exact = reference(xs, S, p, 0, 5)
+    assert (low[arg], exact[1][arg], exact[1].min()) == (9 * p, 173 * p, 7 * p)
+    assert reference(xs, S, p, 0, 5, BLOCK)[1][arg] == 97 * p
+    got = scan(xs, S, p, 0, 5)
+    assert (got[0][arg], got[1][arg]) == (1, 173 * p)
+    assert_bounded_reference(got, xs, S, p, 0, 5)
+
+
+def test_kernel_deepening_stops_a_full_scan():
+    # two pieces, one class each: (1, 0) has k = 1 bound 40 and exact best 60
+    # (at k = 6) and, seeded as the witnessed minimum, sets U = 60 first;
+    # (0, 1) has k = 1 bound 50 < U, block
+    # bound 80 >= U (at k = 2) and exact best 100 (at k = 9), so deepening it
+    # to BLOCK leaves it out of the full scan with best 80
+    p = 31
+    S = np.zeros((2, p), dtype=np.int64)
+    for j, a, v in [(0, 1, 40), (0, 6, 60), (1, 1, 50), (1, 2, 80), (1, 9, 100)]:
+        S[j, a] = S[j, p - a] = v
+    xs = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    got = scan(xs, S, p, 0, 1)
+    assert got[0].tolist() == [1, 1] and got[1].tolist() == [60, 80]
+    assert loop_scan(xs, S, p, 0, 1)[1].tolist() == [60, 100]
+    assert_bounded_scan(got, xs, S, p, 0, 1)
 
 
 def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):
-    # nothing is witnessed, so every class is seeded and scanned in full, in
-    # batches of CELLS // 146 and CELLS // 153 rows; beyond the four output
-    # arrays and the seed's indices, scratch stays within eight CELLS-cell blocks
+    # nothing is witnessed, so every class passes all three depths and is
+    # scanned in full, in batches of CELLS // 146 and CELLS // 153 rows;
+    # beyond the four output arrays and the k = 1 miss indices (compacted in
+    # place into the seed), scratch stays within eight CELLS-cell blocks
     for tab, xs in p300_classes:
         S, p = tab.scaled_sigma, tab.p
         tracemalloc.start()

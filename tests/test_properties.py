@@ -172,7 +172,7 @@ def scan_cases(draw):
 
 @st.composite
 def adversarial_scan_cases(draw):
-    """Cases that leave work for stage 2 of the scan.
+    """Cases that leave work for the deeper depths and the full scan.
 
     Table entries come from {0, +-p, 2p} plus a few spikes, so many classes
     tie at the minimum, and the threshold is small next to the spikes, so
@@ -210,8 +210,8 @@ def test_scan_kernel_matches_elementwise_loop(case):
 
 @given(st.one_of(scan_cases(), adversarial_scan_cases()), st.integers(1, 16))
 def test_scan_kernel_in_tiny_blocks_matches_elementwise_loop(case, cells):
-    # 1 to 4 rows per stage-1 block and few rows per stage-2 batch: the
-    # bound carries across many block edges
+    # 1 to 16 rows per depth-1 block, 1 to 4 per depth-BLOCK batch and few
+    # rows per full-scan batch: the bound carries across many block edges
     p, S, xs, s1, thr = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "CELLS", cells)
