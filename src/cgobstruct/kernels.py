@@ -120,8 +120,16 @@ def scan_classes(xs, S, s1, p, thr):
         )
         return int(best[rows].min())
 
-    lows = []  # (L, row) of the witnessed class of smallest L in each block
+    lows = []  # (L, row) of the witnessed class of smallest L in each pass
+
+    def note_low(rows, ids):
+        """Keep the witnessed row of smallest L among rows; ids[m] is the m-th row's index."""
+        low = np.where(first[rows] > 0, best[rows], top)
+        m = int(low.argmin())
+        lows.append((int(low[m]), int(ids[m])))
+
     for i in range(0, n, CELLS):  # depth 1; eta_at holds every eta until the end
+        # settle's 2-D buffers cost more than this one column needs, so it is written out
         blk = slice(i, i + CELLS)
         eta, sig, val = eta_at[blk], sig_at[blk], best[blk]
         np.subtract(np.count_nonzero(xs[blk], axis=1), 1, out=eta)
@@ -131,18 +139,13 @@ def scan_classes(xs, S, s1, p, thr):
         np.add(sig, p * s1, out=val)
         np.abs(val, out=val)
         val -= p * eta
-        hit = val > p * thr  # |S + p*s1| > p*(thr + eta)
-        first[blk] = hit
-        low = np.where(hit, val, top)
-        m = int(low.argmin())
-        lows.append((int(low[m]), i + m))
+        first[blk] = val > p * thr  # |S + p*s1| > p*(thr + eta)
+        note_low(blk, range(n)[blk])
     miss, kept, step = np.flatnonzero(first == 0), 0, max(1, CELLS // BLOCK)
     for i in range(0, len(miss), step):  # depth BLOCK for the classes k = 1 leaves unwitnessed
         rows = miss[i : i + step]
         deepen(rows)
-        low = np.where(first[rows] > 0, best[rows], top)
-        m = int(low.argmin())
-        lows.append((int(low[m]), int(rows[m])))
+        note_low(rows, rows)
         rows = rows[first[rows] == 0]
         miss[kept : kept + len(rows)] = rows  # compacted in place into the seed
         kept += len(rows)

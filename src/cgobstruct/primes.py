@@ -8,9 +8,6 @@ instead of answering without proof.
 
 from __future__ import annotations
 
-from itertools import compress
-from math import isqrt
-
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17)
 LIMIT = 341_550_071_728_321
 
@@ -48,33 +45,9 @@ def is_odd_prime(n: int) -> bool:
     return n != 2 and is_prime(n)
 
 
-def _sieve(start: int, hi: int):
-    """Odd primes in [start, hi] for odd start >= 3, ascending: a segmented
-    sieve crossing off the odd multiples of the odd primes up to sqrt(hi),
-    which it finds the same way."""
-    seg = bytearray(b"\x01") * ((hi - start) // 2 + 1)  # slot i stands for start + 2i
-    for q in _sieve(3, isqrt(hi)) if hi >= 9 else ():
-        m = max(q * q, -(-start // q) * q)  # the first multiple of q in range, q itself excluded
-        if m % 2 == 0:
-            m += q
-        i = (m - start) // 2
-        seg[i::q] = bytes(len(range(i, len(seg), q)))
-    return compress(range(start, hi + 1, 2), seg)
-
-
 def odd_primes_in(lo: int, hi: int) -> list[int]:
-    """Odd primes p with lo <= p <= hi, ascending.
-
-    An interval at least sqrt(hi)/32 wide is sieved, so a 10^6-wide one
-    takes about 0.02 s near 3 and 0.2 s near 10^12; a narrower one is
-    cheaper to test number by number.  Raises ValueError before any work
-    when the interval holds an odd number >= LIMIT, as `is_prime` would.
-    """
-    start = max(lo, 3) | 1
-    if start > hi:
-        return []
-    if hi >= LIMIT:
-        raise ValueError(f"{hi} is too large for the exact primality test (it needs n < {LIMIT})")
-    if 32 * (hi - start) < isqrt(hi):
-        return [n for n in range(start, hi + 1, 2) if is_prime(n)]
-    return list(_sieve(start, hi))
+    """Odd primes p with lo <= p <= hi, ascending."""
+    start = max(lo, 3)
+    if start % 2 == 0:
+        start += 1
+    return [n for n in range(start, hi + 1, 2) if is_prime(n)]

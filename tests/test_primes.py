@@ -34,32 +34,6 @@ def test_odd_primes_in():
     assert odd_primes_in(24, 28) == []
 
 
-def _odd_primes_tested(lo, hi):
-    # the definition before the sieve: test every odd number of the interval
-    start = max(lo, 3)
-    if start % 2 == 0:
-        start += 1
-    return [n for n in range(start, hi + 1, 2) if is_prime(n)]
-
-
-@pytest.mark.parametrize(
-    "lo, hi",
-    [
-        (3, 5000),  # small, sieved
-        (-7, 40),
-        (0, 100),  # even starts
-        (4, 4),
-        (999_900, 1_000_200),
-        (24, 28),  # empty
-        (10, 5),
-        (1, 2),
-        (10**12, 10**12 + 40_000),  # near 10^12, sieved (even start)
-        (10**12 + 1, 10**12 + 999),  # near 10^12, too narrow to sieve
-        (LIMIT - 3_001, LIMIT - 1),
-    ],
-)
-def test_odd_primes_in_matches_testing_every_odd_number(lo, hi):
-    assert odd_primes_in(lo, hi) == _odd_primes_tested(lo, hi)
 def test_is_prime_refuses_numbers_beyond_exact_witness_set():
     # the least strong pseudoprime to bases 2..17 would pass every witness
     assert LIMIT == 341_550_071_728_321 == 10_670_053 * 32_010_157
@@ -68,8 +42,6 @@ def test_is_prime_refuses_numbers_beyond_exact_witness_set():
             is_prime(n)
     with pytest.raises(ValueError, match="too large"):
         odd_primes_in(LIMIT - 4, LIMIT)
-    with pytest.raises(ValueError, match="too large"):
-        odd_primes_in(LIMIT - 10**6, LIMIT)  # refused before any sieving
 
 
 def test_is_prime_below_the_limit():

@@ -1,6 +1,5 @@
 import importlib
 import json
-import time
 from pathlib import Path
 
 import pytest
@@ -324,18 +323,6 @@ def test_config_interval_width_cap(monkeypatch):
         with pytest.raises(ValueError) as exc:
             config_from_settings({**ok, key: str(int(ok[key]) + 1)})
         assert str(exc.value) == f"{key} - {key[0]}_min must be at most 20, got 21"
-
-
-def test_config_widest_interval_is_sieved_fast():
-    # 78,498 odd primes in [3, 1000003]; none is tested again by SearchConfig,
-    # while a set the caller gives still is
-    t0 = time.perf_counter()
-    cfg = config_from_settings({"p_min": "3", "p_max": "1000003", "q_set": "11,13,17"})
-    elapsed = time.perf_counter() - t0
-    assert len(cfg.p_primes) == 78_498 and cfg.p_primes[-3:] == (999_979, 999_983, 1_000_003)
-    assert elapsed < 0.5, f"building the pool took {elapsed:.2f} s"
-    with pytest.raises(ValueError, match="odd primes, got 1000001"):
-        config_from_settings({"p_set": "3,1000001", "q_set": "11,13,17"})
 
 
 def test_readme_config_example(tmp_path):
