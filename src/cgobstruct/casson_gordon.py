@@ -45,10 +45,6 @@ class Character(NamedTuple):
             tuple((-r) % pc.cable_p for r, pc in zip(self.residues, K.pieces))
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.residues)
-
 
 def sigma_torus(q: int, a: int) -> Fraction:
     """sigma(T(2,q), chi_a) = -q + 2a(q-a)/q, and 0 at a = 0."""

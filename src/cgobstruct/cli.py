@@ -26,7 +26,7 @@ from .signatures import (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
@@ -40,19 +40,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with arguments built only for the subcommand it names."""
-    # the top-level parser takes no option values, so the first bare word names the command
-    named = next((a for a in argv if not a.startswith("-")), None)
-    return _build_parser((named,)).parse_args(argv)
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all four subcommands.
 
-
-def _build_parser(commands: tuple | None = None) -> argparse.ArgumentParser:
-    """The parser, with arguments only for the subcommands in commands (all for None).
-
-    All four subcommands are registered either way, so the top-level help
-    and the unknown-command errors do not depend on commands; a run needs
-    only its own subcommand's arguments.
+    `main` builds it at every call, so a subcommand runs whatever cmd_*
+    function the module attribute holds at that moment.
     """
     parser = argparse.ArgumentParser(
         prog="cgobstruct",
@@ -65,9 +57,7 @@ def _build_parser(commands: tuple | None = None) -> argparse.ArgumentParser:
         ("signature", "table of T(2,q) signatures at order-m roots", _signature_arguments),
         ("cg", "sigma and eta of a knot at one character", _cg_arguments),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        if commands is None or name in commands:
-            add_arguments(sp)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -82,22 +72,18 @@ def _verify_arguments(pv: argparse.ArgumentParser) -> None:
 
 def _search_arguments(ps: argparse.ArgumentParser) -> None:
     ps.add_argument("--config", help="key = value config file (see README)")
-    ps.add_argument("--p-min")
-    ps.add_argument("--p-max")
-    ps.add_argument("--q-min")
-    ps.add_argument("--q-max")
-    ps.add_argument("--p-set", help="explicit comma list of p primes")
-    ps.add_argument("--q-set", help="explicit comma list of q primes")
-    ps.add_argument("--genus")
-    ps.add_argument("--ranking", help="product, lex or maxprime")
-    ps.add_argument("--limit")
-    ps.add_argument("--threads", type=int, default=1, help="accepted, changes nothing (>= 1)")
-    ps.add_argument("--checkpoint", help="JSON-lines progress file, resumable")
-    ps.add_argument(
+    algebraic = ps.add_argument(
         "--no-require-algebraic",
-        action="store_true",
+        dest="require_algebraic",
+        action="store_const",
+        const="false",
         help="also sweep candidates whose cable pieces fail p > 4q",
     )
+    for key, (_, expected) in SETTINGS.items():  # one flag per setting, read by its rules
+        if key != algebraic.dest:
+            ps.add_argument("--" + key.replace("_", "-"), help=expected)
+    ps.add_argument("--threads", type=int, default=1, help="accepted, changes nothing (>= 1)")
+    ps.add_argument("--checkpoint", help="JSON-lines progress file, resumable")
     ps.add_argument("--format", choices=("human", "json", "csv"), default="json")
     ps.set_defaults(func=cmd_search)
 
@@ -169,8 +155,6 @@ def cmd_search(args) -> int:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
     settings = parse_config_file(args.config) if args.config else {}
     flags = {k: v for k, v in vars(args).items() if k in SETTINGS and v is not None}
-    if args.no_require_algebraic:
-        flags["require_algebraic"] = "false"
     # a pool given by flags replaces the file's pool; other flags override their own key
     replaced = {k[:2] for k in flags} & {"p_", "q_"}
     settings = {k: v for k, v in settings.items() if k[:2] not in replaced}

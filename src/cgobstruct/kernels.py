@@ -32,9 +32,9 @@ it finds is the first one.  It has three depths:
 - depth 1 evaluates k = 1 for every class, one 1-D gather S[j, x_j] per
   piece.  Most classes are witnessed here, and L is the k = 1 value;
 - depth BLOCK evaluates k = 1..BLOCK for the classes depth 1 left
-  unwitnessed, column by column from k = BLOCK down, through the
-  composed table B[j, a, k-1] = S[j, k*a mod p] (`compose_block`, 40 KB
-  at p = 307), and L becomes the block maximum;
+  unwitnessed, as one (rows, BLOCK) array gathered through the composed
+  table B[j, a, k-1] = S[j, k*a mod p] (`compose_block`, 40 KB at
+  p = 307), and L becomes the block maximum;
 - the full scan evaluates all (p-1)/2 multipliers, computing k*x mod p
   for the rows of its batch only.  It seeds the bound U, the smallest
   exact best so far, with every class still unwitnessed and the
@@ -64,8 +64,6 @@ witnessing multiplier (0 when none).
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 
@@ -97,14 +95,8 @@ def scan_classes(xs, S, s1, p, thr):
         val = look(0, xb[:, 0]) + p * s1
         for j in range(1, r):
             val += look(j, xb[:, j])
-        mag, lim = np.abs(val), p * (thr + eta_at[rows])
-        if mag.shape[1] <= BLOCK:  # numpy's row reductions are slow on short rows
-            first = sig = np.zeros(len(xb), dtype=np.int64)
-            for k in range(mag.shape[1], 0, -1):
-                hit = mag[:, k - 1] > lim
-                first, sig = np.where(hit, k, first), np.where(hit, val[:, k - 1], sig)
-            return first, reduce(np.maximum, mag.T) - p * eta_at[rows], sig - p * s1
-        hit = mag > lim[:, None]
+        mag = np.abs(val)
+        hit = mag > p * (thr + eta_at[rows])[:, None]
         at, pick = hit.argmax(axis=1), np.arange(len(xb))
         first = np.where(hit[pick, at], at + 1, 0)
         return first, mag.max(axis=1) - p * eta_at[rows], val[pick, at] - p * s1

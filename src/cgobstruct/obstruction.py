@@ -203,18 +203,19 @@ def check_point(
 
 def verify_primary_part(
     part: PrimaryPart,
-    K: GAKnot,
+    tables: SigmaTable,
     g: int,
+    s1: int,
     *,
-    sigma_minus_one: Optional[int] = None,
     max_witnesses: int = 3,
-    tables: Optional[SigmaTable] = None,
     cache: Optional[dict] = None,
 ) -> PrimeResult:
     """Scan every projective isotropic point of one primary part.
 
-    verified means every point has a violating multiplier.  The kernel
-    scans one representative per sign-flip class, which decides its whole
+    tables are the knot's sigma tables at part.p and s1 its signature at
+    -1, which `genus_lower_bound` computes once per knot.  verified means
+    every point has a violating multiplier.  The kernel scans one
+    representative per sign-flip class, which decides its whole
     orbit (the tables are symmetric under a -> p-a); points is the sum of
     orbit sizes, checked against the closed-form count, and margin the
     minimum over representatives.  The kernel settles most classes at
@@ -228,9 +229,6 @@ def verify_primary_part(
     """
     p = part.p
     thr = 4 * g + 1
-    if tables is None:
-        tables = build_sigma_tables(K, p)
-    s1 = signature_at_minus_one(K) if sigma_minus_one is None else sigma_minus_one
     xs, sizes = shared_arrays(cache, ("classes", p, part.signs), enumerate_isotropic_classes, part)
     n = int(sizes.sum())
     want = isotropic_point_count(part)
@@ -298,8 +296,7 @@ def genus_lower_bound(
     def verify_parts(parts: list[PrimaryPart], g: int) -> list[PrimeResult]:
         return [
             verify_primary_part(
-                part, K, g, sigma_minus_one=s1, max_witnesses=max_witnesses,
-                tables=tables[part.p], cache=cache,
+                part, tables[part.p], g, s1, max_witnesses=max_witnesses, cache=cache
             )
             for part in parts
         ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import __version__
@@ -43,6 +44,8 @@ RANKINGS: dict[str, Callable[[tuple[int, int, int, int, int]], tuple]] = {
     "lex": lambda t: t,
     "maxprime": lambda t: (max(t), t),
 }
+
+MAX_CANDIDATES = 10**6  # most candidates a sweep lists and sorts (about 190 B each)
 
 
 class _ConfigFields(NamedTuple):
@@ -61,12 +64,21 @@ class SearchConfig(_ConfigFields):
     require_algebraic keeps only candidates whose cable pieces all satisfy
     p > 4q.  Fields go by position or keyword, omitted ones take the
     defaults above; `config_from_settings` builds one from string settings.
+    Pools that could give more than MAX_CANDIDATES candidates, C(|P|, 2) *
+    C(|Q|, 3) * 3 before any filter, raise ValueError.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "SearchConfig":
         cfg = super().__new__(cls, *args, **kwargs)
+        pools = (tuple(sorted(set(cfg.p_primes))), tuple(sorted(set(cfg.q_primes))))
+        count = comb(len(pools[0]), 2) * comb(len(pools[1]), 3) * 3
+        if count > MAX_CANDIDATES:
+            raise ValueError(
+                f"the pools give up to {count} candidates, more than the "
+                f"{MAX_CANDIDATES} a search lists; use smaller pools"
+            )
         for v in cfg.p_primes + cfg.q_primes:
             if not is_odd_prime(v):
                 raise ValueError(f"search pools must contain odd primes, got {v}")
@@ -76,7 +88,6 @@ class SearchConfig(_ConfigFields):
             raise ValueError(f"genus hypothesis must be >= 1, got {cfg.genus}")
         if cfg.limit is not None and cfg.limit < 1:
             raise ValueError(f"limit must be >= 1, got {cfg.limit}")
-        pools = (tuple(sorted(set(cfg.p_primes))), tuple(sorted(set(cfg.q_primes))))
         return super().__new__(cls, *pools, *cfg[2:])
 
 
@@ -95,7 +106,7 @@ SETTINGS: dict[str, tuple[Callable[[str], object], str]] = {
     "q_max": _INT,
     "genus": _INT,
     "require_algebraic": (lambda text: _BOOLEANS[text.lower()], "one of true/false/yes/no/1/0"),
-    "ranking": (str, "a ranking name"),
+    "ranking": (str, "one of " + "/".join(RANKINGS)),
     "limit": _INT,
 }
 
@@ -103,11 +114,11 @@ SETTINGS: dict[str, tuple[Callable[[str], object], str]] = {
 def config_from_settings(settings: dict[str, str]) -> SearchConfig:
     """The SearchConfig that string settings (keys of SETTINGS) describe.
 
-    Each pool is a set (p_set) or both ends of a prime interval (p_min,
+    Each pool is a set (p_set) or both ends of a prime interval (p_min <=
     p_max) at most MAX_WIDTH wide, likewise for q; other keys override the
     defaults.  Raises ValueError naming the key for an unknown key, a bad
-    value, a missing pool, half an interval, a wider interval or a set
-    given with an interval.
+    value, a missing pool, half an interval, a reversed or wider interval
+    or a set given with an interval.
     """
     values = {}
     for key, text in settings.items():
@@ -126,6 +137,8 @@ def config_from_settings(settings: dict[str, str]) -> SearchConfig:
             raise ValueError(f"{lo} and {hi} must be given together")
         if lo in values:
             width = values[hi] - values[lo]
+            if width < 0:
+                raise ValueError(f"{lo} must be at most {hi}, got {values[lo]} > {values[hi]}")
             if width > MAX_WIDTH:
                 raise ValueError(f"{hi} - {lo} must be at most {MAX_WIDTH}, got {width}")
             values[named] = tuple(odd_primes_in(values.pop(lo), values.pop(hi)))

@@ -57,3 +57,23 @@ def test_benchmark_seams_keep_their_shape():
     name, scan = kernels.select_kernel()
     assert name == "numpy" and scan is kernels.scan_classes
     assert obstruction.select_kernel is kernels.select_kernel
+
+
+def test_select_kernel_takes_its_name_positionally():
+    # the tracer's wrapper calls select(name) with the name it was given
+    from cgobstruct import kernels
+
+    assert kernels.select_kernel(None) == ("numpy", kernels.scan_classes)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--family", "83,103,17,11,13"], ["search", "--p-set", "83,103"]])
+def test_main_dispatches_to_the_cmd_functions_it_finds_at_call_time(monkeypatch, argv):
+    # the tracer swaps cli.cmd_verify and cli.cmd_search after import and then
+    # calls main, so main must look them up when it builds its parser
+    from cgobstruct import cli
+
+    called = []
+    for name in ("cmd_verify", "cmd_search"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: called.append(name) or 7)
+    assert cli.main(argv) == 7
+    assert called == [f"cmd_{argv[0]}"]

@@ -297,6 +297,24 @@ def test_search_flag_pool_replaces_file_pool(tmp_path, capsys, search_configs):
     assert (rc, err) == (2, "error: p_min and p_max must be given together\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a reversed interval used to exit 0 after sweeping nothing
+        (["--p-min", "110", "--p-max", "80", "--q-set", "11,13,17"], "p_min must be at most p_max, got 110 > 80"),
+        (["--p-set", "83,103", "--q-min", "20", "--q-max", "10"], "q_min must be at most q_max, got 20 > 10"),
+        (
+            ["--p-min", "3", "--p-max", "7000", "--q-set", "11,13,17"],
+            "the pools give up to 1210953 candidates, more than the 1000000 a search lists; "
+            "use smaller pools",
+        ),
+    ],
+)
+def test_search_refuses_a_sweep_it_cannot_run_exit_2(capsys, search_configs, argv, message):
+    assert run(capsys, ["search", *argv]) == (2, "", f"error: {message}\n")
+    assert search_configs == []
+
+
 def test_search_config_half_interval_exit_2(tmp_path, capsys):
     rc, out, err = _search_config(tmp_path, capsys, "p_min = 80\nq_set = 11,13,17\n")
     assert (rc, out, err) == (2, "", "error: p_min and p_max must be given together\n")
@@ -547,20 +565,26 @@ PARSER_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
-def test_cli_parses_as_with_every_subcommands_arguments(capsys, argv):
-    # a run builds only its own subcommand's arguments; help, usage errors,
-    # exit codes and parsed values must be those of the full parser
+def test_cli_parses_as_with_every_subcommands_arguments(capsys, monkeypatch, argv):
+    # main hands its command exactly what the parser of all four subcommands
+    # parses; help, usage errors and exit codes are that parser's too
     from cgobstruct import cli
+
+    seen = []
+    for name in ("cmd_verify", "cmd_search", "cmd_signature", "cmd_cg"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
 
     def outcome(parse):
         try:
-            result = vars(parse(argv))
+            result = parse(argv)
+            result = seen.pop() if result == 0 else vars(result)
         except SystemExit as exc:
             result = exc.code
         captured = capsys.readouterr()
         return result, captured.out, captured.err
 
-    assert outcome(cli._parse_args) == outcome(cli._build_parser().parse_args)
+    assert outcome(cli.main) == outcome(cli._build_parser().parse_args)
+    assert seen == []
 
 
 def test_signature_cli_csv(capsys):

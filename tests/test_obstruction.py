@@ -95,7 +95,7 @@ def test_verify_agrees_with_unreduced_brute_force():
         K = small_knot(p)
         part = primary_parts(K)[0]
         s1 = signature_at_minus_one(K)
-        res = verify_primary_part(part, K, 1)
+        res = verify_primary_part(part, build_sigma_tables(K, p), 1, s1)
         brute_all_witnessed = True
         for x in sorted(brute_isotropic(p, part.signs)):
             if not any(x):
@@ -117,7 +117,8 @@ def test_verify_agrees_with_unreduced_brute_force():
 def test_verify_primary_part_flagship(flagship):
     for p, count in ((83, 7056), (103, 10816)):
         part = next(P for P in primary_parts(flagship) if P.p == p)
-        res = verify_primary_part(part, flagship, 1)
+        tab = build_sigma_tables(flagship, p)
+        res = verify_primary_part(part, tab, 1, signature_at_minus_one(flagship))
         assert res.points == count
         assert res.verified
         assert res.margin == 7
@@ -262,7 +263,7 @@ def test_genus_lower_bound_rejects_bad_gmax(flagship):
 def _against_full_oracle(K, part, g, max_witnesses):
     tab = build_sigma_tables(K, part.p)
     s1 = signature_at_minus_one(K)
-    got = verify_primary_part(part, K, g, max_witnesses=max_witnesses, tables=tab)
+    got = verify_primary_part(part, tab, g, s1, max_witnesses=max_witnesses)
     want = full_scan(list(enumerate_projective_isotropic(part)), tab, g, s1, max_witnesses)
     assert got == want, (str(K), part.p, g)
     return got
@@ -309,6 +310,7 @@ def test_witness_point_without_class_is_internal_error(monkeypatch):
         return xs[1:], sizes[1:]
 
     monkeypatch.setattr(obstruction, "enumerate_isotropic_classes", drop_first)
-    assert verify_primary_part(part, K, 1, max_witnesses=0).points > 0
+    tab, s1 = build_sigma_tables(K, 7), signature_at_minus_one(K)
+    assert verify_primary_part(part, tab, 1, s1, max_witnesses=0).points > 0
     with pytest.raises(ArithmeticError, match="has no class at p=7"):
-        verify_primary_part(part, K, 1, max_witnesses=10**6)
+        verify_primary_part(part, tab, 1, s1, max_witnesses=10**6)

@@ -306,6 +306,9 @@ POOLS = {"p_set": "83", "q_set": "11"}
         ({**POOLS, "p_set": "83,x"}, "p_set must be a comma list of integers, got '83,x'"),
         ({**POOLS, "limit": "1.5"}, "limit must be an integer, got '1.5'"),
         ({**POOLS, "genus": ""}, "genus must be an integer, got ''"),
+        # a reversed interval used to give an empty pool and a sweep of nothing
+        ({"p_min": "110", "p_max": "80", "q_set": "11"}, "p_min must be at most p_max, got 110 > 80"),
+        ({"p_set": "83", "q_min": "20", "q_max": "10"}, "q_min must be at most q_max, got 20 > 10"),
     ],
 )
 def test_config_from_settings_errors_name_the_key(settings, message):
@@ -323,6 +326,25 @@ def test_config_interval_width_cap(monkeypatch):
         with pytest.raises(ValueError) as exc:
             config_from_settings({**ok, key: str(int(ok[key]) + 1)})
         assert str(exc.value) == f"{key} - {key[0]}_min must be at most 20, got 21"
+
+
+def test_config_candidate_cap(monkeypatch):
+    search_module = importlib.import_module("cgobstruct.search")
+    assert search_module.MAX_CANDIDATES == 10**6
+    # 899 odd primes up to 7000: C(899, 2) * C(3, 3) * 3 = 1,210,953 candidates
+    with pytest.raises(ValueError) as exc:
+        config_from_settings({"p_min": "3", "p_max": "7000", "q_set": "11,13,17"})
+    assert str(exc.value) == (
+        "the pools give up to 1210953 candidates, more than the 1000000 a search lists; "
+        "use smaller pools"
+    )
+    # the count is of distinct pool primes, before any filter; the cap itself is accepted
+    p, q = (83, 89, 97, 101, 103), (11, 13, 17)  # C(5, 2) * C(3, 3) * 3 = 30
+    monkeypatch.setattr(search_module, "MAX_CANDIDATES", 30)
+    assert len(list(enumerate_candidates(SearchConfig(p_primes=p + p, q_primes=q)))) == 30
+    monkeypatch.setattr(search_module, "MAX_CANDIDATES", 29)
+    with pytest.raises(ValueError, match="up to 30 candidates, more than the 29 "):
+        SearchConfig(p_primes=p, q_primes=q)
 
 
 def test_readme_config_example(tmp_path):
