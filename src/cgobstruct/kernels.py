@@ -25,37 +25,33 @@ exact only under this invariant.
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
 p*eta), not every best(x).  Every running maximum over k = 1..d is a
-lower bound L(x) <= best(x), and the scan deepens a class only as far as
+lower bound L(x) <= best(x), and the scan takes a class only as deep as
 it must, always visiting multipliers in increasing order, so a witness
-it finds is the first one.  It has three depths:
+it finds is the first one.  One helper, settle(rows, depth), evaluates
+rows at k = 1..depth and writes their first, best and sig_at; past
+depth 1 every step is one settle:
 
 - depth 1 evaluates k = 1 for every class, one 1-D gather S[j, x_j] per
-  piece.  Most classes are witnessed here, and L is the k = 1 value;
-- depth BLOCK evaluates k = 1..BLOCK for the classes depth 1 left
-  unwitnessed, as one (rows, BLOCK) array gathered through the composed
-  table B[j, a, k-1] = S[j, k*a mod p] (`compose_block`, 40 KB at
-  p = 307), and L becomes the block maximum;
-- the full scan evaluates all (p-1)/2 multipliers, computing k*x mod p
-  for the rows of its batch only.  It seeds the bound U, the smallest
-  exact best so far, with every class still unwitnessed and the
-  witnessed class of smallest L.  Only witnessed classes with L < U can
-  still set the margin: they are selected by one mask, ordered by L and
-  visited while L < U, in batches doubling from one class so U tightens
-  before large batches.  A visited class witnessed at k = 1 is first
-  deepened to BLOCK and scanned in full only if its deeper L is still
-  below U.  Deepening runs CELLS // BLOCK classes ahead of the visits,
-  so it costs one pass per block of classes, not one per batch.
+  piece, written out with `out=` buffers, and L is the k = 1 value.
+  Most classes are witnessed here;
+- depth BLOCK settles the classes depth 1 left unwitnessed to BLOCK;
+- the seed, every class still unwitnessed and the witnessed class of
+  smallest L, is settled to (p-1)/2.  The smallest exact best among it
+  is the bound U >= the margin;
+- the rest, the witnessed classes with L < U, the only ones that could
+  still set the margin, is settled to BLOCK, and the part of it still
+  below U to (p-1)/2.
 
 The result is exact: first, sig_at and eta_at come from the first
-witness, and every class not scanned in full keeps an L >= U >= the
+witness, and every class not settled to (p-1)/2 keeps an L >= U >= the
 minimum, so min(best) is the margin whatever depth each class reached.
 
 Scratch: no temporary exceeds CELLS int64 cells (64 KB), a size the
 allocator reuses instead of mapping afresh.  Depth 1 runs over blocks of
-CELLS rows, depth BLOCK over CELLS // BLOCK rows, and the full scan over
-at most CELLS // ((p-1)/2) rows (at least one).  Beyond its outputs the
-scan keeps one index array: the classes depth 1 leaves unwitnessed,
-compacted in place into the full scan's seed.
+CELLS rows, and settle over CELLS // depth rows (at least one), computing
+k*x mod p for the rows of its batch only.  Beyond its outputs the scan
+keeps one index array: the classes depth 1 leaves unwitnessed, compacted
+in place into the seed.
 
 Per row the kernel reports the first witnessing multiplier (0 when
 none), a lower bound on best that is exact for every row able to set the
@@ -71,11 +67,6 @@ BLOCK = 4
 CELLS = 8192
 
 
-def compose_block(S: np.ndarray, p: int) -> np.ndarray:
-    """Depth BLOCK's (r, p, min(BLOCK, (p-1)/2)) table B[j, a, k-1] = S[j, k*a mod p]."""
-    return S.take(np.arange(p)[:, None] * np.arange(1, min(BLOCK, (p - 1) // 2) + 1) % p, axis=1)
-
-
 def scan_classes(xs, S, s1, p, thr):
     """Branch-and-bound scan; see the module docstring for the contract.
 
@@ -85,40 +76,24 @@ def scan_classes(xs, S, s1, p, thr):
     """
     n, r = xs.shape
     ks = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    B = compose_block(S, p)
     top = np.iinfo(np.int64).max
     first, best, sig_at, eta_at = np.empty((4, n), dtype=np.int64)
 
-    def settle(rows, look):
-        """(first, max, sig at first) over the k columns look(j, xs[rows, j]) gives."""
-        xb = xs[rows]
-        val = look(0, xb[:, 0]) + p * s1
-        for j in range(1, r):
-            val += look(j, xb[:, j])
-        mag = np.abs(val)
-        hit = mag > p * (thr + eta_at[rows])[:, None]
-        at, pick = hit.argmax(axis=1), np.arange(len(xb))
-        first = np.where(hit[pick, at], at + 1, 0)
-        return first, mag.max(axis=1) - p * eta_at[rows], val[pick, at] - p * s1
-
-    def deepen(rows):
-        """Depth BLOCK: rows at k = 1..BLOCK through the composed table."""
-        first[rows], best[rows], sig_at[rows] = settle(rows, lambda j, c: B[j].take(c, axis=0))
-
-    def full(rows):
-        """Scan rows at every multiplier; the smallest exact best among them."""
-        first[rows], best[rows], sig_at[rows] = settle(
-            rows, lambda j, c: S[j].take(np.multiply.outer(c, ks) % p)
-        )
-        return int(best[rows].min())
-
-    lows = []  # (L, row) of the witnessed class of smallest L in each pass
-
-    def note_low(rows, ids):
-        """Keep the witnessed row of smallest L among rows; ids[m] is the m-th row's index."""
-        low = np.where(first[rows] > 0, best[rows], top)
-        m = int(low.argmin())
-        lows.append((int(low[m]), int(ids[m])))
+    def settle(rows, depth):
+        """Evaluate rows at k = 1..depth; write their first, best and sig_at."""
+        k = ks[:depth, None]  # arrays below are (depth, rows): one multiplier per row
+        step = max(1, CELLS // len(k))
+        for i in range(0, len(rows), step):
+            at = rows[i : i + step]
+            val = S[0].take(xs[at, 0] * k % p) + p * s1
+            for j in range(1, r):
+                val += S[j].take(xs[at, j] * k % p)
+            mag, eta = np.abs(val), eta_at[at]
+            hit = mag > p * (thr + eta)
+            col, pick = hit.argmax(axis=0), np.arange(len(at))
+            first[at] = np.where(hit[col, pick], col + 1, 0)
+            best[at] = mag.max(axis=0) - p * eta
+            sig_at[at] = val[col, pick] - p * s1
 
     for i in range(0, n, CELLS):  # depth 1; eta_at holds every eta until the end
         # settle's 2-D buffers cost more than this one column needs, so it is written out
@@ -132,34 +107,22 @@ def scan_classes(xs, S, s1, p, thr):
         np.abs(val, out=val)
         val -= p * eta
         first[blk] = val > p * thr  # |S + p*s1| > p*(thr + eta)
-        note_low(blk, range(n)[blk])
-    miss, kept, step = np.flatnonzero(first == 0), 0, max(1, CELLS // BLOCK)
-    for i in range(0, len(miss), step):  # depth BLOCK for the classes k = 1 leaves unwitnessed
-        rows = miss[i : i + step]
-        deepen(rows)
-        note_low(rows, rows)
+    miss, kept = np.flatnonzero(first == 0), 0
+    for i in range(0, len(miss), CELLS):  # depth BLOCK for the classes k = 1 leaves unwitnessed
+        rows = miss[i : i + CELLS]
+        settle(rows, BLOCK)
         rows = rows[first[rows] == 0]
         miss[kept : kept + len(rows)] = rows  # compacted in place into the seed
         kept += len(rows)
-    low, arg = min(lows, default=(top, 0))
-    seed = miss[:kept] if low == top else np.append(miss[:kept], arg)  # and the witnessed minimum
-    bound, step = top, max(1, CELLS // len(ks))
-    for i in range(0, len(seed), step):
-        bound = min(bound, full(seed[i : i + step]))
-    rest = np.flatnonzero((first > 0) & (best < bound))  # the seeded minimum now has best >= bound
-    rest = rest[np.argsort(best[rest], kind="stable")]
-    key, pos, size, deep = best[rest], 0, 1, 0
-    while pos < len(rest) and key[pos] < bound:
-        end = min(pos + size, int(np.searchsorted(key, bound)))
-        while deep < end:  # deepen bounds from k = 1 alone to BLOCK, a block ahead
-            ahead = rest[deep : deep + max(1, CELLS // BLOCK)]
-            deepen(ahead[first[ahead] == 1])
-            deep += len(ahead)
-        rows = rest[pos:end]
-        rows = rows[best[rows] < bound]  # scanned in full only if still below
-        pos, size = end, min(2 * size, step)
-        if len(rows):
-            bound = min(bound, full(rows))
+    seed = miss[:kept]
+    best[seed] = top  # overwritten by the full scan; argmin now sees witnessed classes only
+    if kept < n:  # seed the witnessed class of smallest bound too
+        seed = np.append(seed, best.argmin())
+    settle(seed, len(ks))
+    bound = best[seed].min(initial=top)
+    rest = np.flatnonzero((first > 0) & (best < bound))  # the only classes that could set the margin
+    settle(rest, BLOCK)
+    settle(rest[best[rest] < bound], len(ks))
     none = first == 0
     sig_at[none] = eta_at[none] = 0
     return first, best, sig_at, eta_at

@@ -8,6 +8,8 @@ instead of answering without proof.
 
 from __future__ import annotations
 
+from math import floor, log
+
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17)
 LIMIT = 341_550_071_728_321
 
@@ -51,3 +53,17 @@ def odd_primes_in(lo: int, hi: int) -> list[int]:
     if start % 2 == 0:
         start += 1
     return [n for n in range(start, hi + 1, 2) if is_prime(n)]
+
+
+def odd_prime_count_floor(lo: int, hi: int) -> int:
+    """A lower bound on len(odd_primes_in(lo, hi)) that tests no number.
+
+    Rosser and Schoenfeld (1962): pi(x) > x/ln x for x >= 17 and pi(x) <
+    1.25506*x/ln x for x > 1.  The odd primes in [lo, hi] number pi(hi) -
+    pi(a) with a = max(lo, 3) - 1 >= 2; the difference of the two bounds
+    is floored and one is taken off, so float rounding cannot raise it.
+    """
+    a = max(lo, 3) - 1
+    if hi < 17:
+        return 0
+    return max(0, floor(hi / log(hi) - 1.25506 * a / log(a)) - 1)

@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from . import __version__
 from .knots import build_family
 from .obstruction import genus_lower_bound
-from .primes import is_odd_prime, odd_primes_in
+from .primes import is_odd_prime, odd_prime_count_floor, odd_primes_in
 
 RANKINGS: dict[str, Callable[[tuple[int, int, int, int, int]], tuple]] = {
     "product": lambda t: (t[0] * t[1], t),
@@ -57,6 +57,16 @@ class _ConfigFields(NamedTuple):
     limit: Optional[int] = None
 
 
+def _refuse_over_cap(p_count: int, q_count: int, quantity: str) -> None:
+    """ValueError if pools of these sizes give more than MAX_CANDIDATES candidates."""
+    count = comb(p_count, 2) * comb(q_count, 3) * 3
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"the pools give {quantity} {count} candidates, more than the "
+            f"{MAX_CANDIDATES} a search lists; use smaller pools"
+        )
+
+
 class SearchConfig(_ConfigFields):
     """Sweep definition: prime pools, constraints and ranking.
 
@@ -73,12 +83,7 @@ class SearchConfig(_ConfigFields):
     def __new__(cls, *args, **kwargs) -> "SearchConfig":
         cfg = super().__new__(cls, *args, **kwargs)
         pools = (tuple(sorted(set(cfg.p_primes))), tuple(sorted(set(cfg.q_primes))))
-        count = comb(len(pools[0]), 2) * comb(len(pools[1]), 3) * 3
-        if count > MAX_CANDIDATES:
-            raise ValueError(
-                f"the pools give up to {count} candidates, more than the "
-                f"{MAX_CANDIDATES} a search lists; use smaller pools"
-            )
+        _refuse_over_cap(len(pools[0]), len(pools[1]), "up to")
         for v in cfg.p_primes + cfg.q_primes:
             if not is_odd_prime(v):
                 raise ValueError(f"search pools must contain odd primes, got {v}")
@@ -118,7 +123,9 @@ def config_from_settings(settings: dict[str, str]) -> SearchConfig:
     p_max) at most MAX_WIDTH wide, likewise for q; other keys override the
     defaults.  Raises ValueError naming the key for an unknown key, a bad
     value, a missing pool, half an interval, a reversed or wider interval
-    or a set given with an interval.
+    or a set given with an interval.  Pools that give more than
+    MAX_CANDIDATES candidates even at the size `odd_prime_count_floor`
+    bounds an interval's pool by are refused before any number is tested.
     """
     values = {}
     for key, text in settings.items():
@@ -129,6 +136,7 @@ def config_from_settings(settings: dict[str, str]) -> SearchConfig:
             values[key] = read(text.strip())
         except (ValueError, KeyError):
             raise ValueError(f"{key} must be {expected}, got {text!r}") from None
+    sizes, intervals = [], {}
     for pool in "pq":
         named, lo, hi = f"{pool}_set", f"{pool}_min", f"{pool}_max"
         if named in values and (lo in values or hi in values):
@@ -141,9 +149,15 @@ def config_from_settings(settings: dict[str, str]) -> SearchConfig:
                 raise ValueError(f"{lo} must be at most {hi}, got {values[lo]} > {values[hi]}")
             if width > MAX_WIDTH:
                 raise ValueError(f"{hi} - {lo} must be at most {MAX_WIDTH}, got {width}")
-            values[named] = tuple(odd_primes_in(values.pop(lo), values.pop(hi)))
-        elif named not in values:
+            intervals[named] = (values.pop(lo), values.pop(hi))
+            sizes.append(odd_prime_count_floor(*intervals[named]))
+        elif named in values:
+            sizes.append(len(set(values[named])))
+        else:
             raise ValueError(f"search needs a {pool} pool: {named}, or {lo} and {hi}")
+    _refuse_over_cap(*sizes, "at least")
+    for named, (lo, hi) in intervals.items():
+        values[named] = tuple(odd_primes_in(lo, hi))
     return SearchConfig(p_primes=values.pop("p_set"), q_primes=values.pop("q_set"), **values)
 
 
@@ -153,6 +167,8 @@ def enumerate_candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, int
     p1 < p2 from the p-pool; {q1,q2,q3} a 3-subset of the q-pool disjoint
     from {p1,p2}; three slot assignments per subset with (q2,q3) sorted.
     """
+    if len(cfg.q_primes) < 3:  # no q-subset, so no candidate from any p-pair
+        return
     key = RANKINGS[cfg.ranking]
     out: list[tuple[int, int, int, int, int]] = []
     for p1, p2 in itertools.combinations(cfg.p_primes, 2):

@@ -9,7 +9,6 @@ from cgobstruct.kernels import (
     BLOCK,
     CELLS,
     assert_int64_budget,
-    compose_block,
     scan_classes,
     select_kernel,
 )
@@ -50,20 +49,6 @@ def test_numpy_kernel_shapes(scan_inputs):
     assert (first > 0).all()  # flagship: every point witnessed
     assert (first <= (p - 1) // 2).all()
     assert (best >= np.abs(sig_at) - p * eta_at).all()
-
-
-@pytest.mark.parametrize("p", [3, 7, 11, 31])
-def test_compose_block_entries(p):
-    # depth BLOCK's table: row B[j, a] holds S[j, k*a mod p] for k = 1..BLOCK,
-    # or up to (p-1)/2 when that is smaller
-    S = np.arange(3 * p, dtype=np.int64).reshape(3, p) * 7 % 101
-    B = compose_block(S, p)
-    width = min(BLOCK, (p - 1) // 2)
-    assert B.shape == (3, p, width) and B.dtype == np.int64 and B.flags["C_CONTIGUOUS"]
-    for j in range(3):
-        for a in range(p):
-            for k in range(1, width + 1):
-                assert B[j, a, k - 1] == S[j, k * a % p]
 
 
 def test_compose_multipliers_layout():
@@ -207,16 +192,36 @@ def assert_bounded_reference(got, xs, S, p, s1, thr):
     assert_bounded(got, reference(xs, S, p, s1, thr), *depths)
 
 
-def test_kernel_bounded_on_full_class_arrays(p300_classes):
-    # real tables over two depth-1 row blocks of classes; depth BLOCK for
-    # the 805 and 739 classes without a k = 1 witness, then the seed (the 39
-    # and 177 classes without a block witness)
-    for tab, xs in p300_classes:
+@pytest.fixture(scope="module")
+def p83_classes():
+    # every class of family(83,89,11,17,19) at p = 83: 925 rows
+    K = build_family(83, 89, 11, 17, 19)
+    part = primary_parts(K)[0]
+    return build_sigma_tables(K, part.p), enumerate_isotropic_classes(part)[0]
+
+
+def test_kernel_bounded_on_full_class_arrays(p300_classes, p83_classes):
+    # real tables. At p = 293, 307, over two depth-1 row blocks of classes:
+    # depth BLOCK for the 805 and 739 classes without a k = 1 witness, then
+    # the seed (the 39 and 177 classes without a block witness). At p = 83
+    # the seed sets the bound 11p. Of the 132 witnessed classes below it,
+    # the one of smallest bound (9p) is seeded and the rest phase takes 131:
+    # 30 stay below 11p at depth BLOCK (31 with the seeded one) and are
+    # scanned in full
+    for tab, xs in p300_classes + [p83_classes]:
         S, p = tab.scaled_sigma, tab.p
-        assert len(xs) > CELLS
         got = scan(xs, S, p, 0, 5)
         assert (got[0] > 0).all()
         assert_bounded_reference(got, xs, S, p, 0, 5)
+    assert all(len(xs) > CELLS for _, xs in p300_classes)
+    tab, xs = p83_classes
+    S, p = tab.scaled_sigma, tab.p
+    one, block, exact = (reference(xs, S, p, 0, 5, k) for k in (1, BLOCK, None))
+    witnessed = block[0] > 0
+    low = np.where(one[0] == 1, one[1], block[1])[witnessed]
+    assert exact[1][~witnessed].min() == exact[1].min() == 11 * p
+    assert low.min() == 9 * p and (low < 11 * p).sum() == 132
+    assert (block[1][witnessed] < 11 * p).sum() == 31
 
 
 def test_kernel_bounded_on_full_class_arrays_in_tiny_blocks(monkeypatch, p300_classes):

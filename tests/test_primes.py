@@ -1,6 +1,9 @@
+from bisect import bisect_left, bisect_right
+from random import Random
+
 import pytest
 
-from cgobstruct.primes import LIMIT, is_odd_prime, is_prime, odd_primes_in
+from cgobstruct.primes import LIMIT, is_odd_prime, is_prime, odd_prime_count_floor, odd_primes_in
 
 
 def test_is_prime_small():
@@ -32,6 +35,21 @@ def test_odd_primes_in():
     assert odd_primes_in(2, 3) == [3]
     assert odd_primes_in(83, 103) == [83, 89, 97, 101, 103]
     assert odd_primes_in(24, 28) == []
+
+
+def test_odd_prime_count_floor_never_exceeds_the_count():
+    # Rosser-Schoenfeld bounds, floored and lowered by one, against the true
+    # count of odd primes on a few hundred intervals, edges and empty ones included
+    primes = odd_primes_in(3, 100_003)
+    rng = Random(16)
+    cases = [(lo, hi) for lo in range(-2, 20) for hi in range(lo - 1, 40)]
+    cases += [(lo, lo + rng.randrange(0, 5_000)) for lo in rng.sample(range(3, 95_000), 300)]
+    cases += [(3, hi) for hi in rng.sample(range(17, 100_003), 100)]
+    for lo, hi in cases:
+        count = bisect_right(primes, hi) - bisect_left(primes, lo)
+        assert 0 <= odd_prime_count_floor(lo, hi) <= count, (lo, hi)
+    assert (odd_prime_count_floor(3, 6000), len(primes[: bisect_right(primes, 6000)])) == (685, 782)
+    assert odd_prime_count_floor(3, 1_000_003) == 72_377  # 78,498 odd primes
 
 
 def test_is_prime_refuses_numbers_beyond_exact_witness_set():

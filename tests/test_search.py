@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,29 @@ def test_config_candidate_cap(monkeypatch):
     monkeypatch.setattr(search_module, "MAX_CANDIDATES", 29)
     with pytest.raises(ValueError, match="up to 30 candidates, more than the 29 "):
         SearchConfig(p_primes=p, q_primes=q)
+
+
+def test_config_refuses_an_interval_before_testing_it():
+    # a prime-count floor of 72,377 for 3..1,000,003 refuses before 500,001 tests
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        config_from_settings({"p_min": "3", "p_max": "1000003", "q_set": "11,13,17"})
+    assert time.perf_counter() - t0 < 0.5
+    assert str(exc.value) == (
+        "the pools give at least 7857536628 candidates, more than the 1000000 a search lists; "
+        "use smaller pools"
+    )
+    # the floor never refuses a runnable pool: 782 odd primes up to 6000 (floor 685)
+    cfg = config_from_settings({"p_min": "3", "p_max": "6000", "q_set": "11,13,17"})
+    assert len(cfg.p_primes) == 782  # C(782, 2) * 3 = 916,113 candidates
+
+
+def test_q_pool_of_two_primes_yields_nothing_at_once():
+    # no 3-subset of q-primes exists, so no p-pair is walked
+    cfg = config_from_settings({"p_min": "3", "p_max": "200003", "q_set": "11,13"})
+    t0 = time.perf_counter()
+    assert list(enumerate_candidates(cfg)) == [] and search(cfg) == []
+    assert time.perf_counter() - t0 < 1
 
 
 def test_readme_config_example(tmp_path):
