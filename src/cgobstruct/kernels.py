@@ -28,8 +28,8 @@ p*eta), not every best(x).  Every running maximum over k = 1..d is a
 lower bound L(x) <= best(x), and the scan takes a class only as deep as
 it must, always visiting multipliers in increasing order, so a witness
 it finds is the first one.  One helper, settle(rows, depth), evaluates
-rows at k = 1..depth and writes their first, best and sig_at; past
-depth 1 every step is one settle:
+rows at k = 1..depth and writes their first and best; past depth 1
+every step is one settle:
 
 - depth 1 evaluates k = 1 for every class, one 1-D gather S[j, x_j] per
   piece, written out with `out=` buffers, and L is the k = 1 value.
@@ -42,21 +42,21 @@ depth 1 every step is one settle:
   still set the margin, is settled to BLOCK, and the part of it still
   below U to (p-1)/2.
 
-The result is exact: first, sig_at and eta_at come from the first
-witness, and every class not settled to (p-1)/2 keeps an L >= U >= the
-minimum, so min(best) is the margin whatever depth each class reached.
+The result is exact: first is the first witness, and every class not
+settled to (p-1)/2 keeps an L >= U >= the minimum, so min(best) is the
+margin whatever depth each class reached.
 
 Scratch: no temporary exceeds CELLS int64 cells (64 KB), a size the
 allocator reuses instead of mapping afresh.  Depth 1 runs over blocks of
 CELLS rows, and settle over CELLS // depth rows (at least one), computing
-k*x mod p for the rows of its batch only.  Beyond its outputs the scan
-keeps one index array: the classes depth 1 leaves unwitnessed, compacted
-in place into the seed.
+k*x mod p for the rows of its batch only.  Beyond its two outputs the
+scan keeps every row's eta and one index array: the classes depth 1
+leaves unwitnessed, compacted in place into the seed.
 
-Per row the kernel reports the first witnessing multiplier (0 when
-none), a lower bound on best that is exact for every row able to set the
-minimum (so min(best) is exact), and the scaled sigma and eta at the
-witnessing multiplier (0 when none).
+Per row the kernel reports two facts: the first witnessing multiplier
+(0 when none) and a lower bound on best that is exact for every row able
+to set the minimum (so min(best) is exact).  Sigma and eta at a witness
+are evaluated at the point, by `obstruction.verify_primary_part`.
 """
 
 from __future__ import annotations
@@ -71,16 +71,17 @@ def scan_classes(xs, S, s1, p, thr):
     """Branch-and-bound scan; see the module docstring for the contract.
 
     xs is an (n, r) int64 array (any layout) of nonzero rows reduced into
-    [0, p) and S the (r, p) scaled sigma table.  Returns (first, best,
-    sig_at, eta_at), each an int64 array of length n.
+    [0, p) and S the (r, p) scaled sigma table.  Returns (first, best),
+    each an int64 array of length n.
     """
     n, r = xs.shape
     ks = np.arange(1, (p + 1) // 2, dtype=np.int64)
     top = np.iinfo(np.int64).max
-    first, best, sig_at, eta_at = np.empty((4, n), dtype=np.int64)
+    first, best = np.empty((2, n), dtype=np.int64)
+    etas = np.empty(n, dtype=np.int64)
 
     def settle(rows, depth):
-        """Evaluate rows at k = 1..depth; write their first, best and sig_at."""
+        """Evaluate rows at k = 1..depth; write their first and best."""
         k = ks[:depth, None]  # arrays below are (depth, rows): one multiplier per row
         step = max(1, CELLS // len(k))
         for i in range(0, len(rows), step):
@@ -88,22 +89,22 @@ def scan_classes(xs, S, s1, p, thr):
             val = S[0].take(xs[at, 0] * k % p) + p * s1
             for j in range(1, r):
                 val += S[j].take(xs[at, j] * k % p)
-            mag, eta = np.abs(val), eta_at[at]
-            hit = mag > p * (thr + eta)
-            col, pick = hit.argmax(axis=0), np.arange(len(at))
-            first[at] = np.where(hit[col, pick], col + 1, 0)
-            best[at] = mag.max(axis=0) - p * eta
-            sig_at[at] = val[col, pick] - p * s1
+            np.abs(val, out=val)
+            eta = etas[at]
+            hit = val > p * (thr + eta)
+            col = hit.argmax(axis=0)
+            first[at] = np.where(hit[col, np.arange(len(at))], col + 1, 0)
+            best[at] = val.max(axis=0) - p * eta
 
-    for i in range(0, n, CELLS):  # depth 1; eta_at holds every eta until the end
+    for i in range(0, n, CELLS):  # depth 1
         # settle's 2-D buffers cost more than this one column needs, so it is written out
         blk = slice(i, i + CELLS)
-        eta, sig, val = eta_at[blk], sig_at[blk], best[blk]
+        eta, val = etas[blk], best[blk]
         np.subtract(np.count_nonzero(xs[blk], axis=1), 1, out=eta)
-        S[0].take(xs[blk, 0], out=sig)
+        S[0].take(xs[blk, 0], out=val)
         for j in range(1, r):
-            sig += S[j].take(xs[blk, j])
-        np.add(sig, p * s1, out=val)
+            val += S[j].take(xs[blk, j])
+        val += p * s1
         np.abs(val, out=val)
         val -= p * eta
         first[blk] = val > p * thr  # |S + p*s1| > p*(thr + eta)
@@ -123,19 +124,13 @@ def scan_classes(xs, S, s1, p, thr):
     rest = np.flatnonzero((first > 0) & (best < bound))  # the only classes that could set the margin
     settle(rest, BLOCK)
     settle(rest[best[rest] < bound], len(ks))
-    none = first == 0
-    sig_at[none] = eta_at[none] = 0
-    return first, best, sig_at, eta_at
+    return first, best
 
 
-def assert_int64_budget(S: np.ndarray, E: np.ndarray, p: int, s1: int, thr: int) -> None:
+def assert_int64_budget(S: np.ndarray, p: int, s1: int, thr: int) -> None:
     """Guarantee no intermediate of the scan can overflow int64."""
     r = S.shape[0]
-    peak = (
-        r * int(np.abs(S).max(initial=0))
-        + p * abs(s1)
-        + p * (thr + r + r * int(E.max(initial=0)))
-    )
+    peak = r * int(np.abs(S).max(initial=0)) + p * abs(s1) + p * (thr + r)  # eta < r
     if peak >= 2**62:
         raise OverflowError(
             f"scan values may exceed the int64 budget (peak estimate {peak}); "

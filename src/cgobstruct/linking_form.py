@@ -173,4 +173,5 @@ def enumerate_isotropic_classes(part: PrimaryPart) -> tuple[np.ndarray, np.ndarr
             x[r - 1] = root[keep]
             blocks.append(x)
     cols = np.concatenate(blocks, axis=1)
+    del blocks  # release the slabs before the orbit sizes are built
     return cols.T, 1 << (np.count_nonzero(cols, axis=0) - 1)

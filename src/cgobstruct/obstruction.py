@@ -218,14 +218,14 @@ def verify_primary_part(
     representative per sign-flip class, which decides its whole
     orbit (the tables are symmetric under a -> p-a); points is the sum of
     orbit sizes, checked against the closed-form count, and margin the
-    minimum over representatives.  The kernel settles most classes at
-    their first few multipliers (see `kernels`): its first witnessing k
-    per class and its minimum are exact, so the report does not depend on
-    how far each class was scanned.  Witnesses are the first points in
-    enumeration order whose class is witnessed, each reported with its
-    class's values.  cache, when given, shares the class arrays with
-    other knots of a sweep (see `casson_gordon.shared_arrays`); the point
-    count check still runs.
+    minimum over representatives.  The kernel returns each class's first
+    witnessing k and a bound whose minimum is exact (see `kernels`), so
+    the report does not depend on how far each class was scanned.
+    Witnesses are the first points in enumeration order whose class is
+    witnessed, with that k and with sigma and eta evaluated at the point
+    itself, as in `check_point`.  cache, when given, shares the class
+    arrays with other knots of a sweep (see `casson_gordon.shared_arrays`);
+    the point count check still runs.
     """
     p = part.p
     thr = 4 * g + 1
@@ -236,10 +236,11 @@ def verify_primary_part(
         raise ArithmeticError(f"isotropic point count mismatch at p={p}: {n} != {want}")
     if n == 0:
         return PrimeResult(p, 0, True, (), None)
-    assert_int64_budget(tables.scaled_sigma, tables.eta_arr, p, s1, thr)
+    S = tables.scaled_sigma
+    assert_int64_budget(S, p, s1, thr)
     _, scan = select_kernel()
     try:
-        first, best, sig_at, eta_at = scan(xs, tables.scaled_sigma, s1, p, thr)
+        first, best = scan(xs, S, s1, p, thr)
     except (ValueError, IndexError) as exc:  # a kernel bug, not bad input
         raise ArithmeticError(f"scan kernel failed at p={p}: {exc}") from exc
 
@@ -255,10 +256,11 @@ def verify_primary_part(
             i = bisect_left(rows, rep, key=lambda j: xs[j].tolist())
             if i == len(xs) or xs[i].tolist() != rep:
                 raise ArithmeticError(f"point {list(x)} has no class at p={p}")
-            if first[i] > 0:
-                witnesses.append(
-                    Witness(p, x, int(first[i]), Fraction(int(sig_at[i]), p), int(eta_at[i]), thr)
-                )
+            k = int(first[i])
+            if k > 0:
+                sig = sum(int(S[j, k * v % p]) for j, v in enumerate(x))
+                eta = len(x) - x.count(0) - 1
+                witnesses.append(Witness(p, x, k, Fraction(sig, p), eta, thr))
                 if len(witnesses) == max_witnesses:
                     break
     return PrimeResult(p, n, verified, tuple(witnesses), margin)

@@ -9,7 +9,7 @@ self-checks that no value lands in its ambiguity band, so a wrong
 threshold fails loudly instead of silently agreeing.  The scan oracle
 reads the package's sigma tables but none of its reductions: it checks
 every projective point at every multiplier 1..p-1.  The row-gather scan
-is the previous integer kernel, kept verbatim as the reference for the
+is the previous integer kernel, kept as the reference for the
 branch-and-bound kernel: it evaluates every class at every multiplier
 1..(p-1)/2 through a composed (r, p, (p-1)/2) table.  The grid oracle for
 the signature function reads the package's T(2,m) angle formula but not
@@ -378,7 +378,7 @@ def full_scan(points, tables, g: int, s1: int, max_witnesses: int):
 
 
 def loop_scan(xs, S, p: int, s1: int, thr: int, k_max: int | None = None):
-    """Per-row kernel outputs (first, best, sig_at, eta_at) by element-wise loops.
+    """Per-row kernel outputs (first, best) by element-wise loops.
 
     Every row of xs at every multiplier k = 1..k_max (default p-1),
     reading the scaled sigma table S directly and counting the support of
@@ -387,8 +387,7 @@ def loop_scan(xs, S, p: int, s1: int, thr: int, k_max: int | None = None):
     """
     out = []
     for x in xs.tolist():
-        first = sig_at = eta_at = 0
-        best = None
+        first, best = 0, None
         for k in range(1, p if k_max is None else k_max + 1):
             idx = [k * v % p for v in x]
             sig = sum(int(S[j, a]) for j, a in enumerate(idx))
@@ -397,8 +396,8 @@ def loop_scan(xs, S, p: int, s1: int, thr: int, k_max: int | None = None):
             val = abs(sig + p * s1) - p * eta
             best = val if best is None else max(best, val)
             if not first and val > p * thr:
-                first, sig_at, eta_at = k, sig, eta
-        out.append((first, best, sig_at, eta_at))
+                first = k
+        out.append((first, best))
     return tuple(np.array(col, dtype=np.int64) for col in zip(*out))
 
 
@@ -412,10 +411,9 @@ def scan_chunk(xs, T, s1, p, thr):
     """Row-gather kernel with the contract of `cgobstruct.kernels`, best exact.
 
     xs is an (n, r) int64 array of nonzero rows reduced into [0, p) and
-    T is `compose_multipliers(S, p)`.  Returns (first, best, sig_at,
-    eta_at), each an int64 array of length n.  Works in one (n, (p-1)/2)
-    buffer: |S + p*s1| is compared with the per-row bound p*(thr + eta),
-    and sig_at is gathered again at the first witnessing multiplier only.
+    T is `compose_multipliers(S, p)`.  Returns (first, best), each an
+    int64 array of length n.  Works in one (n, (p-1)/2) buffer: |S + p*s1|
+    is compared with the per-row bound p*(thr + eta).
     """
     n, r = xs.shape
     cols = xs.T
@@ -429,9 +427,7 @@ def scan_chunk(xs, T, s1, p, thr):
     at = hit.argmax(axis=1)
     has = hit[np.arange(n), at]
     best = val.max(axis=1) - p * eta
-    sig_at = sum(T[j, cols[j], at] for j in range(r))
-    first = np.where(has, at + 1, 0).astype(np.int64)
-    return first, best, np.where(has, sig_at, 0), np.where(has, eta, 0)
+    return np.where(has, at + 1, 0).astype(np.int64), best
 
 
 def assert_bounded_scan(got, xs, S, p: int, s1: int, thr: int) -> None:
@@ -446,25 +442,23 @@ def assert_bounded_scan(got, xs, S, p: int, s1: int, thr: int) -> None:
 def assert_bounded(got, want, one, block) -> None:
     """Check branch-and-bound kernel outputs against an exact scan.
 
-    want is an exact scan's (first, best, sig_at, eta_at), one its best at
-    k = 1 and block its best over k = 1..BLOCK.  first, sig_at and eta_at
-    must equal the exact scan's row by row.  best must be a lower bound on
-    the exact best with the same minimum.  A row left below its exact
-    value must have a witness inside the block and hold a running maximum:
-    over k = 1..BLOCK, or, when first == 1, over k = 1 alone or k =
-    1..BLOCK (a row witnessed at k = 1 is deepened only when its k = 1
-    bound might set the minimum).  best must be exact wherever the exact
-    value lies below the smallest best of the rows that may have been left
-    so (witnessed in the block, best equal to such a running maximum).
+    want is an exact scan's (first, best), one its best at k = 1 and block
+    its best over k = 1..BLOCK.  first must equal the exact scan's row by
+    row.  best must be a lower bound on the exact best with the same
+    minimum.  A row left below its exact value must have a witness inside
+    the block and hold a running maximum: over k = 1..BLOCK, or, when
+    first == 1, over k = 1 alone or k = 1..BLOCK (a row witnessed at k = 1
+    is deepened only when its k = 1 bound might set the minimum).  best
+    must be exact wherever the exact value lies below the smallest best of
+    the rows that may have been left so (witnessed in the block, best equal
+    to such a running maximum).
     """
     from cgobstruct.kernels import BLOCK
 
-    first, best, sig_at, eta_at = got
+    (first, best), (first_want, exact) = got, want
     for a, b in zip(got, want, strict=True):
         assert a.dtype == np.int64 and a.shape == b.shape
-    for a, b in ((first, want[0]), (sig_at, want[2]), (eta_at, want[3])):
-        assert np.array_equal(a, b), (a, b)
-    exact = want[1]
+    assert np.array_equal(first, first_want), (first, first_want)
     assert (best <= exact).all()
     if len(best):
         assert best.min() == exact.min()

@@ -129,6 +129,21 @@ def test_verify_p1000_golden_bytes(capsys):
     assert out.encode("utf-8") == (GOLDEN / "verify_p1000.json").read_bytes()
 
 
+UNVERIFIED = "T(2,3;2,7) # -T(2,5;2,7) # T(2,7) # T(2,3;2,11) # -T(2,11) # -T(2,5;2,11)"
+RANK5 = "T(2,3;2,83) # T(2,5;2,83) # -T(2,83) # -T(2,7;2,83) # T(2,11;2,83)"
+
+
+@pytest.mark.parametrize(
+    "knot, name, want_rc", [(UNVERIFIED, "verify_unverified.json", 1), (RANK5, "verify_rank5.json", 0)]
+)
+def test_verify_witness_values_golden_bytes(capsys, knot, name, want_rc):
+    # witnesses outside the family: sigma(-1) = 4 with both primes unverified
+    # (one witness at k = 4), and odd rank 5 with sigma(-1) = -82
+    rc, out, err = run(capsys, ["verify", "--knot", knot, "--format", "json"])
+    assert (rc, err) == (want_rc, "")
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_search_pool_golden_bytes(tmp_path, capsys, threads):
     ckpt = tmp_path / "sweep.jsonl"

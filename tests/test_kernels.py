@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,13 +41,12 @@ def scan_inputs(flagship):
 def test_numpy_kernel_shapes(scan_inputs):
     _, tab, xs = scan_inputs
     p = tab.p
-    first, best, sig_at, eta_at = scan(xs, tab.scaled_sigma, p, 0, 5)
+    first, best = scan(xs, tab.scaled_sigma, p, 0, 5)
     n = len(xs)
-    assert first.shape == best.shape == sig_at.shape == eta_at.shape == (n,)
-    assert first.dtype == best.dtype == sig_at.dtype == eta_at.dtype == np.int64
+    assert first.shape == best.shape == (n,)
+    assert first.dtype == best.dtype == np.int64
     assert (first > 0).all()  # flagship: every point witnessed
     assert (first <= (p - 1) // 2).all()
-    assert (best >= np.abs(sig_at) - p * eta_at).all()
 
 
 def test_compose_multipliers_layout():
@@ -63,14 +61,11 @@ def test_compose_multipliers_layout():
 
 
 def _against_check_point(part, tab, xs, s1):
-    p = tab.p
-    first, best, sig_at, eta_at = scan(xs, tab.scaled_sigma, p, s1, 5)
+    first, _ = scan(xs, tab.scaled_sigma, tab.p, s1, 5)
     for i in range(len(xs)):
         w = check_point(tuple(int(v) for v in xs[i]), part, tab, 1, s1)
         assert w is not None
         assert w.k == int(first[i])
-        assert w.sigma == Fraction(int(sig_at[i]), p)
-        assert w.eta == int(eta_at[i])
 
 
 def test_numpy_kernel_against_exact_reference(scan_inputs):
@@ -90,9 +85,9 @@ def test_kernel_unwitnessed_rows(scan_inputs, s1):
     # scanned in full and best is exact
     _, tab, xs = scan_inputs
     S, p, rows = tab.scaled_sigma, tab.p, xs[::25]
-    first, best, sig_at, eta_at = scan(rows, S, p, s1, 10**4)
-    assert not first.any() and not sig_at.any() and not eta_at.any()
-    assert_same((first, best, sig_at, eta_at), loop_scan(rows, S, p, s1, 10**4))
+    first, best = scan(rows, S, p, s1, 10**4)
+    assert not first.any()
+    assert_same((first, best), loop_scan(rows, S, p, s1, 10**4))
 
 
 @pytest.mark.parametrize("s1, thr", [(0, 5), (0, 9), (-4, 9), (12, 5), (5, 1)])
@@ -126,16 +121,16 @@ LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray, "strided": lambda 
     ],
 )
 def test_kernel_matches_row_gather_reference(scan_inputs, thr, layout):
-    # first, sig_at, eta_at and the minimum of best equal the previous kernel's,
-    # and the memory layout of xs changes no output
+    # first and the minimum of best equal the previous kernel's, and the
+    # memory layout of xs changes no output
     _, tab, xs = scan_inputs
     S, p = tab.scaled_sigma, tab.p
     rows = LAYOUTS[layout](xs)
     assert rows.flags.c_contiguous == (layout == "C") and rows.flags.f_contiguous == (layout == "F")
-    first, best, sig_at, eta_at = scan(rows, S, p, 3, thr)
-    assert_same((first, best, sig_at, eta_at), scan(np.ascontiguousarray(rows), S, p, 3, thr))
+    first, best = scan(rows, S, p, 3, thr)
+    assert_same((first, best), scan(np.ascontiguousarray(rows), S, p, 3, thr))
     want = scan_chunk(np.ascontiguousarray(rows), compose_multipliers(S, p), 3, p, thr)
-    assert_same((first, sig_at, eta_at), (want[0], want[2], want[3]))
+    assert_same((first,), (want[0],))
     assert best.min() == want[1].min() and (best <= want[1]).all()
 
 
@@ -276,8 +271,9 @@ def test_kernel_deepening_stops_a_full_scan():
 def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):
     # nothing is witnessed, so every class passes all three depths and is
     # scanned in full, in batches of CELLS // 146 and CELLS // 153 rows;
-    # beyond the four output arrays and the k = 1 miss indices (compacted in
-    # place into the seed), scratch stays within eight CELLS-cell blocks
+    # beyond the two output arrays, the per-row eta and the k = 1 miss
+    # indices (compacted in place into the seed), scratch stays within eight
+    # CELLS-cell blocks
     for tab, xs in p300_classes:
         S, p = tab.scaled_sigma, tab.p
         tracemalloc.start()
@@ -288,7 +284,7 @@ def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):
             tracemalloc.stop()
         assert not got[0].any()
         assert_same(got, reference(xs, S, p, 0, 10**6))
-        cap = 5 * 8 * len(xs) + 8 * 8 * CELLS
+        cap = 3 * 8 * len(xs) + 8 * 8 * CELLS
         assert peak < cap, f"scan peak {peak} B at p={p}, cap {cap} B"
 
 
@@ -302,10 +298,9 @@ def test_select_kernel_env():
 
 def test_budget_guard():
     S = np.full((4, 11), 2**61, dtype=np.int64)
-    E = np.zeros((4, 11), dtype=np.int64)
     with pytest.raises(OverflowError):
-        assert_int64_budget(S, E, 11, 0, 5)
-    assert_int64_budget(np.zeros((4, 11), np.int64), E, 11, 0, 5)
+        assert_int64_budget(S, 11, 0, 5)
+    assert_int64_budget(np.zeros((4, 11), np.int64), 11, 0, 5)
 
 
 def test_empty_chunk(scan_inputs):

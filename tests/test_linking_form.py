@@ -177,7 +177,7 @@ def test_classes_in_tiny_slabs_match_brute_force(monkeypatch, cells):
 
 
 def test_classes_memory_at_p307():
-    # 12,013 classes built slab by slab: the traced peak stays within 2.5x
+    # 12,013 classes built slab by slab: the traced peak stays within 2x
     # the bytes of the two arrays returned
     part = PrimaryPart(307, (0, 1, 2, 3), (1, -1, 1, -1))
     tracemalloc.start()
@@ -187,7 +187,7 @@ def test_classes_memory_at_p307():
     finally:
         tracemalloc.stop()
     assert len(xs) == 12013
-    assert peak <= 2.5 * (xs.nbytes + sizes.nbytes), (peak, xs.nbytes + sizes.nbytes)
+    assert peak <= 2.0 * (xs.nbytes + sizes.nbytes), (peak, xs.nbytes + sizes.nbytes)
 
 
 def test_classes_rank_below_two_empty():

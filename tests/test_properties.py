@@ -104,45 +104,42 @@ def test_signature_function_matches_per_piece_sweep(K):
     assert signature_function_samples(K) == piece_signature_samples(K)
 
 
-def _tables_with_peak(peak, r, p, thr, emax, negative):
-    """Sigma/eta tables and s1 whose int64 peak estimate is exactly peak.
+def _tables_with_peak(peak, r, p, thr, negative):
+    """A sigma table and s1 whose int64 peak estimate is exactly peak.
 
-    The estimate is r*max|S| + p*|s1| + p*(thr + r + r*max E); s1 is
-    chosen mod r (gcd(p, r) = 1 as p > r) so the rest divides by r.
+    The estimate is r*max|S| + p*|s1| + p*(thr + r); s1 is chosen mod r
+    (gcd(p, r) = 1 as p > r) so the rest divides by r.
     """
-    base = p * (thr + r + r * emax)
+    base = p * (thr + r)
     s1 = (peak - base) * pow(p, -1, r) % r
     smax, rem = divmod(peak - base - p * s1, r)
     assert rem == 0
     S = np.zeros((r, p), dtype=np.int64)
     S[r - 1, 1] = -smax if negative else smax
-    E = np.zeros((r, p), dtype=np.int64)
-    E[0, 1] = emax
-    return S, E, -s1 if negative else s1
+    return S, -s1 if negative else s1
 
 
 budget_inputs = st.tuples(
     st.integers(1, 8),
     st.sampled_from([p for p in PRIMES if p > 8]),
     st.integers(1, 41),
-    st.integers(0, 3),
     st.booleans(),
 )
 
 
 @given(budget_inputs)
 def test_int64_budget_passes_just_below_the_limit(args):
-    r, p, thr, emax, negative = args
-    S, E, s1 = _tables_with_peak(BUDGET - 1, r, p, thr, emax, negative)
-    assert_int64_budget(S, E, p, s1, thr)
+    r, p, thr, negative = args
+    S, s1 = _tables_with_peak(BUDGET - 1, r, p, thr, negative)
+    assert_int64_budget(S, p, s1, thr)
 
 
 @given(budget_inputs)
 def test_int64_budget_raises_at_the_limit(args):
-    r, p, thr, emax, negative = args
-    S, E, s1 = _tables_with_peak(BUDGET, r, p, thr, emax, negative)
+    r, p, thr, negative = args
+    S, s1 = _tables_with_peak(BUDGET, r, p, thr, negative)
     with pytest.raises(OverflowError):
-        assert_int64_budget(S, E, p, s1, thr)
+        assert_int64_budget(S, p, s1, thr)
 
 
 @st.composite
