@@ -19,13 +19,13 @@ row per piece from the same lattice count.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .knots import GAKnot
+from .knots import GAKnot, Piece
 from .primes import is_odd_prime
 from .signatures import RootOfUnity, lt_nullity, lt_signature
 
@@ -70,12 +70,7 @@ def sigma_cable(qc: int, p: int, a: int) -> Fraction:
 
 
 def _check_cable(qc: int, p: int, a: int = 0) -> None:
-    if qc < 1 or qc % 2 == 0:
-        raise ValueError(f"companion parameter must be odd and >= 1, got {qc}")
-    if not is_odd_prime(p):
-        raise ValueError(f"cable parameter must be an odd prime, got {p}")
-    if math.gcd(p, 2 * qc) != 1:
-        raise ValueError(f"need gcd(p, 2*qc) = 1, got p={p}, qc={qc}")
+    Piece(qc, p, 1)  # raises ValueError unless (qc, p) is a valid cable piece
     if not 0 <= a < p:
         raise ValueError(f"residue {a} out of range mod {p}")
 
@@ -149,40 +144,17 @@ class SigmaTable(NamedTuple):
     eta_arr: np.ndarray
 
 
-def shared_arrays(
-    cache: Optional[dict], key: tuple, build: Callable[..., tuple], *args
-) -> tuple[np.ndarray, ...]:
-    """build(*args), a tuple of arrays, kept in cache under key.
-
-    `search` owns one cache dict per sweep, so candidates that share a
-    prime reuse its arrays: keys are ("rows", q', p) for `_cable_rows`
-    and ("classes", p, signs) for the isotropic classes.  Cached arrays
-    are read-only, so no candidate can change what a later one reads.
-    With cache None (a verify), the arrays are built fresh every call.
-    """
-    if cache is None:
-        return build(*args)
-    out = cache.get(key)
-    if out is None:
-        out = cache[key] = build(*args)
-        for arr in out:
-            arr.flags.writeable = False
-    return out
-
-
-def build_sigma_tables(K: GAKnot, p: int, cache: Optional[dict] = None) -> SigmaTable:
+def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
     """Tabulate sign * sigma_cable and eta_cable over all residues mod p.
 
-    cache, when given, shares the per-piece rows (see `shared_arrays`);
-    the symmetry and eta checks still run on every table.
+    The per-piece rows come from the memo of `_cable_rows`, so knots that
+    share a (q', p) share its read-only rows; the symmetry and eta checks
+    still run on every table.
     """
     idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == p)
     if not idx:
         raise ValueError(f"{p} is not a cable prime of the knot")
-    rows = [
-        shared_arrays(cache, ("rows", qc, p), _cable_rows, qc, p)
-        for qc in (K.pieces[j].companion_q for j in idx)
-    ]
+    rows = [_cable_rows(K.pieces[j].companion_q, p) for j in idx]
     signs = np.array([[K.pieces[j].sign] for j in idx], dtype=np.int64)
     scaled = signs * np.array([sig for sig, _ in rows])
     etas = np.array([eta for _, eta in rows])
@@ -193,8 +165,12 @@ def build_sigma_tables(K: GAKnot, p: int, cache: Optional[dict] = None) -> Sigma
     return SigmaTable(p, idx, scaled, etas)
 
 
+@lru_cache(maxsize=None)
 def _cable_rows(qc: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """p * sigma_cable(qc, p, a) and eta_cable(qc, p, a) for a = 0..p-1, int64.
+
+    Memoised for the life of the process, so the arrays are read-only:
+    no caller can change what a later one reads.
 
     sigma_{T(2,qc)}(xi_p^a) is the lattice count of
     `signatures.torus_signature_at_angle` at angle 2a/p,
@@ -210,5 +186,6 @@ def _cable_rows(qc: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     sig = 2 * a * (p - a) - p * p + 2 * p * (2 * (qc * np.abs(p - 2 * a) // (2 * p)) - (qc - 1))
     sig[0] = 0
     order = p // np.gcd(a, p)
-    eta = 2 * ((2 * qc % order == 0) & (qc % order != 0) & (order != 2))
-    return sig, eta.astype(np.int64)
+    eta = (2 * ((2 * qc % order == 0) & (qc % order != 0) & (order != 2))).astype(np.int64)
+    sig.flags.writeable = eta.flags.writeable = False
+    return sig, eta

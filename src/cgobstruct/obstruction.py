@@ -25,9 +25,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .casson_gordon import SigmaTable, build_sigma_tables, shared_arrays
+import numpy as np
+
+from .casson_gordon import SigmaTable, build_sigma_tables
 from .kernels import assert_int64_budget, select_kernel
 from .knots import GAKnot
 from .linking_form import (
@@ -201,6 +204,20 @@ def check_point(
     return None
 
 
+@lru_cache(maxsize=None)
+def _isotropic_classes(p: int, signs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """`enumerate_isotropic_classes` of the part (p, signs), read-only.
+
+    The classes depend only on p and the signs, so a prime keeps one entry
+    whichever pieces of whichever knot it serves.  Memoised for the life of
+    the process; `_isotropic_classes.cache_clear()` frees the arrays.
+    """
+    out = enumerate_isotropic_classes(PrimaryPart(p, tuple(range(len(signs))), signs))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def verify_primary_part(
     part: PrimaryPart,
     tables: SigmaTable,
@@ -208,7 +225,6 @@ def verify_primary_part(
     s1: int,
     *,
     max_witnesses: int = 3,
-    cache: Optional[dict] = None,
 ) -> PrimeResult:
     """Scan every projective isotropic point of one primary part.
 
@@ -223,13 +239,14 @@ def verify_primary_part(
     the report does not depend on how far each class was scanned.
     Witnesses are the first points in enumeration order whose class is
     witnessed, with that k and with sigma and eta evaluated at the point
-    itself, as in `check_point`.  cache, when given, shares the class
-    arrays with other knots of a sweep (see `casson_gordon.shared_arrays`);
-    the point count check still runs.
+    itself, as in `check_point`; the walk over the points stops once every
+    witness is placed, and is skipped when no class is witnessed.  The
+    classes come from the memo of `_isotropic_classes`; the point count
+    check still runs on every call.
     """
     p = part.p
     thr = 4 * g + 1
-    xs, sizes = shared_arrays(cache, ("classes", p, part.signs), enumerate_isotropic_classes, part)
+    xs, sizes = _isotropic_classes(p, part.signs)
     n = int(sizes.sum())
     want = isotropic_point_count(part)
     if n != want:
@@ -249,7 +266,8 @@ def verify_primary_part(
     if verified != (margin > thr):
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
     witnesses: list[Witness] = []
-    if max_witnesses > 0:
+    wanted = min(max_witnesses, int(sizes[first > 0].sum()))
+    if wanted:
         rows = range(len(xs))  # lexicographic, so bisect finds a class exactly
         for x in enumerate_projective_isotropic(part):
             rep = [min(v, p - v) for v in x]
@@ -261,7 +279,7 @@ def verify_primary_part(
                 sig = sum(int(S[j, k * v % p]) for j, v in enumerate(x))
                 eta = len(x) - x.count(0) - 1
                 witnesses.append(Witness(p, x, k, Fraction(sig, p), eta, thr))
-                if len(witnesses) == max_witnesses:
+                if len(witnesses) == wanted:
                     break
     return PrimeResult(p, n, verified, tuple(witnesses), margin)
 
@@ -272,7 +290,6 @@ def genus_lower_bound(
     *,
     threads: int = 1,
     max_witnesses: int = 3,
-    cache: Optional[dict] = None,
 ) -> ObstructionReport:
     """Refute genus hypotheses g = 1..g_max and assemble the certificate.
 
@@ -282,8 +299,10 @@ def genus_lower_bound(
     smaller threshold, and qualification only shrinks with g), so the
     certified lower bound is (largest refuted g) + 1.  threads (>= 1) is
     accepted for callers that pass it and changes nothing: each prime is
-    one scan.  cache is the per-sweep dict of `search` (None builds every
-    table row and class array afresh); it never changes the report.
+    one scan.  Table rows and class arrays are memoised per (q', p) and
+    per (p, signs) for the life of the process (`casson_gordon._cable_rows`,
+    `_isotropic_classes`); they are pure functions of those values, so the
+    report never depends on what an earlier call built.
     """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
@@ -293,13 +312,11 @@ def genus_lower_bound(
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     parts = primary_parts(K)
     s1 = signature_at_minus_one(K)
-    tables = {part.p: build_sigma_tables(K, part.p, cache=cache) for part in parts}
+    tables = {part.p: build_sigma_tables(K, part.p) for part in parts}
 
     def verify_parts(parts: list[PrimaryPart], g: int) -> list[PrimeResult]:
         return [
-            verify_primary_part(
-                part, tables[part.p], g, s1, max_witnesses=max_witnesses, cache=cache
-            )
+            verify_primary_part(part, tables[part.p], g, s1, max_witnesses=max_witnesses)
             for part in parts
         ]
 

@@ -11,16 +11,17 @@ ranking key is configurable and recorded in the results.
 Each candidate runs the full genus pipeline; candidates certifying a
 lower bound of at least genus+1 are retained.  The sweep is one serial
 walk in ranking order.  Candidates share a prime's isotropic classes and
-its (q', p) sigma table rows through one cache that lives for a single
-sweep (see `casson_gordon.shared_arrays`); it grows with the number of
-distinct primes, about 5 MB per prime near 1000.  Every check of the
-pipeline still runs per candidate, so a record does not depend on what
-was cached.  Progress is checkpointed as JSON lines keyed by the
-candidate tuple, and a resumed sweep yields byte-identical results
-because every stage is deterministic.  Every checkpoint line also
-carries a "config" fingerprint (genus, require_algebraic, package
-version); a resume under a different fingerprint is refused rather than
-mixing verdicts of two configs.
+its (q', p) sigma table rows through the memos of the pipeline
+(`obstruction._isotropic_classes`, `casson_gordon._cable_rows`), which
+a verify uses too.  They grow with the number of distinct primes, about
+5 MB per prime near 1000, and live as long as the process (see
+`search`).  Every check of the pipeline still runs per candidate, so a
+record does not depend on what was memoised.  Progress is checkpointed
+as JSON lines keyed by the candidate tuple, and a resumed sweep yields
+byte-identical results because every stage is deterministic.  Every
+checkpoint line also carries a "config" fingerprint (genus,
+require_algebraic, package version); a resume under a different
+fingerprint is refused rather than mixing verdicts of two configs.
 
 Settings are strings under the keys of `SETTINGS`, from a config file or
 from flags; `config_from_settings` alone turns them into a `SearchConfig`.
@@ -184,14 +185,12 @@ def enumerate_candidates(cfg: SearchConfig) -> Iterator[tuple[int, int, int, int
     yield from out
 
 
-def _run_candidate(
-    cand: tuple[int, int, int, int, int], cfg: SearchConfig, cache: Optional[dict] = None
-) -> dict:
+def _run_candidate(cand: tuple[int, int, int, int, int], cfg: SearchConfig) -> dict:
     """One candidate -> checkpoint record (kept/rejected/error)."""
     record: dict = {"tuple": list(cand)}
     try:
         K = build_family(*cand)
-        report = genus_lower_bound(K, g_max=cfg.genus, cache=cache)
+        report = genus_lower_bound(K, g_max=cfg.genus)
         kept = report.genus.lower_bound >= cfg.genus + 1
         record["kept"] = kept
         record["margins"] = {
@@ -260,19 +259,22 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     raises ValueError.  Per-candidate errors become error records and
     never abort the sweep.  With cfg.limit, the sweep stops at the
     limit-th kept record: later candidates are neither evaluated nor
-    recorded.  Candidates run one at a time, in ranking order, sharing one
-    per-sweep cache of classes and table rows.
+    recorded.  Candidates run one at a time, in ranking order, sharing the
+    memoised classes and table rows of their primes.  The memos live as
+    long as the process, which in the CLI is one sweep; a caller running
+    many sweeps in one process frees them with
+    `obstruction._isotropic_classes.cache_clear()` and
+    `casson_gordon._cable_rows.cache_clear()`.
     """
     fingerprint = _fingerprint(cfg)
     done = _load_checkpoint(checkpoint, fingerprint)
-    cache: dict = {}
     kept: list[dict] = []
     sink = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     try:
         for cand in enumerate_candidates(cfg):
             rec = done.get(cand)
             if rec is None:
-                rec = _run_candidate(cand, cfg, cache)
+                rec = _run_candidate(cand, cfg)
                 if sink:
                     _append(sink, rec, fingerprint)
             if rec.get("kept"):

@@ -182,7 +182,7 @@ def test_sigma_table_asserts_row_symmetry(monkeypatch):
     real = cg._cable_rows
 
     def skewed(qc, p):  # perturb the scaled entry at a = 1 of the first row
-        sig, eta = real(qc, p)
+        sig, eta = (arr.copy() for arr in real(qc, p))
         if qc == 3:
             sig[1] += 1
         return sig, eta
@@ -201,7 +201,7 @@ def test_sigma_table_asserts_eta_vanishes(monkeypatch):
     real = cg._cable_rows
 
     def nonzero(qc, p):  # a nullity at a = 3 (and its conjugate) of the second row
-        sig, eta = real(qc, p)
+        sig, eta = (arr.copy() for arr in real(qc, p))
         if qc == 5:
             eta[3] = eta[4] = 2
         return sig, eta

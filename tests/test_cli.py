@@ -154,6 +154,24 @@ def test_search_pool_golden_bytes(tmp_path, capsys, threads):
     assert ckpt.read_bytes() == (GOLDEN / "search_pool.checkpoint.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_search_both_roles_golden_bytes(tmp_path, capsys, resumed):
+    # each of the five p-primes is p1 of some candidates and p2 of others, so
+    # its memoised classes and rows serve both roles; a resume from a
+    # checkpoint cut mid-line gives the same bytes
+    golden = (GOLDEN / "search_both_roles.checkpoint.jsonl").read_bytes()
+    ckpt = tmp_path / "sweep.jsonl"
+    if resumed:
+        cut = len(golden) // 2
+        assert b"\n" not in golden[cut - 1 : cut + 1]
+        ckpt.write_bytes(golden[:cut])
+    argv = ["search", "--p-set", "83,89,97,101,103", "--q-set", "11,13,17", "--format", "json"]
+    rc, out, err = run(capsys, [*argv, "--checkpoint", str(ckpt)])
+    assert (rc, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "search_both_roles.stdout.jsonl").read_bytes()
+    assert ckpt.read_bytes() == golden
+
+
 def test_verify_rejects_nonpositive_threads(capsys):
     for value in ("-2", "0"):
         rc, out, err = run(capsys, ["verify", *FLAGSHIP, "--threads", value, "--format", "csv"])
@@ -480,7 +498,7 @@ def test_nonzero_eta_cable_exit_3(capsys, monkeypatch):
     real = cg._cable_rows
 
     def nonzero(qc, p):  # a nullity at a = 5 (and its conjugate) mod 83
-        sig, eta = real(qc, p)
+        sig, eta = (arr.copy() for arr in real(qc, p))
         if p == 83:
             eta[5] = eta[78] = 2
         return sig, eta

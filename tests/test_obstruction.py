@@ -232,27 +232,29 @@ def test_family_parameters_matches_rebuilding_the_family(flagship):
 
 
 def test_sweep_cache_arrays_are_read_only(flagship):
-    cache: dict = {}
-    report = genus_lower_bound(flagship, cache=cache)
-    assert report == genus_lower_bound(flagship)
-    assert set(cache) == {
-        ("classes", 83, (1, -1, 1, -1)),
-        ("classes", 103, (1, -1, 1, -1)),
-        *(("rows", q, p) for p in (83, 103) for q in (1, 11, 13, 17)),
-    }
-    xs, sizes = cache[("classes", 83, (1, -1, 1, -1))]
-    with pytest.raises(ValueError, match="read-only"):
-        xs[0, 0] = 2
-    with pytest.raises(ValueError, match="read-only"):
-        sizes[0] = 0
-    sig, eta = cache[("rows", 17, 83)]
-    with pytest.raises(ValueError, match="read-only"):
-        sig[1] += 1
-    # a second knot over the same primes reads the cached arrays
-    assert genus_lower_bound(build_family(83, 103, 13, 11, 17), cache=cache) == genus_lower_bound(
-        build_family(83, 103, 13, 11, 17)
-    )
-    assert cache[("classes", 83, (1, -1, 1, -1))][0] is xs
+    # the memos keep one read-only entry per (p, signs) and per (q', p); 103
+    # serves as p2 of the first two knots and as p1 of the third
+    from cgobstruct.casson_gordon import _cable_rows
+    from cgobstruct.obstruction import _isotropic_classes
+
+    knots = [flagship, build_family(83, 103, 13, 11, 17), build_family(103, 107, 13, 11, 17)]
+    reports = [genus_lower_bound(knots[0])]
+    xs, sizes = _isotropic_classes(103, (1, -1, 1, -1))
+    sig, eta = _cable_rows(17, 103)
+    for arr in (xs, sizes, sig, eta):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    reports += [genus_lower_bound(K) for K in knots[1:]]
+    assert _isotropic_classes(103, (1, -1, 1, -1))[0] is xs
+    assert _cable_rows(17, 103)[0] is sig
+    parts = {(part.p, part.signs) for K in knots for part in primary_parts(K)}
+    rows = {(pc.companion_q, pc.cable_p) for K in knots for pc in K.pieces}
+    assert _isotropic_classes.cache_info().currsize == len(parts) == 3
+    assert _cable_rows.cache_info().currsize == len(rows) == 12
+    for K, report in zip(knots, reports):  # the same reports from fresh arrays
+        _isotropic_classes.cache_clear()
+        _cable_rows.cache_clear()
+        assert genus_lower_bound(K) == report
 
 
 def test_genus_lower_bound_rejects_bad_gmax(flagship):
@@ -314,3 +316,26 @@ def test_witness_point_without_class_is_internal_error(monkeypatch):
     assert verify_primary_part(part, tab, 1, s1, max_witnesses=0).points > 0
     with pytest.raises(ArithmeticError, match="has no class at p=7"):
         verify_primary_part(part, tab, 1, s1, max_witnesses=10**6)
+
+
+def test_witness_walk_stops_once_every_witness_is_placed(monkeypatch, flagship):
+    # the walk streams points only while a witness is still to be placed: none
+    # when no class is witnessed (p = 307 at g = 115), three at the flagship
+    import cgobstruct.obstruction as obstruction
+
+    stream, streamed = obstruction.enumerate_projective_isotropic, []
+
+    def counted(part):
+        for x in stream(part):
+            streamed.append(x)
+            yield x
+
+    monkeypatch.setattr(obstruction, "enumerate_projective_isotropic", counted)
+    K = build_family(293, 307, 17, 11, 13)
+    part = next(P for P in primary_parts(K) if P.p == 307)
+    res = verify_primary_part(part, build_sigma_tables(K, 307), 115, signature_at_minus_one(K))
+    assert (res.verified, res.witnesses, res.margin) == (False, (), 7)
+    assert streamed == []
+    part = primary_parts(flagship)[0]
+    res = verify_primary_part(part, build_sigma_tables(flagship, 83), 1, signature_at_minus_one(flagship))
+    assert res.verified and [w.x for w in res.witnesses] == streamed[:3] == streamed

@@ -154,15 +154,21 @@ def test_search_limit_stops_evaluating(tmp_path, monkeypatch, limit):
 
 
 def test_cached_sweep_records_match_uncached_runs(tmp_path):
-    # each p-prime meets both others, so its classes and (q', p) rows are
-    # reused by candidates with a different partner prime
+    # each p-prime meets the four others, as p1 or as p2, so its memoised
+    # classes and (q', p) rows are reused by candidates with other partners;
+    # every record must equal a run from arrays built afresh
+    from cgobstruct.casson_gordon import _cable_rows
+    from cgobstruct.obstruction import _isotropic_classes
+
     ckpt = tmp_path / "sweep.jsonl"
-    cfg = SearchConfig(p_primes=(83, 103, 107), q_primes=(11, 13, 17, 19))
+    cfg = SearchConfig(p_primes=(83, 89, 97, 101, 103), q_primes=(11, 13, 17, 19))
     search(cfg, checkpoint=str(ckpt))
     records = [json.loads(line) for line in ckpt.read_text().splitlines()]
     assert [tuple(r["tuple"]) for r in records] == list(enumerate_candidates(cfg))
-    assert len(records) == 36 and sum(r["kept"] for r in records) > 0
+    assert len(records) == 120 and sum(r["kept"] for r in records) > 0
     for rec in records:
+        _isotropic_classes.cache_clear()
+        _cable_rows.cache_clear()
         report = genus_lower_bound(build_family(*rec["tuple"]), g_max=1)
         margins = {str(pr.p): f"{pr.margin.numerator}/{pr.margin.denominator}" for pr in report.primes}
         assert rec["margins"] == margins, rec["tuple"]
