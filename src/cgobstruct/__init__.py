@@ -6,10 +6,10 @@ the double-branched-cover linking form, and certifies topological
 four-genus lower bounds by exhausting the signature inequality over all
 of them.  Includes a search mode over prime tuples.
 
-Records are `typing.NamedTuple`s or `__slots__` classes, not dataclasses:
-they are immutable and compare by value like frozen dataclasses, but
-defining them generates no code, which a cold CLI process would pay for
-at every import.
+Records are `typing.NamedTuple`s, not dataclasses: they are immutable
+and compare by value like frozen dataclasses, but defining them
+generates no code, which a cold CLI process would pay for at every
+import.
 """
 
 # set before the submodule imports: search.py stamps it into checkpoints

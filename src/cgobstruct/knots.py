@@ -5,7 +5,9 @@ A knot here is an ordered list of signed pieces, each piece being the
 parameter q' = 1 degenerates to an unknot companion, so the piece is the
 plain torus knot T(2,p).  A sign of -1 marks the reverse mirror image of
 the positive piece; every invariant computed in this package is blind to
-reversal, so only the mirror flag is stored.
+reversal, so only the mirror flag is stored.  The paper's eight-piece
+family is laid out once, in `_family_layout`, which `build_family`
+builds and `family_parameters` recognises.
 
 Alexander polynomials are never expanded: the slice-compatibility check
 (`fox_milnor_check`) pairs the structured factors that cabling produces,
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, NamedTuple
+from typing import NamedTuple, Optional
 
 from .primes import is_odd_prime
 
@@ -67,41 +69,20 @@ class Piece(_PieceFields):
         return body if self.sign > 0 else "-" + body
 
 
-class GAKnot:
-    """Ordered connected sum of pieces (n >= 1); immutable, equal by pieces."""
-
-    __slots__ = ("pieces",)
+class _KnotFields(NamedTuple):
     pieces: tuple[Piece, ...]
 
-    def __init__(self, pieces) -> None:
+
+class GAKnot(_KnotFields):
+    """Ordered connected sum of pieces (n >= 1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, pieces) -> "GAKnot":
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("a knot needs at least one piece")
-        object.__setattr__(self, "pieces", pieces)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        return self.pieces == other.pieces if type(other) is GAKnot else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.pieces)
-
-    def __repr__(self) -> str:
-        return f"GAKnot(pieces={self.pieces!r})"
-
-    def __reduce__(self):
-        return GAKnot, (self.pieces,)
-
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-    def __iter__(self) -> Iterator[Piece]:
-        return iter(self.pieces)
+        return super().__new__(cls, pieces)
 
     def __add__(self, other: "GAKnot") -> "GAKnot":
         """Connected sum: concatenation of piece lists."""
@@ -123,11 +104,17 @@ class GAKnot:
         return sum(1 for pc in self.pieces if pc.cable_p == p)
 
     def __str__(self) -> str:
-        out = str(self.pieces[0])
-        for pc in self.pieces[1:]:
-            s = str(pc)
-            out += " # -" + s[1:] if s.startswith("-") else " # " + s
-        return out
+        return " # ".join(map(str, self.pieces))
+
+
+def _family_layout(
+    p1: int, p2: int, q1: int, q2: int, q3: int
+) -> tuple[tuple[int, int, int], ...]:
+    """The family's 8 (companion_q, cable_p, sign) triples, in piece order."""
+    return (
+        (q1, p1, 1), (q2, p1, -1), (1, p1, 1), (q3, p1, -1),
+        (q2, p2, 1), (1, p2, -1), (q3, p2, 1), (q1, p2, -1),
+    )
 
 
 def build_family(p1: int, p2: int, q1: int, q2: int, q3: int) -> GAKnot:
@@ -149,18 +136,27 @@ def build_family(p1: int, p2: int, q1: int, q2: int, q3: int) -> GAKnot:
             raise ValueError(f"family parameters must be odd primes, got {v}")
     if len(set(params)) != 5:
         raise ValueError(f"family parameters must be pairwise distinct, got {params}")
-    return GAKnot(
-        (
-            Piece(q1, p1, +1),
-            Piece(q2, p1, -1),
-            Piece(1, p1, +1),
-            Piece(q3, p1, -1),
-            Piece(q2, p2, +1),
-            Piece(1, p2, -1),
-            Piece(q3, p2, +1),
-            Piece(q1, p2, -1),
-        )
-    )
+    return GAKnot(Piece(*t) for t in _family_layout(*params))
+
+
+def family_parameters(K: GAKnot) -> Optional[tuple[int, int, int, int, int]]:
+    """Recover (p1,p2,q1,q2,q3) if K is exactly a built family knot.
+
+    Compares the pieces with `_family_layout` directly.  Every `Piece` has
+    already checked that its cable parameter is an odd prime, so only the
+    companions need the prime check.
+    """
+    pc = K.pieces
+    if len(pc) != 8:
+        return None
+    p1, p2 = pc[0].cable_p, pc[4].cable_p
+    q1, q2, q3 = pc[0].companion_q, pc[1].companion_q, pc[3].companion_q
+    params = (p1, p2, q1, q2, q3)
+    if pc != _family_layout(*params) or len(set(params)) != 5 or not all(
+        map(is_odd_prime, (q1, q2, q3))
+    ):
+        return None
+    return params
 
 
 def is_algebraic_piece(piece: Piece) -> bool:

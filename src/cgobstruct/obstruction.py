@@ -32,7 +32,7 @@ import numpy as np
 
 from .casson_gordon import SigmaTable, build_sigma_tables
 from .kernels import assert_int64_budget, select_kernel
-from .knots import GAKnot
+from .knots import GAKnot, family_parameters
 from .linking_form import (
     PrimaryPart,
     PrimaryVector,
@@ -41,7 +41,6 @@ from .linking_form import (
     isotropic_point_count,
     primary_parts,
 )
-from .primes import is_odd_prime
 from .signatures import signature_at_minus_one
 
 SCHEMA_VERSION = 1
@@ -242,8 +241,12 @@ def verify_primary_part(
     itself, as in `check_point`; the walk over the points stops once every
     witness is placed, and is skipped when no class is witnessed.  The
     classes come from the memo of `_isotropic_classes`; the point count
-    check still runs on every call.
+    check still runs on every call.  Tables built for another prime or
+    other pieces raise ValueError.
     """
+    have, want = (tables.p, tables.piece_indices), (part.p, part.piece_indices)
+    if have != want:
+        raise ValueError(f"sigma tables for (p, pieces) = {have} do not belong to the part {want}")
     p = part.p
     thr = 4 * g + 1
     xs, sizes = _isotropic_classes(p, part.signs)
@@ -370,25 +373,3 @@ def genus_lower_bound(
         genus=GenusConclusion(tuple(refuted), lower, upper, source, tuple(justification)),
         notes=notes,
     )
-
-
-def family_parameters(K: GAKnot) -> Optional[tuple[int, int, int, int, int]]:
-    """Recover (p1,p2,q1,q2,q3) if K is exactly a built family knot.
-
-    Compares the pieces with `knots.build_family`'s layout directly.
-    Every `Piece` has already checked that its cable parameter is an odd
-    prime, so only the companions need the prime check.
-    """
-    pc = K.pieces
-    if len(pc) != 8:
-        return None
-    p1, p2 = pc[0].cable_p, pc[4].cable_p
-    q1, q2, q3 = pc[0].companion_q, pc[1].companion_q, pc[3].companion_q
-    layout = (
-        (q1, p1, 1), (q2, p1, -1), (1, p1, 1), (q3, p1, -1),
-        (q2, p2, 1), (1, p2, -1), (q3, p2, 1), (q1, p2, -1),
-    )
-    params = (p1, p2, q1, q2, q3)
-    if pc != layout or len(set(params)) != 5 or not all(map(is_odd_prime, (q1, q2, q3))):
-        return None
-    return params

@@ -190,21 +190,14 @@ def _run_candidate(cand: tuple[int, int, int, int, int], cfg: SearchConfig) -> d
     record: dict = {"tuple": list(cand)}
     try:
         K = build_family(*cand)
-        report = genus_lower_bound(K, g_max=cfg.genus)
-        kept = report.genus.lower_bound >= cfg.genus + 1
-        record["kept"] = kept
-        record["margins"] = {
-            str(pr.p): (
-                f"{pr.margin.numerator}/{pr.margin.denominator}"
-                if pr.margin is not None
-                else None
-            )
-            for pr in report.primes
-        }
+        report = genus_lower_bound(K, g_max=cfg.genus).to_dict()
+        lower = report["genus"]["lower_bound"]
+        record["kept"] = kept = lower >= cfg.genus + 1
+        record["margins"] = {str(pr["p"]): pr["margin"] for pr in report["primes"]}
         if kept:
-            record["report"] = report.to_dict()
+            record["report"] = report
         else:
-            record["lower_bound"] = report.genus.lower_bound
+            record["lower_bound"] = lower
     except Exception as exc:  # record, never abort the sweep
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record

@@ -131,14 +131,26 @@ def test_verify_p1000_golden_bytes(capsys):
 
 UNVERIFIED = "T(2,3;2,7) # -T(2,5;2,7) # T(2,7) # T(2,3;2,11) # -T(2,11) # -T(2,5;2,11)"
 RANK5 = "T(2,3;2,83) # T(2,5;2,83) # -T(2,83) # -T(2,7;2,83) # T(2,11;2,83)"
+FLAGSHIP_TERMS = (
+    "T(2,17;2,83) # -T(2,11;2,83) # T(2,83) # -T(2,13;2,83) # "
+    "T(2,11;2,103) # -T(2,103) # T(2,13;2,103) # -T(2,17;2,103)"
+)
 
 
 @pytest.mark.parametrize(
-    "knot, name, want_rc", [(UNVERIFIED, "verify_unverified.json", 1), (RANK5, "verify_rank5.json", 0)]
+    "knot, name, want_rc",
+    [
+        (UNVERIFIED, "verify_unverified.json", 1),
+        (RANK5, "verify_rank5.json", 0),
+        (FLAGSHIP_TERMS, "verify_flagship.json", 0),
+        ("family(83,103,17,11,13)", "verify_flagship.json", 0),
+    ],
 )
 def test_verify_witness_values_golden_bytes(capsys, knot, name, want_rc):
     # witnesses outside the family: sigma(-1) = 4 with both primes unverified
-    # (one witness at k = 4), and odd rank 5 with sigma(-1) = -82
+    # (one witness at k = 4), and odd rank 5 with sigma(-1) = -82; the flagship
+    # written as a knot string is recognised as the family, so its report
+    # records the upper bound 2 exactly as --family does
     rc, out, err = run(capsys, ["verify", "--knot", knot, "--format", "json"])
     assert (rc, err) == (want_rc, "")
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -127,6 +127,17 @@ def test_verify_primary_part_flagship(flagship):
             assert abs(w.sigma) > w.threshold + w.eta
 
 
+def test_verify_primary_part_refuses_another_primes_tables(flagship):
+    # p = 83 with the p = 103 tables read a margin of 741/83 instead of 7; the
+    # reverse pairing indexed past the table inside the scan kernel
+    s1 = signature_at_minus_one(flagship)
+    parts = primary_parts(flagship)
+    for part, other in zip(parts, reversed(parts)):
+        tab = build_sigma_tables(flagship, other.p)
+        with pytest.raises(ValueError, match=rf"do not belong to the part \({part.p}, "):
+            verify_primary_part(part, tab, 1, s1)
+
+
 def test_verify_thread_counts_agree(flagship):
     # each prime is one scan; threads is accepted and changes nothing
     a = genus_lower_bound(flagship, g_max=1, threads=1)
