@@ -82,6 +82,9 @@ class GAKnot(_KnotFields):
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("a knot needs at least one piece")
+        for pc in pieces:
+            if not isinstance(pc, Piece):
+                raise ValueError(f"a knot is built from Piece values, got {pc!r}")
         return super().__new__(cls, pieces)
 
     def __add__(self, other: "GAKnot") -> "GAKnot":

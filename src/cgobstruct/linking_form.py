@@ -14,7 +14,8 @@ sigma table row satisfies S[j,a] = S[j,p-a]), so the scan itself reads one
 representative per sign-flip class and weighs it by its orbit size.
 `enumerate_isotropic_classes` returns both as int64 arrays for the scan
 kernel, representatives column-major; `enumerate_projective_isotropic`
-streams every point lazily, and reports and witnesses use its points.
+streams every point lazily in the same order, and witnesses are the first
+of its points whose class is witnessed.
 """
 
 from __future__ import annotations

@@ -23,14 +23,13 @@ family shape.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .casson_gordon import SigmaTable, build_sigma_tables
+from .casson_gordon import SigmaTable, build_sigma_tables, eta_knot, sigma_knot
 from .kernels import assert_int64_budget, select_kernel
 from .knots import GAKnot, family_parameters
 from .linking_form import (
@@ -173,31 +172,26 @@ def _frac(x: Fraction) -> str:
 def check_point(
     x: PrimaryVector,
     part: PrimaryPart,
-    tables: SigmaTable,
+    K: GAKnot,
     g: int,
     sigma_minus_one: int,
 ) -> Optional[Witness]:
     """Exact reference scan of one point: first violating multiplier, if any.
 
-    Pure Fraction arithmetic, independent of the integer kernel; the
-    kernel is tested against this function.
+    Each multiplier k is evaluated through `sigma_knot` and `eta_knot` on
+    the character of k*x, so the reference reads no sigma table and shares
+    no code with the closed form of the kernel's rows; the kernel is
+    tested against this function.  part must be one of `primary_parts(K)`.
     """
-    if not any(v % part.p for v in x):
-        raise ValueError("check_point requires a nonzero vector")
     p = part.p
+    if part not in primary_parts(K):
+        raise ValueError(f"primary part at p={p} does not belong to the knot")
+    if not any(v % p for v in x):
+        raise ValueError("check_point requires a nonzero vector")
     thr = 4 * g + 1
     for k in range(1, p):
-        sig = Fraction(0)
-        support = 0
-        eta = 0
-        for i in range(part.rank):
-            a = (k * x[i]) % p
-            sig += Fraction(int(tables.scaled_sigma[i, a]), p)
-            eta += int(tables.eta_arr[i, a])
-            if a:
-                support += 1
-        if support:
-            eta += support - 1
+        chi = part.to_character(tuple(k * v for v in x), K)
+        sig, eta = sigma_knot(K, chi), eta_knot(K, chi)
         if abs(sig + sigma_minus_one) > thr + eta:
             return Witness(p, tuple(v % p for v in x), k, sig, eta, thr)
     return None
@@ -237,12 +231,14 @@ def verify_primary_part(
     witnessing k and a bound whose minimum is exact (see `kernels`), so
     the report does not depend on how far each class was scanned.
     Witnesses are the first points in enumeration order whose class is
-    witnessed, with that k and with sigma and eta evaluated at the point
-    itself, as in `check_point`; the walk over the points stops once every
-    witness is placed, and is skipped when no class is witnessed.  The
-    classes come from the memo of `_isotropic_classes`; the point count
-    check still runs on every call.  Tables built for another prime or
-    other pieces raise ValueError.
+    witnessed, with that k and with sigma and eta evaluated from the tables
+    at the point itself.  Each streamed point is folded to its class
+    representative (v -> min(v, p - v)) and looked up among the first
+    max_witnesses witnessed classes, which hold the first max_witnesses
+    witnessed points; the walk stops once every witness is placed, and is
+    skipped when no class is witnessed.  The classes come from the memo of
+    `_isotropic_classes`; the point count check still runs on every call.
+    Tables built for another prime or other pieces raise ValueError.
     """
     have, want = (tables.p, tables.piece_indices), (part.p, part.piece_indices)
     if have != want:
@@ -268,17 +264,16 @@ def verify_primary_part(
     margin = Fraction(int(best.min()), p)
     if verified != (margin > thr):
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
+    # the first n witnessed points lie in the first n witnessed classes: each
+    # representative is the smallest point of its orbit
+    idx = np.flatnonzero(first > 0)[:max_witnesses]
+    ks = dict(zip(map(tuple, xs[idx].tolist()), first[idx].tolist()))
+    wanted = min(max_witnesses, int(sizes[idx].sum()))
     witnesses: list[Witness] = []
-    wanted = min(max_witnesses, int(sizes[first > 0].sum()))
     if wanted:
-        rows = range(len(xs))  # lexicographic, so bisect finds a class exactly
         for x in enumerate_projective_isotropic(part):
-            rep = [min(v, p - v) for v in x]
-            i = bisect_left(rows, rep, key=lambda j: xs[j].tolist())
-            if i == len(xs) or xs[i].tolist() != rep:
-                raise ArithmeticError(f"point {list(x)} has no class at p={p}")
-            k = int(first[i])
-            if k > 0:
+            k = ks.get(tuple(min(v, p - v) for v in x))
+            if k:
                 sig = sum(int(S[j, k * v % p]) for j, v in enumerate(x))
                 eta = len(x) - x.count(0) - 1
                 witnesses.append(Witness(p, x, k, Fraction(sig, p), eta, thr))

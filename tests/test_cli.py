@@ -138,20 +138,25 @@ FLAGSHIP_TERMS = (
 
 
 @pytest.mark.parametrize(
-    "knot, name, want_rc",
+    "knot, name, want_rc, witnesses",
     [
-        (UNVERIFIED, "verify_unverified.json", 1),
-        (RANK5, "verify_rank5.json", 0),
-        (FLAGSHIP_TERMS, "verify_flagship.json", 0),
-        ("family(83,103,17,11,13)", "verify_flagship.json", 0),
+        (UNVERIFIED, "verify_unverified.json", 1, None),
+        (RANK5, "verify_rank5.json", 0, None),
+        (FLAGSHIP_TERMS, "verify_flagship.json", 0, None),
+        ("family(83,103,17,11,13)", "verify_flagship.json", 0, None),
+        (UNVERIFIED, "verify_unverified_w1000.json", 1, "1000"),
+        (RANK5, "verify_rank5_w40.json", 0, "40"),
     ],
 )
-def test_verify_witness_values_golden_bytes(capsys, knot, name, want_rc):
+def test_verify_witness_values_golden_bytes(capsys, knot, name, want_rc, witnesses):
     # witnesses outside the family: sigma(-1) = 4 with both primes unverified
     # (one witness at k = 4), and odd rank 5 with sigma(-1) = -82; the flagship
     # written as a knot string is recognised as the family, so its report
-    # records the upper bound 2 exactly as --family does
-    rc, out, err = run(capsys, ["verify", "--knot", knot, "--format", "json"])
+    # records the upper bound 2 exactly as --family does.  With --witnesses
+    # 1000 the unverified knot lists all 14 witnessed points and rank 5 lists
+    # 40; 9 and 20 of them are not class representatives
+    extra = ["--witnesses", witnesses] if witnesses else []
+    rc, out, err = run(capsys, ["verify", "--knot", knot, "--format", "json", *extra])
     assert (rc, err) == (want_rc, "")
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 

@@ -60,23 +60,23 @@ def test_compose_multipliers_layout():
                 assert T[j, a, k - 1] == S[j, k * a % 7]
 
 
-def _against_check_point(part, tab, xs, s1):
+def _against_check_point(K, part, tab, xs, s1):
     first, _ = scan(xs, tab.scaled_sigma, tab.p, s1, 5)
     for i in range(len(xs)):
-        w = check_point(tuple(int(v) for v in xs[i]), part, tab, 1, s1)
+        w = check_point(tuple(int(v) for v in xs[i]), part, K, 1, s1)
         assert w is not None
         assert w.k == int(first[i])
 
 
-def test_numpy_kernel_against_exact_reference(scan_inputs):
+def test_numpy_kernel_against_exact_reference(scan_inputs, flagship):
     part, tab, xs = scan_inputs
-    _against_check_point(part, tab, xs[:40], 0)
+    _against_check_point(flagship, part, tab, xs[:40], 0)
 
 
 @pytest.mark.parametrize("s1", [-4, 12])
-def test_kernel_against_exact_reference_nonzero_s1(scan_inputs, s1):
+def test_kernel_against_exact_reference_nonzero_s1(scan_inputs, flagship, s1):
     part, tab, xs = scan_inputs
-    _against_check_point(part, tab, xs[:40], s1)
+    _against_check_point(flagship, part, tab, xs[:40], s1)
 
 
 @pytest.mark.parametrize("s1", [0, 3, -7])

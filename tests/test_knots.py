@@ -36,6 +36,15 @@ def test_gaknot_needs_pieces():
         GAKnot(())
 
 
+@pytest.mark.parametrize("item", [(17, 83, 1), [17, 83, 1], "T(2,17;2,83)", None])
+def test_gaknot_refuses_items_that_are_not_pieces(item):
+    # a bare triple used to build a knot that failed later on pc.cable_p
+    with pytest.raises(ValueError, match="Piece"):
+        GAKnot([item])
+    with pytest.raises(ValueError, match="Piece"):
+        GAKnot((Piece(17, 83, 1), item))
+
+
 def test_build_family_flagship_piece_list():
     K = build_family(83, 103, 17, 11, 13)
     expect = [

@@ -35,17 +35,22 @@ def small_knot(p: int) -> GAKnot:
 
 def test_check_point_requires_nonzero(flagship):
     part = primary_parts(flagship)[0]
-    tab = build_sigma_tables(flagship, 83)
     with pytest.raises(ValueError):
-        check_point((0, 0, 0, 0), part, tab, 1, 0)
+        check_point((0, 0, 0, 0), part, flagship, 1, 0)
+
+
+def test_check_point_refuses_a_part_of_another_knot(flagship):
+    # the reference reads the knot, not tables, so a part must come from it
+    other = build_family(293, 307, 17, 11, 13)
+    with pytest.raises(ValueError, match="does not belong to the knot"):
+        check_point((0, 0, 1, 1), primary_parts(other)[0], flagship, 1, 0)
 
 
 def test_check_point_flagship_witness_everywhere(flagship):
     part = primary_parts(flagship)[0]
-    tab = build_sigma_tables(flagship, 83)
     pts = list(enumerate_projective_isotropic(part))
     for x in pts[:25] + pts[-25:]:
-        w = check_point(x, part, tab, 1, 0)
+        w = check_point(x, part, flagship, 1, 0)
         assert w is not None
         assert abs(w.sigma) > w.threshold + w.eta
         # the witness values match the direct evaluation
@@ -57,35 +62,32 @@ def test_check_point_flagship_witness_everywhere(flagship):
 def test_check_point_huge_genus_has_no_witness(flagship):
     # coarse bound: per piece |sigma term| <= p + 2(q'-1) so |sigma| < 460
     part = primary_parts(flagship)[0]
-    tab = build_sigma_tables(flagship, 83)
     pts = list(enumerate_projective_isotropic(part))
     for x in pts[:5]:
-        assert check_point(x, part, tab, 115, 0) is None
+        assert check_point(x, part, flagship, 115, 0) is None
 
 
 def test_scaling_invariance_exhaustive_small_primes():
     for p in (5, 7, 11, 13):
         K = small_knot(p)
         part = primary_parts(K)[0]
-        tab = build_sigma_tables(K, p)
         s1 = signature_at_minus_one(K)
         for x in enumerate_projective_isotropic(part):
-            base = check_point(x, part, tab, 1, s1)
+            base = check_point(x, part, K, 1, s1)
             for c in range(2, p):
                 scaled = tuple(c * v % p for v in x)
-                got = check_point(scaled, part, tab, 1, s1)
+                got = check_point(scaled, part, K, 1, s1)
                 assert (got is None) == (base is None), (p, x, c)
 
 
 def test_scaling_spot_check_flagship(flagship):
     part = primary_parts(flagship)[0]
-    tab = build_sigma_tables(flagship, 83)
     pts = list(enumerate_projective_isotropic(part))
     for x in pts[:3]:
-        base = check_point(x, part, tab, 1, 0)
+        base = check_point(x, part, flagship, 1, 0)
         for c in (2, 41, 82):
             scaled = tuple(c * v % 83 for v in x)
-            assert (check_point(scaled, part, tab, 1, 0) is None) == (base is None)
+            assert (check_point(scaled, part, flagship, 1, 0) is None) == (base is None)
 
 
 def test_verify_agrees_with_unreduced_brute_force():
@@ -306,27 +308,6 @@ def test_class_scan_matches_full_oracle_flagship(flagship):
     for part in primary_parts(flagship):
         for g in (1, 2):
             _against_full_oracle(flagship, part, g, 3 if g == 1 else 50)
-
-
-def test_witness_point_without_class_is_internal_error(monkeypatch):
-    # witnesses are placed by an exact lookup of each point's class; a point
-    # whose class is missing must not borrow its neighbour's values
-    import cgobstruct.obstruction as obstruction
-
-    K = GAKnot((Piece(3, 7, +1), Piece(9, 7, -1), Piece(1, 7, +1)))
-    [part] = primary_parts(K)
-    classes = obstruction.enumerate_isotropic_classes
-
-    def drop_first(part):  # the orbit moves to the next class, so the count holds
-        xs, sizes = classes(part)
-        sizes[1] += sizes[0]
-        return xs[1:], sizes[1:]
-
-    monkeypatch.setattr(obstruction, "enumerate_isotropic_classes", drop_first)
-    tab, s1 = build_sigma_tables(K, 7), signature_at_minus_one(K)
-    assert verify_primary_part(part, tab, 1, s1, max_witnesses=0).points > 0
-    with pytest.raises(ArithmeticError, match="has no class at p=7"):
-        verify_primary_part(part, tab, 1, s1, max_witnesses=10**6)
 
 
 def test_witness_walk_stops_once_every_witness_is_placed(monkeypatch, flagship):

@@ -1,8 +1,9 @@
 """Property tests: knot string round trips, the int64 budget boundary,
 the closed-form sigma table rows against a double precision eigenvalue
-count, the net-sign signature function against the per-piece sweep and
-the branch-and-bound scan kernel against an element-wise loop, on random
-and on adversarial tables and in blocks of a few cells."""
+count, the net-sign signature function against the per-piece sweep, the
+branch-and-bound scan kernel against an element-wise loop, on random
+and on adversarial tables and in blocks of a few cells, and whole
+primary-part results, witnesses included, against a point-by-point scan."""
 
 from fractions import Fraction
 
@@ -16,16 +17,20 @@ from cgobstruct import (
     GAKnot,
     Piece,
     build_sigma_tables,
+    enumerate_projective_isotropic,
     eta_cable,
     format_knot,
     parse_knot,
+    primary_parts,
+    signature_at_minus_one,
     signature_function_samples,
+    verify_primary_part,
 )
 from cgobstruct import kernels
 from cgobstruct.kernels import assert_int64_budget, scan_classes
 from cgobstruct.primes import odd_primes_in
 
-from oracles import assert_bounded_scan, eigen_signature, piece_signature_samples
+from oracles import assert_bounded_scan, eigen_signature, full_scan, piece_signature_samples
 
 PRIMES = odd_primes_in(3, 211)
 BUDGET = 2**62
@@ -84,6 +89,21 @@ def knots_with_repeats_and_mirrors(draw):
     base = draw(st.lists(small_pieces, min_size=1, max_size=5))
     extra = [pc.mirror() if draw(st.booleans()) else pc for pc in base if draw(st.booleans())]
     return GAKnot(draw(st.permutations(base + extra)))
+
+
+@settings(deadline=None)
+@given(st.lists(small_pieces, min_size=1, max_size=5).map(GAKnot))
+def test_verify_primary_part_matches_point_by_point_scan(K):
+    # witnesses are the first witnessed points of the stream, each with its
+    # class's smallest k, for any number asked for
+    s1 = signature_at_minus_one(K)
+    for part in primary_parts(K):
+        tab = build_sigma_tables(K, part.p)
+        points = list(enumerate_projective_isotropic(part))
+        for g in (1, 2):
+            for max_witnesses in (0, 1, 3, 10, 10**6):
+                got = verify_primary_part(part, tab, g, s1, max_witnesses=max_witnesses)
+                assert got == full_scan(points, tab, g, s1, max_witnesses)
 
 
 def _net_signs(K):
