@@ -16,13 +16,7 @@ from .casson_gordon import Character, eta_knot, sigma_knot
 from .knots import GAKnot, build_family, fox_milnor_check, parse_knot
 from .obstruction import genus_lower_bound
 from .search import SETTINGS, config_from_settings, parse_config_file, search
-from .signatures import (
-    RootOfUnity,
-    lt_nullity,
-    lt_signature,
-    signature_at_minus_one,
-    signature_function_samples,
-)
+from .signatures import RootOfUnity, lt_nullity, lt_signature, signature_function_samples
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,7 +121,7 @@ def cmd_verify(args) -> int:
     fm = fox_milnor_check(K)
     samples = signature_function_samples(K)
     diagnostics = {
-        "sigma_minus_one": signature_at_minus_one(K),
+        "sigma_minus_one": report.sigma_minus_one,
         "signature_function_zero": all(v == 0 for _, v in samples),
         "signature_arcs": len(samples),
         "fox_milnor_ok": fm.ok,

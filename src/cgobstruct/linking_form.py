@@ -46,6 +46,8 @@ class PrimaryPart(NamedTuple):
 
     def to_character(self, x: PrimaryVector, K: GAKnot) -> Character:
         """Place residue x_i on piece piece_indices[i], zero elsewhere."""
+        if len(x) != self.rank:
+            raise ValueError(f"vector length {len(x)} does not match rank {self.rank}")
         res = [0] * len(K.pieces)
         for i, j in enumerate(self.piece_indices):
             res[j] = x[i] % self.p

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .casson_gordon import SigmaTable, build_sigma_tables, eta_knot, sigma_knot
+from .casson_gordon import build_sigma_tables, eta_knot, sigma_knot
 from .kernels import assert_int64_budget, select_kernel
 from .knots import GAKnot, family_parameters
 from .linking_form import (
@@ -169,30 +169,30 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def check_point(
-    x: PrimaryVector,
-    part: PrimaryPart,
-    K: GAKnot,
-    g: int,
-    sigma_minus_one: int,
-) -> Optional[Witness]:
+def _own_part(part: PrimaryPart, K: GAKnot) -> None:
+    if part not in primary_parts(K):
+        raise ValueError(f"primary part at p={part.p} does not belong to the knot")
+
+
+def check_point(x: PrimaryVector, part: PrimaryPart, K: GAKnot, g: int) -> Optional[Witness]:
     """Exact reference scan of one point: first violating multiplier, if any.
 
     Each multiplier k is evaluated through `sigma_knot` and `eta_knot` on
-    the character of k*x, so the reference reads no sigma table and shares
-    no code with the closed form of the kernel's rows; the kernel is
-    tested against this function.  part must be one of `primary_parts(K)`.
+    the character of k*x, against sigma_K(-1) from `signature_at_minus_one`,
+    so the reference reads no sigma table and shares no code with the
+    closed form of the kernel's rows; the kernel is tested against this
+    function.  A part that is not one of `primary_parts(K)`, a zero vector
+    or one whose length is not the part's rank raises ValueError.
     """
+    _own_part(part, K)
     p = part.p
-    if part not in primary_parts(K):
-        raise ValueError(f"primary part at p={p} does not belong to the knot")
     if not any(v % p for v in x):
         raise ValueError("check_point requires a nonzero vector")
-    thr = 4 * g + 1
+    s1, thr = signature_at_minus_one(K), 4 * g + 1
     for k in range(1, p):
         chi = part.to_character(tuple(k * v for v in x), K)
         sig, eta = sigma_knot(K, chi), eta_knot(K, chi)
-        if abs(sig + sigma_minus_one) > thr + eta:
+        if abs(sig + s1) > thr + eta:
             return Witness(p, tuple(v % p for v in x), k, sig, eta, thr)
     return None
 
@@ -212,18 +212,14 @@ def _isotropic_classes(p: int, signs: tuple[int, ...]) -> tuple[np.ndarray, np.n
 
 
 def verify_primary_part(
-    part: PrimaryPart,
-    tables: SigmaTable,
-    g: int,
-    s1: int,
-    *,
-    max_witnesses: int = 3,
+    part: PrimaryPart, K: GAKnot, g: int, *, max_witnesses: int = 3
 ) -> PrimeResult:
-    """Scan every projective isotropic point of one primary part.
+    """Scan every projective isotropic point of one primary part of K.
 
-    tables are the knot's sigma tables at part.p and s1 its signature at
-    -1, which `genus_lower_bound` computes once per knot.  verified means
-    every point has a violating multiplier.  The kernel scans one
+    The sigma tables at part.p and s1 = sigma_K(-1) are derived from K
+    (`build_sigma_tables`, `signature_at_minus_one`); a part that is not
+    one of `primary_parts(K)` raises ValueError.  verified means every
+    point has a violating multiplier.  The kernel scans one
     representative per sign-flip class, which decides its whole
     orbit (the tables are symmetric under a -> p-a); points is the sum of
     orbit sizes, checked against the closed-form count, and margin the
@@ -238,13 +234,11 @@ def verify_primary_part(
     witnessed points; the walk stops once every witness is placed, and is
     skipped when no class is witnessed.  The classes come from the memo of
     `_isotropic_classes`; the point count check still runs on every call.
-    Tables built for another prime or other pieces raise ValueError.
     """
-    have, want = (tables.p, tables.piece_indices), (part.p, part.piece_indices)
-    if have != want:
-        raise ValueError(f"sigma tables for (p, pieces) = {have} do not belong to the part {want}")
+    _own_part(part, K)
     p = part.p
-    thr = 4 * g + 1
+    S = build_sigma_tables(K, p).scaled_sigma
+    s1, thr = signature_at_minus_one(K), 4 * g + 1
     xs, sizes = _isotropic_classes(p, part.signs)
     n = int(sizes.sum())
     want = isotropic_point_count(part)
@@ -252,7 +246,6 @@ def verify_primary_part(
         raise ArithmeticError(f"isotropic point count mismatch at p={p}: {n} != {want}")
     if n == 0:
         return PrimeResult(p, 0, True, (), None)
-    S = tables.scaled_sigma
     assert_int64_budget(S, p, s1, thr)
     _, scan = select_kernel()
     try:
@@ -297,10 +290,12 @@ def genus_lower_bound(
     smaller threshold, and qualification only shrinks with g), so the
     certified lower bound is (largest refuted g) + 1.  threads (>= 1) is
     accepted for callers that pass it and changes nothing: each prime is
-    one scan.  Table rows and class arrays are memoised per (q', p) and
-    per (p, signs) for the life of the process (`casson_gordon._cable_rows`,
-    `_isotropic_classes`); they are pure functions of those values, so the
-    report never depends on what an earlier call built.
+    one scan, `verify_primary_part`, which derives its sigma tables and
+    sigma_K(-1) from K.  Table rows and class arrays are memoised per
+    (q', p) and per (p, signs) for the life of the process
+    (`casson_gordon._cable_rows`, `_isotropic_classes`); they are pure
+    functions of those values, so the report never depends on what an
+    earlier call built.
     """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
@@ -309,14 +304,9 @@ def genus_lower_bound(
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     parts = primary_parts(K)
-    s1 = signature_at_minus_one(K)
-    tables = {part.p: build_sigma_tables(K, part.p) for part in parts}
 
     def verify_parts(parts: list[PrimaryPart], g: int) -> list[PrimeResult]:
-        return [
-            verify_primary_part(part, tables[part.p], g, s1, max_witnesses=max_witnesses)
-            for part in parts
-        ]
+        return [verify_primary_part(part, K, g, max_witnesses=max_witnesses) for part in parts]
 
     refuted: list[int] = []
     justification: list[str] = []
@@ -362,7 +352,7 @@ def genus_lower_bound(
     )
     return ObstructionReport(
         knot=str(K),
-        sigma_minus_one=s1,
+        sigma_minus_one=signature_at_minus_one(K),
         genus_hypothesis=g_report,
         primes=tuple(prime_results),
         genus=GenusConclusion(tuple(refuted), lower, upper, source, tuple(justification)),

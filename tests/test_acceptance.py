@@ -88,7 +88,7 @@ def test_flagship_every_point_has_violating_multiplier(flagship, flagship_report
         pts = list(enumerate_projective_isotropic(part))
         sample = pts[:: max(1, len(pts) // 64)]
         for x in sample:
-            w = check_point(x, part, flagship, 1, 0)
+            w = check_point(x, part, flagship, 1)
             assert w is not None
             assert abs(w.sigma) > 5 + w.eta
     parts = {part.p: part for part in primary_parts(flagship)}
@@ -147,7 +147,7 @@ def test_family_near_p_1000_certifies_with_margin_seven():
         assert pr.margin == Fraction(7)
         assert pr.witnesses
         for w in pr.witnesses:
-            assert check_point(w.x, parts[pr.p], K, 1, 0) == w
+            assert check_point(w.x, parts[pr.p], K, 1) == w
 
 
 def test_family_near_p_1000_report_bytes():
@@ -328,12 +328,11 @@ def test_slice_connected_sum_is_not_obstructed(capsys):
     K = parse_knot("T(2,5;2,7) # -T(2,5;2,7)")
     part = primary_parts(K)[0]
     assert part.p == 7
-    s1 = signature_at_minus_one(K)
-    assert s1 == 0
+    assert signature_at_minus_one(K) == 0
     diag = [x for x in enumerate_projective_isotropic(part)]
     assert diag == [(1, 1), (1, 6)]  # the diagonal classes x2 = +-x1
     for x in diag:
-        assert check_point(x, part, K, 1, s1) is None
+        assert check_point(x, part, K, 1) is None
 
 
 # -- invariant properties and determinism -------------------------------------
@@ -386,12 +385,11 @@ def test_check_point_verdict_scaling_invariant_exhaustive():
             (Piece(q1, p, 1), Piece(q2, p, -1), Piece(1, p, 1), Piece(q3, p, -1))
         )
         part = primary_parts(K)[0]
-        s1 = signature_at_minus_one(K)
         for x in enumerate_projective_isotropic(part):
-            verdict = check_point(x, part, K, 1, s1) is None
+            verdict = check_point(x, part, K, 1) is None
             for c in range(2, p):
                 scaled = tuple(c * v % p for v in x)
-                assert (check_point(scaled, part, K, 1, s1) is None) == verdict
+                assert (check_point(scaled, part, K, 1) is None) == verdict
 
 
 def test_report_json_byte_identical_across_threads(flagship):

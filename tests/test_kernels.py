@@ -3,7 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cgobstruct import build_family, build_sigma_tables, check_point, kernels, primary_parts
+from cgobstruct import (
+    GAKnot,
+    Piece,
+    build_family,
+    build_sigma_tables,
+    check_point,
+    kernels,
+    primary_parts,
+    signature_at_minus_one,
+)
 from cgobstruct.kernels import (
     BLOCK,
     CELLS,
@@ -60,23 +69,31 @@ def test_compose_multipliers_layout():
                 assert T[j, a, k - 1] == S[j, k * a % 7]
 
 
-def _against_check_point(K, part, tab, xs, s1):
-    first, _ = scan(xs, tab.scaled_sigma, tab.p, s1, 5)
+def _against_check_point(K, part, tab, xs):
+    first, _ = scan(xs, tab.scaled_sigma, tab.p, signature_at_minus_one(K), 5)
     for i in range(len(xs)):
-        w = check_point(tuple(int(v) for v in xs[i]), part, K, 1, s1)
+        w = check_point(tuple(int(v) for v in xs[i]), part, K, 1)
         assert w is not None
         assert w.k == int(first[i])
 
 
 def test_numpy_kernel_against_exact_reference(scan_inputs, flagship):
     part, tab, xs = scan_inputs
-    _against_check_point(flagship, part, tab, xs[:40], 0)
+    _against_check_point(flagship, part, tab, xs[:40])
 
 
-@pytest.mark.parametrize("s1", [-4, 12])
+# F # T(2,5) and F # -T(2,13): the extra piece moves sigma(-1) off 0 and
+# leaves the p = 83 part and its table as they are for F
+NONZERO_S1_TAILS = {-4: Piece(1, 5, +1), 12: Piece(1, 13, -1)}
+
+
+@pytest.mark.parametrize("s1", sorted(NONZERO_S1_TAILS))
 def test_kernel_against_exact_reference_nonzero_s1(scan_inputs, flagship, s1):
     part, tab, xs = scan_inputs
-    _against_check_point(flagship, part, tab, xs[:40], s1)
+    K = flagship + GAKnot((NONZERO_S1_TAILS[s1],))
+    assert signature_at_minus_one(K) == s1 and primary_parts(K)[0] == part
+    assert (build_sigma_tables(K, 83).scaled_sigma == tab.scaled_sigma).all()
+    _against_check_point(K, part, tab, xs[:40])
 
 
 @pytest.mark.parametrize("s1", [0, 3, -7])

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,21 +37,42 @@ def small_knot(p: int) -> GAKnot:
 def test_check_point_requires_nonzero(flagship):
     part = primary_parts(flagship)[0]
     with pytest.raises(ValueError):
-        check_point((0, 0, 0, 0), part, flagship, 1, 0)
+        check_point((0, 0, 0, 0), part, flagship, 1)
 
 
 def test_check_point_refuses_a_part_of_another_knot(flagship):
-    # the reference reads the knot, not tables, so a part must come from it
-    other = build_family(293, 307, 17, 11, 13)
-    with pytest.raises(ValueError, match="does not belong to the knot"):
-        check_point((0, 0, 1, 1), primary_parts(other)[0], flagship, 1, 0)
+    # both read the knot, so a part must come from it
+    for part in primary_parts(build_family(293, 307, 17, 11, 13)):
+        with pytest.raises(ValueError, match=rf"at p={part.p} does not belong to the knot"):
+            check_point((0, 0, 1, 1), part, flagship, 1)
+        with pytest.raises(ValueError, match=rf"at p={part.p} does not belong to the knot"):
+            verify_primary_part(part, flagship, 1)
+
+
+def test_readme_library_use_runs(capsys):
+    # the documented calls must run as written, so their signatures cannot go stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "verify_primary_part(part, K, 1)" in example
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("g₄^top = g₄ = 2\n{")
+
+
+def test_check_point_refuses_a_vector_of_another_length(flagship):
+    # a vector has one coordinate per piece of the part
+    part = primary_parts(flagship)[0]
+    for x in ((0, 0, 1, 1, 5), (0, 1)):
+        with pytest.raises(ValueError, match=rf"vector length {len(x)} does not match rank 4"):
+            check_point(x, part, flagship, 1)
+        with pytest.raises(ValueError, match=rf"vector length {len(x)} does not match rank 4"):
+            part.to_character(x, flagship)
 
 
 def test_check_point_flagship_witness_everywhere(flagship):
     part = primary_parts(flagship)[0]
     pts = list(enumerate_projective_isotropic(part))
     for x in pts[:25] + pts[-25:]:
-        w = check_point(x, part, flagship, 1, 0)
+        w = check_point(x, part, flagship, 1)
         assert w is not None
         assert abs(w.sigma) > w.threshold + w.eta
         # the witness values match the direct evaluation
@@ -64,19 +86,18 @@ def test_check_point_huge_genus_has_no_witness(flagship):
     part = primary_parts(flagship)[0]
     pts = list(enumerate_projective_isotropic(part))
     for x in pts[:5]:
-        assert check_point(x, part, flagship, 115, 0) is None
+        assert check_point(x, part, flagship, 115) is None
 
 
 def test_scaling_invariance_exhaustive_small_primes():
     for p in (5, 7, 11, 13):
         K = small_knot(p)
         part = primary_parts(K)[0]
-        s1 = signature_at_minus_one(K)
         for x in enumerate_projective_isotropic(part):
-            base = check_point(x, part, K, 1, s1)
+            base = check_point(x, part, K, 1)
             for c in range(2, p):
                 scaled = tuple(c * v % p for v in x)
-                got = check_point(scaled, part, K, 1, s1)
+                got = check_point(scaled, part, K, 1)
                 assert (got is None) == (base is None), (p, x, c)
 
 
@@ -84,10 +105,10 @@ def test_scaling_spot_check_flagship(flagship):
     part = primary_parts(flagship)[0]
     pts = list(enumerate_projective_isotropic(part))
     for x in pts[:3]:
-        base = check_point(x, part, flagship, 1, 0)
+        base = check_point(x, part, flagship, 1)
         for c in (2, 41, 82):
             scaled = tuple(c * v % 83 for v in x)
-            assert (check_point(scaled, part, flagship, 1, 0) is None) == (base is None)
+            assert (check_point(scaled, part, flagship, 1) is None) == (base is None)
 
 
 def test_verify_agrees_with_unreduced_brute_force():
@@ -97,7 +118,7 @@ def test_verify_agrees_with_unreduced_brute_force():
         K = small_knot(p)
         part = primary_parts(K)[0]
         s1 = signature_at_minus_one(K)
-        res = verify_primary_part(part, build_sigma_tables(K, p), 1, s1)
+        res = verify_primary_part(part, K, 1)
         brute_all_witnessed = True
         for x in sorted(brute_isotropic(p, part.signs)):
             if not any(x):
@@ -119,8 +140,7 @@ def test_verify_agrees_with_unreduced_brute_force():
 def test_verify_primary_part_flagship(flagship):
     for p, count in ((83, 7056), (103, 10816)):
         part = next(P for P in primary_parts(flagship) if P.p == p)
-        tab = build_sigma_tables(flagship, p)
-        res = verify_primary_part(part, tab, 1, signature_at_minus_one(flagship))
+        res = verify_primary_part(part, flagship, 1)
         assert res.points == count
         assert res.verified
         assert res.margin == 7
@@ -130,14 +150,16 @@ def test_verify_primary_part_flagship(flagship):
 
 
 def test_verify_primary_part_refuses_another_primes_tables(flagship):
-    # p = 83 with the p = 103 tables read a margin of 741/83 instead of 7; the
-    # reverse pairing indexed past the table inside the scan kernel
-    s1 = signature_at_minus_one(flagship)
+    # the tables are built from the part's own prime and pieces, so one
+    # prime's part carrying the other prime's pieces is refused, not scanned
+    # against the other prime's tables (which read a margin of 741/83 for 7)
     parts = primary_parts(flagship)
     for part, other in zip(parts, reversed(parts)):
-        tab = build_sigma_tables(flagship, other.p)
-        with pytest.raises(ValueError, match=rf"do not belong to the part \({part.p}, "):
-            verify_primary_part(part, tab, 1, s1)
+        swapped = part._replace(piece_indices=other.piece_indices)
+        with pytest.raises(ValueError, match=rf"at p={part.p} does not belong to the knot"):
+            verify_primary_part(swapped, flagship, 1)
+        with pytest.raises(ValueError, match=rf"at p={part.p} does not belong to the knot"):
+            check_point((0, 0, 1, 1), swapped, flagship, 1)
 
 
 def test_verify_thread_counts_agree(flagship):
@@ -278,7 +300,7 @@ def test_genus_lower_bound_rejects_bad_gmax(flagship):
 def _against_full_oracle(K, part, g, max_witnesses):
     tab = build_sigma_tables(K, part.p)
     s1 = signature_at_minus_one(K)
-    got = verify_primary_part(part, tab, g, s1, max_witnesses=max_witnesses)
+    got = verify_primary_part(part, K, g, max_witnesses=max_witnesses)
     want = full_scan(list(enumerate_projective_isotropic(part)), tab, g, s1, max_witnesses)
     assert got == want, (str(K), part.p, g)
     return got
@@ -325,9 +347,9 @@ def test_witness_walk_stops_once_every_witness_is_placed(monkeypatch, flagship):
     monkeypatch.setattr(obstruction, "enumerate_projective_isotropic", counted)
     K = build_family(293, 307, 17, 11, 13)
     part = next(P for P in primary_parts(K) if P.p == 307)
-    res = verify_primary_part(part, build_sigma_tables(K, 307), 115, signature_at_minus_one(K))
+    res = verify_primary_part(part, K, 115)
     assert (res.verified, res.witnesses, res.margin) == (False, (), 7)
     assert streamed == []
     part = primary_parts(flagship)[0]
-    res = verify_primary_part(part, build_sigma_tables(flagship, 83), 1, signature_at_minus_one(flagship))
+    res = verify_primary_part(part, flagship, 1)
     assert res.verified and [w.x for w in res.witnesses] == streamed[:3] == streamed

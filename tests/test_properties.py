@@ -20,6 +20,7 @@ from cgobstruct import (
     enumerate_projective_isotropic,
     eta_cable,
     format_knot,
+    genus_lower_bound,
     parse_knot,
     primary_parts,
     signature_at_minus_one,
@@ -102,8 +103,29 @@ def test_verify_primary_part_matches_point_by_point_scan(K):
         points = list(enumerate_projective_isotropic(part))
         for g in (1, 2):
             for max_witnesses in (0, 1, 3, 10, 10**6):
-                got = verify_primary_part(part, tab, g, s1, max_witnesses=max_witnesses)
+                got = verify_primary_part(part, K, g, max_witnesses=max_witnesses)
                 assert got == full_scan(points, tab, g, s1, max_witnesses)
+
+
+@settings(deadline=None)
+@given(knots_with_repeats_and_mirrors(), st.data())
+def test_shuffled_and_mirrored_knots_keep_prime_results_and_lower_bound(K, data):
+    # connected sum commutes and g4(-K) = g4(K). Primes are matched by p, as
+    # primary_parts follows first appearance. The upper bound and conclusion
+    # are not compared: family_parameters reads only the layout as written
+    assume(all(part.rank <= 6 for part in primary_parts(K)))
+
+    def results(K):
+        by_prime = {}
+        for part in primary_parts(K):
+            for g in (1, 2):
+                res = verify_primary_part(part, K, g)
+                by_prime[part.p, g] = (res.points, res.verified, res.margin)
+        return by_prime, genus_lower_bound(K, g_max=2).genus.lower_bound
+
+    want = results(K)
+    assert results(GAKnot(data.draw(st.permutations(K.pieces)))) == want
+    assert results(K.mirror()) == want
 
 
 def _net_signs(K):
