@@ -17,14 +17,13 @@ __version__ = "0.1.0"
 
 from .casson_gordon import (
     Character,
-    SigmaTable,
-    build_sigma_tables,
     eta_cable,
     eta_knot,
     sigma_cable,
     sigma_knot,
     sigma_torus,
 )
+from .kernels import SigmaTable, build_sigma_tables, enumerate_isotropic_classes
 from .knots import (
     FoxMilnorResult,
     GAKnot,
@@ -37,7 +36,6 @@ from .knots import (
 )
 from .linking_form import (
     PrimaryPart,
-    enumerate_isotropic_classes,
     enumerate_projective_isotropic,
     is_isotropic,
     primary_parts,

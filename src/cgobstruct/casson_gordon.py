@@ -11,23 +11,19 @@ sigma and preserve eta; a character with support of size s contributes an
 extra s-1 to the nullity of the sum.  The companion's signature is
 Litherland's lattice count (`signatures.lt_signature`), and nothing here
 uses floating point.  Exact rationals are Python Fractions throughout
-(denominators always divide the product of support primes); the
-scaled-integer tables consumed by the scan kernel clear the denominator
-by the prime p, so they are exact int64 values, built one integer numpy
-row per piece from the same lattice count.
+(denominators always divide the product of support primes); the int64
+tables of the scan, p times these values, are built in `kernels`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .knots import GAKnot, Piece
 from .primes import is_odd_prime
 from .signatures import RootOfUnity, lt_nullity, lt_signature
+
 
 class Character(NamedTuple):
     """One residue per piece: residues[j] = a_j mod cable prime p_j."""
@@ -122,70 +118,3 @@ def _check_character(K: GAKnot, chi: Character) -> None:
     for j, (a, pc) in enumerate(zip(chi.residues, K.pieces)):
         if not 0 <= a < pc.cable_p:
             raise ValueError(f"residue {a} at piece {j} not reduced mod {pc.cable_p}")
-
-
-class SigmaTable(NamedTuple):
-    """Per-prime lookup tables for the scan kernels.
-
-    For each piece j with cable prime p (in piece order):
-      scaled_sigma     int64 array, [i, a] = p * sign * sigma_cable  (exact)
-      eta_arr          int64 array of eta_cable
-    The scan depends on the conjugation symmetry entry[a] = entry[p-a] for
-    exactness: it lets the kernel stop at multiplier (p-1)/2 and read one
-    representative per sign-flip class of isotropic vectors.  The kernel
-    also takes eta of a character to be (support size - 1), which needs
-    every eta entry to be zero.  `build_sigma_tables` asserts both; row
-    index i follows piece_indices.
-    """
-
-    p: int
-    piece_indices: tuple[int, ...]
-    scaled_sigma: np.ndarray
-    eta_arr: np.ndarray
-
-
-def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
-    """Tabulate sign * sigma_cable and eta_cable over all residues mod p.
-
-    The per-piece rows come from the memo of `_cable_rows`, so knots that
-    share a (q', p) share its read-only rows; the symmetry and eta checks
-    still run on every table.
-    """
-    idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == p)
-    if not idx:
-        raise ValueError(f"{p} is not a cable prime of the knot")
-    rows = [_cable_rows(K.pieces[j].companion_q, p) for j in idx]
-    signs = np.array([[K.pieces[j].sign] for j in idx], dtype=np.int64)
-    scaled = signs * np.array([sig for sig, _ in rows])
-    etas = np.array([eta for _, eta in rows])
-    if etas.any():
-        raise ArithmeticError(f"nonzero eta_cable at p={p}: the scan kernel assumes it vanishes")
-    if not np.array_equal(scaled[:, 1:], scaled[:, :0:-1]):
-        raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
-    return SigmaTable(p, idx, scaled, etas)
-
-
-@lru_cache(maxsize=None)
-def _cable_rows(qc: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """p * sigma_cable(qc, p, a) and eta_cable(qc, p, a) for a = 0..p-1, int64.
-
-    Memoised for the life of the process, so the arrays are read-only:
-    no caller can change what a later one reads.
-
-    sigma_{T(2,qc)}(xi_p^a) is the lattice count of
-    `signatures.torus_signature_at_angle` at angle 2a/p,
-    2*floor(qc*|p-2a| / (2p)) - (qc-1), with no zero mode because p does
-    not divide qc*|p-2a|.  eta is the arithmetic Alexander-root condition
-    of `signatures.lt_nullity` on the order of xi_p^a.
-    """
-    _check_cable(qc, p)
-    bound = p * p + 2 * p * qc  # bounds |sigma| and every intermediate below
-    if bound > 2**62:
-        raise OverflowError(f"scaled sigma bound {bound} exceeds the int64 budget")
-    a = np.arange(p, dtype=np.int64)
-    sig = 2 * a * (p - a) - p * p + 2 * p * (2 * (qc * np.abs(p - 2 * a) // (2 * p)) - (qc - 1))
-    sig[0] = 0
-    order = p // np.gcd(a, p)
-    eta = (2 * ((2 * qc % order == 0) & (qc % order != 0) & (order != 2))).astype(np.int64)
-    sig.flags.writeable = eta.flags.writeable = False
-    return sig, eta

@@ -1,26 +1,42 @@
-"""Scan kernel: the integer hot loop deciding the inequality at every class.
+"""The int64 arrays of the genus check: sigma table rows, sign-flip
+classes and the branch-and-bound scan over them.
 
-All comparisons are exact in int64.  The sigma tables are pre-scaled by
-the prime p, so for a point x and multiplier k the checked inequality
+This is the only module that imports numpy.  The exact Fraction values
+are in `casson_gordon`, the linking form and its point stream in
+`linking_form`, and the tests check every array here against them.
+
+The table of a prime p holds, per piece j cabled over p, the row
+S[j, a] = p * sign * sigma_cable(q', p, a) for a = 0..p-1: exact int64
+values, as p clears the denominator.  For a point x and multiplier k the
+checked inequality
 
     |sigma + sigma_K(-1)| > (4g+1) + eta
 
 becomes   |S + p*s1| > p*((4g+1) + eta)   with S = sum_j S[j, k*x_j mod p].
 
-Multipliers run over k = 1..(p-1)/2 only.  Every table row is symmetric
-(S[j,a] = S[j,p-a]; `build_sigma_tables` asserts it), so k and p-k give
-the same value, the first witnessing k never exceeds (p-1)/2 and the
-maximum over the half range is the maximum over all k.  The same
-symmetry makes each row of xs stand for its whole sign-flip class (see
-`linking_form.enumerate_isotropic_classes`).
+The arrays rest on three invariants, stated here only:
 
-Eta invariant: the nullity of a character with support s is s - 1 plus
-the per-piece eta_cable values, and eta_cable is zero for every valid
-piece (gcd(p, 2q') = 1, so xi_p^a is never an Alexander root of
-T(2,q')); `build_sigma_tables` raises ArithmeticError otherwise.  As p is
-prime, k*x_j = 0 mod p only when x_j = 0, so the support of k*x is nnz(x)
-for every k and eta = nnz(x) - 1 is one number per row.  The kernel is
-exact only under this invariant.
+- Symmetry: every row has S[j, a] = S[j, p-a], and `build_sigma_tables`
+  raises ArithmeticError otherwise.  So k and p-k give the same value:
+  multipliers run over k = 1..(p-1)/2 only, the first witnessing k never
+  exceeds (p-1)/2 and the maximum over the half range is the maximum over
+  all k.  Negating any coordinate of x changes no value either, so the
+  scan reads one representative per sign-flip class
+  (`enumerate_isotropic_classes`), weighed by its orbit size.
+- Eta: the nullity of a character with support s is s - 1 plus the
+  per-piece eta_cable values, and eta_cable is zero for every valid
+  piece (gcd(p, 2q') = 1, so xi_p^a is never an Alexander root of
+  T(2,q')); `build_sigma_tables` raises ArithmeticError otherwise.  As p
+  is prime, k*x_j = 0 mod p only when x_j = 0, so the support of k*x is
+  nnz(x) for every k and eta = nnz(x) - 1 is one number per row.
+- Scratch: no temporary of the scan or of the class enumeration exceeds
+  CELLS int64 cells (64 KB), a size the allocator reuses instead of
+  mapping afresh.
+
+Table rows per (q', p) and classes per (p, signs) are memoised for the
+life of the process and read-only (`_cable_rows`, `isotropic_classes`;
+`cache_clear()` frees them), so no caller can change what a later one
+reads.
 
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
@@ -46,12 +62,11 @@ The result is exact: first is the first witness, and every class not
 settled to (p-1)/2 keeps an L >= U >= the minimum, so min(best) is the
 margin whatever depth each class reached.
 
-Scratch: no temporary exceeds CELLS int64 cells (64 KB), a size the
-allocator reuses instead of mapping afresh.  Depth 1 runs over blocks of
-CELLS rows, and settle over CELLS // depth rows (at least one), computing
-k*x mod p for the rows of its batch only.  Beyond its two outputs the
-scan keeps every row's eta and one index array: the classes depth 1
-leaves unwitnessed, compacted in place into the seed.
+In the scan, depth 1 runs over blocks of CELLS rows, and settle over
+CELLS // depth rows (at least one), computing k*x mod p for the rows of
+its batch only.  Beyond its two outputs the scan keeps every row's eta
+and one index array: the classes depth 1 leaves unwitnessed, compacted
+in place into the seed.
 
 Per row the kernel reports two facts: the first witnessing multiplier
 (0 when none) and a lower bound on best that is exact for every row able
@@ -61,10 +76,130 @@ are evaluated at the point, by `obstruction.verify_primary_part`.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from typing import NamedTuple
+
 import numpy as np
+
+from .knots import GAKnot, Piece
+from .linking_form import PrimaryPart, sqrt_table
 
 BLOCK = 4
 CELLS = 8192
+
+
+class SigmaTable(NamedTuple):
+    """The table of one prime: scaled_sigma[i] is the row S of piece
+    piece_indices[i] and eta_arr[i] its eta_cable row, both int64."""
+
+    p: int
+    piece_indices: tuple[int, ...]
+    scaled_sigma: np.ndarray
+    eta_arr: np.ndarray
+
+
+def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
+    """Tabulate p * sign * sigma_cable and eta_cable over all residues mod p.
+
+    The per-piece rows come from the memo of `_cable_rows`, so knots that
+    share a (q', p) share its read-only rows; the symmetry and eta checks
+    still run on every table.
+    """
+    idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == p)
+    if not idx:
+        raise ValueError(f"{p} is not a cable prime of the knot")
+    rows = [_cable_rows(K.pieces[j].companion_q, p) for j in idx]
+    signs = np.array([[K.pieces[j].sign] for j in idx], dtype=np.int64)
+    scaled = signs * np.array([sig for sig, _ in rows])
+    etas = np.array([eta for _, eta in rows])
+    if etas.any():
+        raise ArithmeticError(f"nonzero eta_cable at p={p}: the scan kernel assumes it vanishes")
+    if not np.array_equal(scaled[:, 1:], scaled[:, :0:-1]):
+        raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
+    return SigmaTable(p, idx, scaled, etas)
+
+
+@lru_cache(maxsize=None)
+def _cable_rows(qc: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """p * sigma_cable(qc, p, a) and eta_cable(qc, p, a) for a = 0..p-1, int64.
+
+    sigma_{T(2,qc)}(xi_p^a) is the lattice count of
+    `signatures.torus_signature_at_angle` at angle 2a/p,
+    2*floor(qc*|p-2a| / (2p)) - (qc-1), with no zero mode because p does
+    not divide qc*|p-2a|.  eta is the arithmetic Alexander-root condition
+    of `signatures.lt_nullity` on the order of xi_p^a.
+    """
+    Piece(qc, p, 1)  # raises ValueError unless (qc, p) is a valid cable piece
+    bound = p * p + 2 * p * qc  # bounds |sigma| and every intermediate below
+    if bound > 2**62:
+        raise OverflowError(f"scaled sigma bound {bound} exceeds the int64 budget")
+    a = np.arange(p, dtype=np.int64)
+    sig = 2 * a * (p - a) - p * p + 2 * p * (2 * (qc * np.abs(p - 2 * a) // (2 * p)) - (qc - 1))
+    sig[0] = 0
+    order = p // np.gcd(a, p)
+    eta = (2 * ((2 * qc % order == 0) & (qc % order != 0) & (order != 2))).astype(np.int64)
+    sig.flags.writeable = eta.flags.writeable = False
+    return sig, eta
+
+
+def enumerate_isotropic_classes(part: PrimaryPart) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-flip classes of projective isotropic vectors, as (xs, sizes).
+
+    Negating any coordinate keeps a vector isotropic, and negating the
+    leading 1 is the same projective point as negating all the others, so
+    the class of a normalized vector is every sign pattern on its nonzero
+    non-leading coordinates: orbit size 2^(that count).  The
+    representative is the lexicographically smallest member: non-leading
+    coordinates in [0, (p-1)/2], the last one the `sqrt_table` root.
+
+    xs is an (n, rank) int64 array of representatives in ascending
+    lexicographic order (per leading position, a C-order grid of the free
+    coordinates over [0, (p-1)/2], Q an outer sum of their squares, the
+    last one solved from it) and sizes their int64 orbit sizes, which sum
+    to the length of `linking_form.enumerate_projective_isotropic(part)`.
+    Each grid is built in slabs along its first axis, at most CELLS cells
+    or one row of it.  xs is column-major, built as (rank, n), so each
+    xs[:, j] is contiguous.
+    """
+    p, signs, r = part.p, part.signs, part.rank
+    if r < 2:
+        return np.zeros((0, r), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    roots = np.array(sqrt_table(p), dtype=np.int64)
+    neg_inv = -pow(signs[-1] % p, p - 2, p)
+    sq, blocks = np.arange((p + 1) // 2, dtype=np.int64) ** 2 % p, []
+    for lead in range(r - 2, -1, -1):
+        # the last coordinate is a root of t = -Q(the others)/eps_last mod p, over the grid
+        # of coordinates lead+1..r-2 (or of lead alone, set to 1, when that is empty)
+        rows = [neg_inv * e * sq % p for e in signs[lead + 1 : r - 1]] or [np.zeros(1, np.int64)]
+        inner = reduce(lambda a, b: np.add.outer(a, b) % p, rows[1:], np.zeros((), dtype=np.int64))
+        head, step = rows[0] + neg_inv * signs[lead] % p, max(1, CELLS // inner.size)
+        for v in range(0, len(head), step):
+            t = np.add.outer(head[v : v + step], inner)
+            t %= p
+            root = roots[t].ravel()
+            keep = np.flatnonzero(root >= 0)
+            x = np.zeros((r, len(keep)), dtype=np.int64)
+            x[r - 1 - t.ndim : r - 1] = np.unravel_index(keep, t.shape)
+            x[r - 1 - t.ndim] += v
+            x[lead] = 1
+            x[r - 1] = root[keep]
+            blocks.append(x)
+    cols = np.concatenate(blocks, axis=1)
+    del blocks  # release the slabs before the orbit sizes are built
+    return cols.T, 1 << (np.count_nonzero(cols, axis=0) - 1)
+
+
+@lru_cache(maxsize=None)
+def isotropic_classes(p: int, signs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """`enumerate_isotropic_classes` of the part (p, signs), memoised and read-only.
+
+    The classes depend only on p and the signs, so a prime keeps one entry
+    whichever pieces of whichever knot it serves.
+    """
+    out = enumerate_isotropic_classes(PrimaryPart(p, tuple(range(len(signs))), signs))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def scan_classes(xs, S, s1, p, thr):

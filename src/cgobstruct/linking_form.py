@@ -7,26 +7,17 @@ sum_i eps_i x_i^2 / p on F_p^{r_p}, and the characters relevant to the
 genus obstruction are its isotropic vectors.  Since the obstruction
 verdict is invariant under scaling a vector, enumeration works projectively:
 one representative per scalar class, first nonzero coordinate normalized
-to 1, ascending lexicographic order.
-
-The verdict is also invariant under negating single coordinates (every
-sigma table row satisfies S[j,a] = S[j,p-a]), so the scan itself reads one
-representative per sign-flip class and weighs it by its orbit size.
-`enumerate_isotropic_classes` returns both as int64 arrays for the scan
-kernel, representatives column-major; `enumerate_projective_isotropic`
-streams every point lazily in the same order, and witnesses are the first
-of its points whose class is witnessed.
+to 1, ascending lexicographic order.  `enumerate_projective_isotropic`
+streams every point lazily in that order; the scan reads the same points
+as int64 sign-flip classes (`kernels.enumerate_isotropic_classes`), and
+witnesses are the first streamed points whose class is witnessed.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
-from . import kernels
 from .casson_gordon import Character
 from .knots import GAKnot
 
@@ -131,50 +122,3 @@ def enumerate_projective_isotropic(part: PrimaryPart) -> Iterator[PrimaryVector]
         x[:] = [0] * r
         x[lead] = 1
         yield from rec(lead + 1, signs[lead] % p)
-
-
-def enumerate_isotropic_classes(part: PrimaryPart) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-flip classes of projective isotropic vectors, as (xs, sizes).
-
-    Negating any coordinate keeps a vector isotropic, and negating the
-    leading 1 is the same projective point as negating all the others, so
-    the class of a normalized vector is every sign pattern on its nonzero
-    non-leading coordinates: orbit size 2^(that count).  The
-    representative is the lexicographically smallest member: non-leading
-    coordinates in [0, (p-1)/2], the last one the `sqrt_table` root.
-
-    xs is an (n, rank) int64 array of representatives in ascending
-    lexicographic order (per leading position, a C-order grid of the free
-    coordinates over [0, (p-1)/2], Q an outer sum of their squares, the
-    last one solved from it) and sizes their int64 orbit sizes, which sum
-    to the length of `enumerate_projective_isotropic(part)`.  Each grid is
-    built in slabs along its first axis, at most `kernels.CELLS` cells or
-    one row of it.  xs is column-major, built as (rank, n), so each
-    xs[:, j] is contiguous.
-    """
-    p, signs, r = part.p, part.signs, part.rank
-    if r < 2:
-        return np.zeros((0, r), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    roots = np.array(sqrt_table(p), dtype=np.int64)
-    neg_inv = -pow(signs[-1] % p, p - 2, p)
-    sq, blocks = np.arange((p + 1) // 2, dtype=np.int64) ** 2 % p, []
-    for lead in range(r - 2, -1, -1):
-        # the last coordinate is a root of t = -Q(the others)/eps_last mod p, over the grid
-        # of coordinates lead+1..r-2 (or of lead alone, set to 1, when that is empty)
-        rows = [neg_inv * e * sq % p for e in signs[lead + 1 : r - 1]] or [np.zeros(1, np.int64)]
-        inner = reduce(lambda a, b: np.add.outer(a, b) % p, rows[1:], np.zeros((), dtype=np.int64))
-        head, step = rows[0] + neg_inv * signs[lead] % p, max(1, kernels.CELLS // inner.size)
-        for v in range(0, len(head), step):
-            t = np.add.outer(head[v : v + step], inner)
-            t %= p
-            root = roots[t].ravel()
-            keep = np.flatnonzero(root >= 0)
-            x = np.zeros((r, len(keep)), dtype=np.int64)
-            x[r - 1 - t.ndim : r - 1] = np.unravel_index(keep, t.shape)
-            x[r - 1 - t.ndim] += v
-            x[lead] = 1
-            x[r - 1] = root[keep]
-            blocks.append(x)
-    cols = np.concatenate(blocks, axis=1)
-    del blocks  # release the slabs before the orbit sizes are built
-    return cols.T, 1 << (np.count_nonzero(cols, axis=0) - 1)

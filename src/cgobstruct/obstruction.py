@@ -24,18 +24,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
-import numpy as np
-
-from .casson_gordon import build_sigma_tables, eta_knot, sigma_knot
-from .kernels import assert_int64_budget, select_kernel
+from .casson_gordon import eta_knot, sigma_knot
+from .kernels import assert_int64_budget, build_sigma_tables, isotropic_classes, select_kernel
 from .knots import GAKnot, family_parameters
 from .linking_form import (
     PrimaryPart,
     PrimaryVector,
-    enumerate_isotropic_classes,
     enumerate_projective_isotropic,
     isotropic_point_count,
     primary_parts,
@@ -169,9 +165,11 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _own_part(part: PrimaryPart, K: GAKnot) -> None:
+def _check_args(part: PrimaryPart, K: GAKnot, g: int) -> None:
     if part not in primary_parts(K):
         raise ValueError(f"primary part at p={part.p} does not belong to the knot")
+    if g < 0:
+        raise ValueError(f"genus hypothesis must be >= 0, got {g}")
 
 
 def check_point(x: PrimaryVector, part: PrimaryPart, K: GAKnot, g: int) -> Optional[Witness]:
@@ -181,10 +179,11 @@ def check_point(x: PrimaryVector, part: PrimaryPart, K: GAKnot, g: int) -> Optio
     the character of k*x, against sigma_K(-1) from `signature_at_minus_one`,
     so the reference reads no sigma table and shares no code with the
     closed form of the kernel's rows; the kernel is tested against this
-    function.  A part that is not one of `primary_parts(K)`, a zero vector
-    or one whose length is not the part's rank raises ValueError.
+    function.  A part that is not one of `primary_parts(K)`, a negative g,
+    a zero vector or one whose length is not the part's rank raises
+    ValueError.
     """
-    _own_part(part, K)
+    _check_args(part, K, g)
     p = part.p
     if not any(v % p for v in x):
         raise ValueError("check_point requires a nonzero vector")
@@ -197,20 +196,6 @@ def check_point(x: PrimaryVector, part: PrimaryPart, K: GAKnot, g: int) -> Optio
     return None
 
 
-@lru_cache(maxsize=None)
-def _isotropic_classes(p: int, signs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """`enumerate_isotropic_classes` of the part (p, signs), read-only.
-
-    The classes depend only on p and the signs, so a prime keeps one entry
-    whichever pieces of whichever knot it serves.  Memoised for the life of
-    the process; `_isotropic_classes.cache_clear()` frees the arrays.
-    """
-    out = enumerate_isotropic_classes(PrimaryPart(p, tuple(range(len(signs))), signs))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 def verify_primary_part(
     part: PrimaryPart, K: GAKnot, g: int, *, max_witnesses: int = 3
 ) -> PrimeResult:
@@ -218,28 +203,29 @@ def verify_primary_part(
 
     The sigma tables at part.p and s1 = sigma_K(-1) are derived from K
     (`build_sigma_tables`, `signature_at_minus_one`); a part that is not
-    one of `primary_parts(K)` raises ValueError.  verified means every
-    point has a violating multiplier.  The kernel scans one
-    representative per sign-flip class, which decides its whole
-    orbit (the tables are symmetric under a -> p-a); points is the sum of
-    orbit sizes, checked against the closed-form count, and margin the
-    minimum over representatives.  The kernel returns each class's first
-    witnessing k and a bound whose minimum is exact (see `kernels`), so
-    the report does not depend on how far each class was scanned.
-    Witnesses are the first points in enumeration order whose class is
-    witnessed, with that k and with sigma and eta evaluated from the tables
-    at the point itself.  Each streamed point is folded to its class
-    representative (v -> min(v, p - v)) and looked up among the first
-    max_witnesses witnessed classes, which hold the first max_witnesses
-    witnessed points; the walk stops once every witness is placed, and is
-    skipped when no class is witnessed.  The classes come from the memo of
-    `_isotropic_classes`; the point count check still runs on every call.
+    one of `primary_parts(K)`, a negative g or a negative max_witnesses
+    raises ValueError.  verified means every point has a violating
+    multiplier.  The kernel scans one representative per sign-flip class
+    (`kernels.isotropic_classes`), which decides its whole orbit; points
+    is the sum of orbit sizes, checked against the closed-form count on
+    every call, and margin the minimum over representatives.  The kernel
+    returns each class's first witnessing k and a bound whose minimum is
+    exact, so the report does not depend on how far each class was
+    scanned.  Witnesses are the first points in enumeration order whose
+    class is witnessed, with that k and with sigma and eta evaluated from
+    the tables at the point itself.  Each streamed point is folded to its
+    class representative (v -> min(v, p - v)) and looked up among the
+    first max_witnesses witnessed classes, which hold the first
+    max_witnesses witnessed points; the walk stops once every witness is
+    placed, and is skipped when no class is witnessed.
     """
-    _own_part(part, K)
+    _check_args(part, K, g)
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     p = part.p
     S = build_sigma_tables(K, p).scaled_sigma
     s1, thr = signature_at_minus_one(K), 4 * g + 1
-    xs, sizes = _isotropic_classes(p, part.signs)
+    xs, sizes = isotropic_classes(p, part.signs)
     n = int(sizes.sum())
     want = isotropic_point_count(part)
     if n != want:
@@ -259,7 +245,7 @@ def verify_primary_part(
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
     # the first n witnessed points lie in the first n witnessed classes: each
     # representative is the smallest point of its orbit
-    idx = np.flatnonzero(first > 0)[:max_witnesses]
+    idx = (first > 0).nonzero()[0][:max_witnesses]
     ks = dict(zip(map(tuple, xs[idx].tolist()), first[idx].tolist()))
     wanted = min(max_witnesses, int(sizes[idx].sum()))
     witnesses: list[Witness] = []
@@ -267,7 +253,7 @@ def verify_primary_part(
         for x in enumerate_projective_isotropic(part):
             k = ks.get(tuple(min(v, p - v) for v in x))
             if k:
-                sig = sum(int(S[j, k * v % p]) for j, v in enumerate(x))
+                sig = sum(S.item(j, k * v % p) for j, v in enumerate(x))
                 eta = len(x) - x.count(0) - 1
                 witnesses.append(Witness(p, x, k, Fraction(sig, p), eta, thr))
                 if len(witnesses) == wanted:
@@ -293,7 +279,7 @@ def genus_lower_bound(
     one scan, `verify_primary_part`, which derives its sigma tables and
     sigma_K(-1) from K.  Table rows and class arrays are memoised per
     (q', p) and per (p, signs) for the life of the process
-    (`casson_gordon._cable_rows`, `_isotropic_classes`); they are pure
+    (`kernels._cable_rows`, `kernels.isotropic_classes`); they are pure
     functions of those values, so the report never depends on what an
     earlier call built.
     """

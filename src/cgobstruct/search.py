@@ -12,7 +12,7 @@ Each candidate runs the full genus pipeline; candidates certifying a
 lower bound of at least genus+1 are retained.  The sweep is one serial
 walk in ranking order.  Candidates share a prime's isotropic classes and
 its (q', p) sigma table rows through the memos of the pipeline
-(`obstruction._isotropic_classes`, `casson_gordon._cable_rows`), which
+(`kernels.isotropic_classes`, `kernels._cable_rows`), which
 a verify uses too.  They grow with the number of distinct primes, about
 5 MB per prime near 1000, and live as long as the process (see
 `search`).  Every check of the pipeline still runs per candidate, so a
@@ -256,8 +256,8 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     memoised classes and table rows of their primes.  The memos live as
     long as the process, which in the CLI is one sweep; a caller running
     many sweeps in one process frees them with
-    `obstruction._isotropic_classes.cache_clear()` and
-    `casson_gordon._cable_rows.cache_clear()`.
+    `kernels.isotropic_classes.cache_clear()` and
+    `kernels._cable_rows.cache_clear()`.
     """
     fingerprint = _fingerprint(cfg)
     done = _load_checkpoint(checkpoint, fingerprint)

@@ -1,8 +1,7 @@
 import pytest
 
 from cgobstruct import build_family, genus_lower_bound
-from cgobstruct.casson_gordon import _cable_rows
-from cgobstruct.obstruction import _isotropic_classes
+from cgobstruct.kernels import _cable_rows, isotropic_classes
 
 
 @pytest.fixture(autouse=True)
@@ -10,7 +9,7 @@ def fresh_memos():
     # every test builds its own table rows and classes, so a patched builder
     # is always called and no test reads arrays another one built
     _cable_rows.cache_clear()
-    _isotropic_classes.cache_clear()
+    isotropic_classes.cache_clear()
 
 
 @pytest.fixture(scope="session")

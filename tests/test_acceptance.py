@@ -21,7 +21,6 @@ from cgobstruct import (
     PrimaryPart,
     RootOfUnity,
     build_family,
-    build_sigma_tables,
     check_point,
     enumerate_projective_isotropic,
     eta_knot,

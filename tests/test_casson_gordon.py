@@ -7,7 +7,6 @@ from cgobstruct import (
     Character,
     GAKnot,
     Piece,
-    build_family,
     build_sigma_tables,
     eta_cable,
     eta_knot,
@@ -176,10 +175,10 @@ def test_sigma_table_rejects_foreign_prime(flagship):
 
 def test_sigma_table_asserts_row_symmetry(monkeypatch):
     # the class scan is exact only if every row has entry[a] == entry[p-a]
-    import cgobstruct.casson_gordon as cg
+    from cgobstruct import kernels
 
     K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
-    real = cg._cable_rows
+    real = kernels._cable_rows
 
     def skewed(qc, p):  # perturb the scaled entry at a = 1 of the first row
         sig, eta = (arr.copy() for arr in real(qc, p))
@@ -187,18 +186,18 @@ def test_sigma_table_asserts_row_symmetry(monkeypatch):
             sig[1] += 1
         return sig, eta
 
-    monkeypatch.setattr(cg, "_cable_rows", skewed)
+    monkeypatch.setattr(kernels, "_cable_rows", skewed)
     with pytest.raises(ArithmeticError, match="not symmetric"):
-        cg.build_sigma_tables(K, 7)
+        kernels.build_sigma_tables(K, 7)
 
 
 def test_sigma_table_asserts_eta_vanishes(monkeypatch):
     # the scan kernel takes eta = support - 1, exact only while eta_cable is 0
-    import cgobstruct.casson_gordon as cg
+    from cgobstruct import kernels
 
     K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
-    assert not cg.build_sigma_tables(K, 7).eta_arr.any()
-    real = cg._cable_rows
+    assert not kernels.build_sigma_tables(K, 7).eta_arr.any()
+    real = kernels._cable_rows
 
     def nonzero(qc, p):  # a nullity at a = 3 (and its conjugate) of the second row
         sig, eta = (arr.copy() for arr in real(qc, p))
@@ -206,6 +205,6 @@ def test_sigma_table_asserts_eta_vanishes(monkeypatch):
             eta[3] = eta[4] = 2
         return sig, eta
 
-    monkeypatch.setattr(cg, "_cable_rows", nonzero)
+    monkeypatch.setattr(kernels, "_cable_rows", nonzero)
     with pytest.raises(ArithmeticError, match="nonzero eta_cable at p=7"):
-        cg.build_sigma_tables(K, 7)
+        kernels.build_sigma_tables(K, 7)

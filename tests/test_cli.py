@@ -460,15 +460,13 @@ def test_search_cli_resume_with_other_genus_exit_2(tmp_path, capsys):
 
 
 def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
-    import cgobstruct.obstruction as obstruction
-
-    classes = obstruction.enumerate_isotropic_classes
+    classes = kernels.enumerate_isotropic_classes
 
     def miscounted(part):  # orbit sizes that no longer add up to (p+1)^2
         xs, sizes = classes(part)
         return xs, sizes * 0 + 1
 
-    monkeypatch.setattr(obstruction, "enumerate_isotropic_classes", miscounted)
+    monkeypatch.setattr(kernels, "enumerate_isotropic_classes", miscounted)
     rc, out, err = run(capsys, ["verify", *FLAGSHIP])
     assert rc == 3
     assert out == ""
@@ -510,9 +508,7 @@ def test_unverified_knot_report_matches_row_gather_reference(capsys, monkeypatch
 
 def test_nonzero_eta_cable_exit_3(capsys, monkeypatch):
     # the scan kernel takes eta = support - 1, exact only while eta_cable is 0
-    import cgobstruct.casson_gordon as cg
-
-    real = cg._cable_rows
+    real = kernels._cable_rows
 
     def nonzero(qc, p):  # a nullity at a = 5 (and its conjugate) mod 83
         sig, eta = (arr.copy() for arr in real(qc, p))
@@ -520,7 +516,7 @@ def test_nonzero_eta_cable_exit_3(capsys, monkeypatch):
             eta[5] = eta[78] = 2
         return sig, eta
 
-    monkeypatch.setattr(cg, "_cable_rows", nonzero)
+    monkeypatch.setattr(kernels, "_cable_rows", nonzero)
     rc, out, err = run(capsys, ["verify", *FLAGSHIP])
     assert rc == 3
     assert out == ""

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +19,11 @@ from cgobstruct.kernels import (
     BLOCK,
     CELLS,
     assert_int64_budget,
+    enumerate_isotropic_classes,
     scan_classes,
     select_kernel,
 )
-from cgobstruct.linking_form import (
-    PrimaryPart,
-    enumerate_isotropic_classes,
-    enumerate_projective_isotropic,
-)
+from cgobstruct.linking_form import PrimaryPart, enumerate_projective_isotropic
 
 from oracles import assert_bounded, assert_bounded_scan, compose_multipliers, loop_scan, scan_chunk
 
@@ -324,3 +323,28 @@ def test_empty_chunk(scan_inputs):
     _, tab, xs = scan_inputs
     out = scan(xs[:0], tab.scaled_sigma, tab.p, 0, 5)
     assert all(arr.shape == (0,) and arr.dtype == np.int64 for arr in out)
+
+
+def _imported_modules(path):
+    """Absolute names of the modules a source file imports."""
+    mods = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            mods.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            mods.add(node.module)
+        elif isinstance(node, ast.ImportFrom):  # relative: a module of the package
+            base = "cgobstruct" + (f".{node.module}" if node.module else "")
+            mods.update([base] if node.module else (f"{base}.{alias.name}" for alias in node.names))
+    return mods
+
+
+def test_numpy_stays_behind_kernels():
+    # the int64 arrays live in one module, so importing numpy lazily is a
+    # change to kernels alone; the linking form knows nothing of the scan
+    imports = {path.name: _imported_modules(path) for path in Path(kernels.__file__).parent.glob("*.py")}
+    assert len(imports) >= 10
+    users = {name for name, mods in imports.items() if any(m.split(".")[0] == "numpy" for m in mods)}
+    assert users == {"kernels.py"}
+    assert "cgobstruct.kernels" not in imports["linking_form.py"]
+    assert "cgobstruct.kernels" in imports["obstruction.py"]  # the scanner sees relative imports

@@ -7,7 +7,6 @@ import pytest
 from cgobstruct import (
     GAKnot,
     Piece,
-    build_family,
     enumerate_isotropic_classes,
     enumerate_projective_isotropic,
     is_isotropic,

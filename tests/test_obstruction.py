@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from cgobstruct import (
-    Character,
     GAKnot,
     Piece,
     build_family,
@@ -162,6 +161,27 @@ def test_verify_primary_part_refuses_another_primes_tables(flagship):
             check_point((0, 0, 1, 1), swapped, flagship, 1)
 
 
+def test_per_prime_layer_refuses_a_negative_genus_hypothesis(flagship):
+    # at g = -2 the threshold 4g+1 is -7, which every point would violate
+    part = primary_parts(flagship)[0]
+    with pytest.raises(ValueError, match="genus hypothesis must be >= 0, got -2"):
+        check_point((0, 0, 1, 1), part, flagship, -2)
+    with pytest.raises(ValueError, match="genus hypothesis must be >= 0, got -2"):
+        verify_primary_part(part, flagship, -2)
+    res = verify_primary_part(part, flagship, 0)  # g = 0 (sliceness) is a hypothesis too
+    assert (res.verified, res.margin) == (True, 7)
+    assert check_point(res.witnesses[0].x, part, flagship, 0) == res.witnesses[0]
+
+
+def test_verify_primary_part_refuses_negative_max_witnesses(flagship):
+    # -1 used to keep all but the last witnessed class and never stop the
+    # walk: 7,048 witnesses of the 7,056 points
+    part = primary_parts(flagship)[0]
+    with pytest.raises(ValueError, match="max_witnesses must be >= 0, got -1"):
+        verify_primary_part(part, flagship, 1, max_witnesses=-1)
+    assert verify_primary_part(part, flagship, 1, max_witnesses=0).witnesses == ()
+
+
 def test_verify_thread_counts_agree(flagship):
     # each prime is one scan; threads is accepted and changes nothing
     a = genus_lower_bound(flagship, g_max=1, threads=1)
@@ -269,25 +289,24 @@ def test_family_parameters_matches_rebuilding_the_family(flagship):
 def test_sweep_cache_arrays_are_read_only(flagship):
     # the memos keep one read-only entry per (p, signs) and per (q', p); 103
     # serves as p2 of the first two knots and as p1 of the third
-    from cgobstruct.casson_gordon import _cable_rows
-    from cgobstruct.obstruction import _isotropic_classes
+    from cgobstruct.kernels import _cable_rows, isotropic_classes
 
     knots = [flagship, build_family(83, 103, 13, 11, 17), build_family(103, 107, 13, 11, 17)]
     reports = [genus_lower_bound(knots[0])]
-    xs, sizes = _isotropic_classes(103, (1, -1, 1, -1))
+    xs, sizes = isotropic_classes(103, (1, -1, 1, -1))
     sig, eta = _cable_rows(17, 103)
     for arr in (xs, sizes, sig, eta):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     reports += [genus_lower_bound(K) for K in knots[1:]]
-    assert _isotropic_classes(103, (1, -1, 1, -1))[0] is xs
+    assert isotropic_classes(103, (1, -1, 1, -1))[0] is xs
     assert _cable_rows(17, 103)[0] is sig
     parts = {(part.p, part.signs) for K in knots for part in primary_parts(K)}
     rows = {(pc.companion_q, pc.cable_p) for K in knots for pc in K.pieces}
-    assert _isotropic_classes.cache_info().currsize == len(parts) == 3
+    assert isotropic_classes.cache_info().currsize == len(parts) == 3
     assert _cable_rows.cache_info().currsize == len(rows) == 12
     for K, report in zip(knots, reports):  # the same reports from fresh arrays
-        _isotropic_classes.cache_clear()
+        isotropic_classes.cache_clear()
         _cable_rows.cache_clear()
         assert genus_lower_bound(K) == report
 

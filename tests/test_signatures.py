@@ -9,7 +9,6 @@ from cgobstruct import (
     GAKnot,
     Piece,
     RootOfUnity,
-    build_family,
     lt_nullity,
     lt_signature,
     signature_at_minus_one,
