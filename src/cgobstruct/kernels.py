@@ -33,10 +33,10 @@ The arrays rest on three invariants, stated here only:
   CELLS int64 cells (64 KB), a size the allocator reuses instead of
   mapping afresh.
 
-Table rows per (q', p) and classes per (p, signs) are memoised for the
-life of the process and read-only (`_cable_rows`, `isotropic_classes`;
-`cache_clear()` frees them), so no caller can change what a later one
-reads.
+Only the table rows are memoised: per (q', p), for the life of the
+process and read-only (`_cable_rows`; `cache_clear()` frees them), so no
+caller can change what a later one reads.  A class array lives as long
+as the scan of its part.
 
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
@@ -187,19 +187,6 @@ def enumerate_isotropic_classes(part: PrimaryPart) -> tuple[np.ndarray, np.ndarr
     cols = np.concatenate(blocks, axis=1)
     del blocks  # release the slabs before the orbit sizes are built
     return cols.T, 1 << (np.count_nonzero(cols, axis=0) - 1)
-
-
-@lru_cache(maxsize=None)
-def isotropic_classes(p: int, signs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """`enumerate_isotropic_classes` of the part (p, signs), memoised and read-only.
-
-    The classes depend only on p and the signs, so a prime keeps one entry
-    whichever pieces of whichever knot it serves.
-    """
-    out = enumerate_isotropic_classes(PrimaryPart(p, tuple(range(len(signs))), signs))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
 
 
 def scan_classes(xs, S, s1, p, thr):

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .casson_gordon import eta_knot, sigma_knot
-from .kernels import assert_int64_budget, build_sigma_tables, isotropic_classes, select_kernel
-from .knots import GAKnot, family_parameters
+from .kernels import assert_int64_budget, build_sigma_tables, enumerate_isotropic_classes, select_kernel
+from .knots import GAKnot, Piece, family_parameters
 from .linking_form import (
     PrimaryPart,
     PrimaryVector,
@@ -201,31 +202,41 @@ def verify_primary_part(
 ) -> PrimeResult:
     """Scan every projective isotropic point of one primary part of K.
 
-    The sigma tables at part.p and s1 = sigma_K(-1) are derived from K
-    (`build_sigma_tables`, `signature_at_minus_one`); a part that is not
-    one of `primary_parts(K)`, a negative g or a negative max_witnesses
-    raises ValueError.  verified means every point has a violating
-    multiplier.  The kernel scans one representative per sign-flip class
-    (`kernels.isotropic_classes`), which decides its whole orbit; points
-    is the sum of orbit sizes, checked against the closed-form count on
-    every call, and margin the minimum over representatives.  The kernel
-    returns each class's first witnessing k and a bound whose minimum is
-    exact, so the report does not depend on how far each class was
-    scanned.  Witnesses are the first points in enumeration order whose
-    class is witnessed, with that k and with sigma and eta evaluated from
-    the tables at the point itself.  Each streamed point is folded to its
-    class representative (v -> min(v, p - v)) and looked up among the
-    first max_witnesses witnessed classes, which hold the first
-    max_witnesses witnessed points; the walk stops once every witness is
-    placed, and is skipped when no class is witnessed.
+    A part that is not one of `primary_parts(K)`, a negative g or a
+    negative max_witnesses raises ValueError.  verified means every point
+    has a violating multiplier.  The result is a pure function of the
+    part's pieces in order, s1 = sigma_K(-1), g and max_witnesses, and is
+    memoised on them (`_scan_part`); an exception is not memoised.
     """
     _check_args(part, K, g)
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
+    pieces = tuple(K.pieces[j] for j in part.piece_indices)
+    return _scan_part(pieces, signature_at_minus_one(K), g, max_witnesses)
+
+
+@lru_cache(maxsize=None)
+def _scan_part(pieces: tuple[Piece, ...], s1: int, g: int, max_witnesses: int) -> PrimeResult:
+    """The scan behind `verify_primary_part`, on the knot of these pieces alone.
+
+    The kernel scans one representative per sign-flip class
+    (`enumerate_isotropic_classes`; the array dies with the scan), which
+    decides its whole orbit; points, the sum of orbit sizes, is checked
+    against the closed-form count, and margin is the minimum over
+    representatives, exact however deep each class was scanned.
+    Witnesses are the first points in enumeration order whose class is
+    witnessed, with its first k and with sigma and eta evaluated from the
+    tables at the point: each streamed point is folded to its class
+    representative (v -> min(v, p - v)) and looked up among the first
+    max_witnesses witnessed classes, and the walk stops once every witness
+    is placed.
+    """
+    K = GAKnot(pieces)
+    [part] = primary_parts(K)
     p = part.p
     S = build_sigma_tables(K, p).scaled_sigma
-    s1, thr = signature_at_minus_one(K), 4 * g + 1
-    xs, sizes = isotropic_classes(p, part.signs)
+    thr = 4 * g + 1
+    xs, sizes = enumerate_isotropic_classes(part)
     n = int(sizes.sum())
     want = isotropic_point_count(part)
     if n != want:
@@ -277,11 +288,10 @@ def genus_lower_bound(
     certified lower bound is (largest refuted g) + 1.  threads (>= 1) is
     accepted for callers that pass it and changes nothing: each prime is
     one scan, `verify_primary_part`, which derives its sigma tables and
-    sigma_K(-1) from K.  Table rows and class arrays are memoised per
-    (q', p) and per (p, signs) for the life of the process
-    (`kernels._cable_rows`, `kernels.isotropic_classes`); they are pure
-    functions of those values, so the report never depends on what an
-    earlier call built.
+    sigma_K(-1) from K.  Its PrimeResult and the table rows per (q', p)
+    are memoised for the life of the process (`_scan_part`,
+    `kernels._cable_rows`) as pure functions of their keys, so the report
+    never depends on what an earlier call built.
     """
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")

@@ -10,13 +10,13 @@ ranking key is configurable and recorded in the results.
 
 Each candidate runs the full genus pipeline; candidates certifying a
 lower bound of at least genus+1 are retained.  The sweep is one serial
-walk in ranking order.  Candidates share a prime's isotropic classes and
-its (q', p) sigma table rows through the memos of the pipeline
-(`kernels.isotropic_classes`, `kernels._cable_rows`), which
-a verify uses too.  They grow with the number of distinct primes, about
-5 MB per prime near 1000, and live as long as the process (see
-`search`).  Every check of the pipeline still runs per candidate, so a
-record does not depend on what was memoised.  Progress is checkpointed
+walk in ranking order.  A prime's scan is memoised on its real inputs,
+the part's pieces in order, sigma_K(-1), genus and witness count
+(`obstruction._scan_part`), and its (q', p) table rows on (q', p)
+(`kernels._cable_rows`), as in a verify.  So the symmetry, eta,
+point-count and int64 checks run once per distinct key, not once per
+candidate.  A memoised PrimeResult holds ints and Fractions only, and no
+class array outlives its scan.  Progress is checkpointed
 as JSON lines keyed by the candidate tuple, and a resumed sweep yields
 byte-identical results because every stage is deterministic.  Every
 checkpoint line also carries a "config" fingerprint (genus,
@@ -253,11 +253,9 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     never abort the sweep.  With cfg.limit, the sweep stops at the
     limit-th kept record: later candidates are neither evaluated nor
     recorded.  Candidates run one at a time, in ranking order, sharing the
-    memoised classes and table rows of their primes.  The memos live as
-    long as the process, which in the CLI is one sweep; a caller running
-    many sweeps in one process frees them with
-    `kernels.isotropic_classes.cache_clear()` and
-    `kernels._cable_rows.cache_clear()`.
+    memoised prime scans and table rows of their primes (see the module
+    docstring); the memos live as long as the process and hold no class
+    array.
     """
     fingerprint = _fingerprint(cfg)
     done = _load_checkpoint(checkpoint, fingerprint)

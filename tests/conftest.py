@@ -1,15 +1,16 @@
 import pytest
 
 from cgobstruct import build_family, genus_lower_bound
-from cgobstruct.kernels import _cable_rows, isotropic_classes
+from cgobstruct.kernels import _cable_rows
+from cgobstruct.obstruction import _scan_part
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    # every test builds its own table rows and classes, so a patched builder
-    # is always called and no test reads arrays another one built
+    # every test builds its own table rows and prime scans, so a patched
+    # builder is always called and no test reads a result another one built
     _cable_rows.cache_clear()
-    isotropic_classes.cache_clear()
+    _scan_part.cache_clear()
 
 
 @pytest.fixture(scope="session")

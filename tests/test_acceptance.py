@@ -38,6 +38,7 @@ from cgobstruct import (
     torus_signature_at_angle,
 )
 from cgobstruct.cli import main
+from cgobstruct.obstruction import _scan_part
 from cgobstruct.primes import odd_primes_in
 
 from oracles import (
@@ -58,10 +59,13 @@ OTHER_PARAMS = [(107, 131, 23, 17, 19), (139, 163, 29, 19, 23), (163, 181, 37, 2
 
 def test_flagship_exhaustive_scan_counts_and_timing(flagship, flagship_report):
     # flagship_report has already filled the signature caches, so the
-    # timings below measure the scan pipeline, not first-call table builds
+    # timings below measure the scan pipeline, not first-call table builds;
+    # the prime-scan memo is cleared so that each call scans both primes
+    _scan_part.cache_clear()
     t0 = time.perf_counter()
     single = genus_lower_bound(flagship, g_max=1, threads=1)
     t_single = time.perf_counter() - t0
+    _scan_part.cache_clear()
     t0 = time.perf_counter()
     eight = genus_lower_bound(flagship, g_max=1, threads=8)
     t_eight = time.perf_counter() - t0
@@ -393,6 +397,7 @@ def test_check_point_verdict_scaling_invariant_exhaustive():
 
 def test_report_json_byte_identical_across_threads(flagship):
     one = genus_lower_bound(flagship, g_max=1, threads=1).to_json()
+    _scan_part.cache_clear()  # the second report scans afresh
     eight = genus_lower_bound(flagship, g_max=1, threads=8).to_json()
     assert one.encode("utf-8") == eight.encode("utf-8")
     json.loads(one)  # well-formed

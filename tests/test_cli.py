@@ -8,6 +8,7 @@ import pytest
 
 from cgobstruct import build_family, kernels, parse_knot
 from cgobstruct.cli import main
+from cgobstruct.obstruction import _scan_part
 
 from oracles import eigen_signature, kernel_dimension, sturm_signature_nullity
 
@@ -75,6 +76,7 @@ def test_verify_csv(capsys):
 def test_verify_threads_deterministic(capsys):
     argv = ["verify", *FLAGSHIP, "--format", "json"]
     rc1, out1, _ = run(capsys, [*argv, "--threads", "1"])
+    _scan_part.cache_clear()  # the second run scans afresh
     rc2, out2, _ = run(capsys, [*argv, "--threads", "8"])
     assert rc1 == rc2 == 0
     assert out1 == out2
@@ -460,13 +462,15 @@ def test_search_cli_resume_with_other_genus_exit_2(tmp_path, capsys):
 
 
 def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
-    classes = kernels.enumerate_isotropic_classes
+    import cgobstruct.obstruction as obstruction
+
+    classes = obstruction.enumerate_isotropic_classes
 
     def miscounted(part):  # orbit sizes that no longer add up to (p+1)^2
         xs, sizes = classes(part)
         return xs, sizes * 0 + 1
 
-    monkeypatch.setattr(kernels, "enumerate_isotropic_classes", miscounted)
+    monkeypatch.setattr(obstruction, "enumerate_isotropic_classes", miscounted)
     rc, out, err = run(capsys, ["verify", *FLAGSHIP])
     assert rc == 3
     assert out == ""
@@ -503,6 +507,7 @@ def test_unverified_knot_report_matches_row_gather_reference(capsys, monkeypatch
         return scan_chunk(xs, compose_multipliers(S, p), s1, p, thr)
 
     monkeypatch.setattr(obstruction, "select_kernel", lambda: ("numpy", reference))
+    _scan_part.cache_clear()  # so the reference kernel scans the part
     assert run(capsys, [*argv, "--format", "json"]) == (1, out, "")
 
 

@@ -20,6 +20,7 @@ from cgobstruct import (
     signature_at_minus_one,
     verify_primary_part,
 )
+from cgobstruct.obstruction import _scan_part
 
 from oracles import brute_isotropic, full_scan
 
@@ -185,6 +186,7 @@ def test_verify_primary_part_refuses_negative_max_witnesses(flagship):
 def test_verify_thread_counts_agree(flagship):
     # each prime is one scan; threads is accepted and changes nothing
     a = genus_lower_bound(flagship, g_max=1, threads=1)
+    _scan_part.cache_clear()  # the second report scans afresh
     b = genus_lower_bound(flagship, g_max=1, threads=8)
     assert a == b
 
@@ -286,29 +288,95 @@ def test_family_parameters_matches_rebuilding_the_family(flagship):
     assert got[3:] == [None] * (len(knots) - 3)
 
 
-def test_sweep_cache_arrays_are_read_only(flagship):
-    # the memos keep one read-only entry per (p, signs) and per (q', p); 103
-    # serves as p2 of the first two knots and as p1 of the third
-    from cgobstruct.kernels import _cable_rows, isotropic_classes
+def _leaves(value):
+    if isinstance(value, tuple):  # NamedTuples included
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+def test_prime_scan_memo_holds_one_plain_result_per_key(flagship):
+    # one memo entry per (pieces of the part, s1, g, max_witnesses); 103 is p2
+    # of the first two knots and p1 of the third, and the fourth shares the
+    # flagship's p = 103 layout
+    from cgobstruct.kernels import _cable_rows
 
     knots = [flagship, build_family(83, 103, 13, 11, 17), build_family(103, 107, 13, 11, 17)]
-    reports = [genus_lower_bound(knots[0])]
-    xs, sizes = isotropic_classes(103, (1, -1, 1, -1))
+    knots.append(build_family(89, 103, 17, 11, 13))
+    reports = [genus_lower_bound(K) for K in knots]
+    keys = {
+        (tuple(K.pieces[j] for j in part.piece_indices), signature_at_minus_one(K))
+        for K in knots
+        for part in primary_parts(K)
+    }
+    rows = {(pc.companion_q, pc.cable_p) for K in knots for pc in K.pieces}
+    assert _scan_part.cache_info().currsize == len(keys) == 7
+    assert _cable_rows.cache_info().currsize == len(rows) == 16
+    assert reports[3].primes[1] is reports[0].primes[1]
+    for K, report in zip(knots, reports):  # a repeat returns the same objects
+        assert all(a is b for a, b in zip(genus_lower_bound(K).primes, report.primes, strict=True))
+    # entries hold plain ints, bools, Fractions and None: no array outlives its scan
+    leaves = set(type(v) for r in reports for pr in r.primes for v in _leaves(pr))
+    assert leaves <= {int, bool, Fraction, type(None)} and Fraction in leaves
     sig, eta = _cable_rows(17, 103)
-    for arr in (xs, sizes, sig, eta):
+    for arr in (sig, eta):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
-    reports += [genus_lower_bound(K) for K in knots[1:]]
-    assert isotropic_classes(103, (1, -1, 1, -1))[0] is xs
-    assert _cable_rows(17, 103)[0] is sig
-    parts = {(part.p, part.signs) for K in knots for part in primary_parts(K)}
-    rows = {(pc.companion_q, pc.cable_p) for K in knots for pc in K.pieces}
-    assert isotropic_classes.cache_info().currsize == len(parts) == 3
-    assert _cable_rows.cache_info().currsize == len(rows) == 12
-    for K, report in zip(knots, reports):  # the same reports from fresh arrays
-        isotropic_classes.cache_clear()
+    for K, report in zip(knots, reports):  # the same reports from cleared memos
+        _scan_part.cache_clear()
         _cable_rows.cache_clear()
         assert genus_lower_bound(K) == report
+
+
+def _companions_permuted(K, p):
+    # swap the companions of the first two pieces at p that share a sign
+    pc = list(K.pieces)
+    idx = [j for j in range(len(pc)) if pc[j].cable_p == p]
+    i, j = next((i, j) for i in idx for j in idx if i < j and pc[i].sign == pc[j].sign)
+    pc[i], pc[j] = Piece(pc[j].companion_q, p, pc[i].sign), Piece(pc[i].companion_q, p, pc[j].sign)
+    return GAKnot(pc)
+
+
+def test_prime_scan_memo_key_has_every_input(flagship):
+    # each pair differs in one key component and in its answer, so a memo
+    # that dropped the component would return the first call's entry
+    plus5 = flagship + parse_knot("T(2,5)")  # the p = 83 pieces again, with s1 = -4
+    swapped = _companions_permuted(flagship, 83)
+    assert signature_at_minus_one(plus5) == -4 and signature_at_minus_one(flagship) == 0
+    assert primary_parts(swapped)[0].signs == primary_parts(flagship)[0].signs
+    pairs = {
+        "s1": ((flagship, 1, 3), (plus5, 1, 3)),
+        "g": ((flagship, 1, 3), (flagship, 0, 3)),
+        "max_witnesses": ((flagship, 1, 3), (flagship, 1, 1)),
+        "companion order": ((flagship, 1, 3), (swapped, 1, 3)),
+    }
+    for name, ((K1, g1, w1), (K2, g2, w2)) in pairs.items():
+        _scan_part.cache_clear()
+        first = verify_primary_part(primary_parts(K1)[0], K1, g1, max_witnesses=w1)
+        second = verify_primary_part(primary_parts(K2)[0], K2, g2, max_witnesses=w2)
+        assert second != first, name
+        _scan_part.cache_clear()
+        assert verify_primary_part(primary_parts(K2)[0], K2, g2, max_witnesses=w2) == second, name
+
+
+def test_prime_scan_memo_keeps_no_exception(monkeypatch, flagship):
+    import cgobstruct.obstruction as obstruction
+
+    # a miscount raises; once the patch is undone the same key scans correctly
+    classes, part = obstruction.enumerate_isotropic_classes, primary_parts(flagship)[0]
+
+    def miscounted(part):
+        xs, sizes = classes(part)
+        return xs, sizes * 0 + 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(obstruction, "enumerate_isotropic_classes", miscounted)
+        with pytest.raises(ArithmeticError, match="point count mismatch at p=83"):
+            verify_primary_part(part, flagship, 1)
+    res = verify_primary_part(part, flagship, 1)
+    assert (res.points, res.verified, res.margin) == (7056, True, 7)
+    assert _scan_part.cache_info().currsize == 1
 
 
 def test_genus_lower_bound_rejects_bad_gmax(flagship):

@@ -155,9 +155,10 @@ def test_search_limit_stops_evaluating(tmp_path, monkeypatch, limit):
 
 def test_cached_sweep_records_match_uncached_runs(tmp_path):
     # each p-prime meets the four others, as p1 or as p2, so its memoised
-    # classes and (q', p) rows are reused by candidates with other partners;
-    # every record must equal a run from arrays built afresh
-    from cgobstruct.kernels import _cable_rows, isotropic_classes
+    # scans and (q', p) rows are reused by candidates with other partners;
+    # every record must equal a run from cleared memos
+    from cgobstruct.kernels import _cable_rows
+    from cgobstruct.obstruction import _scan_part
 
     ckpt = tmp_path / "sweep.jsonl"
     cfg = SearchConfig(p_primes=(83, 89, 97, 101, 103), q_primes=(11, 13, 17, 19))
@@ -166,7 +167,7 @@ def test_cached_sweep_records_match_uncached_runs(tmp_path):
     assert [tuple(r["tuple"]) for r in records] == list(enumerate_candidates(cfg))
     assert len(records) == 120 and sum(r["kept"] for r in records) > 0
     for rec in records:
-        isotropic_classes.cache_clear()
+        _scan_part.cache_clear()
         _cable_rows.cache_clear()
         report = genus_lower_bound(build_family(*rec["tuple"]), g_max=1)
         margins = {str(pr.p): f"{pr.margin.numerator}/{pr.margin.denominator}" for pr in report.primes}
