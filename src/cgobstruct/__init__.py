@@ -23,7 +23,7 @@ from .casson_gordon import (
     sigma_knot,
     sigma_torus,
 )
-from .kernels import SigmaTable, build_sigma_tables, enumerate_isotropic_classes
+from .kernels import SigmaTable, build_sigma_tables
 from .knots import (
     FoxMilnorResult,
     GAKnot,
@@ -80,7 +80,6 @@ __all__ = [
     "check_point",
     "config_from_settings",
     "enumerate_candidates",
-    "enumerate_isotropic_classes",
     "enumerate_projective_isotropic",
     "eta_cable",
     "eta_knot",

@@ -1,5 +1,5 @@
-"""The int64 arrays of the genus check: sigma table rows, sign-flip
-classes and the branch-and-bound scan over them.
+"""The int64 arrays of the genus check: sigma table rows, the sign-flip
+classes scored at k = 1 and the branch-and-bound scan over them.
 
 This is the only module that imports numpy.  The exact Fraction values
 are in `casson_gordon`, the linking form and its point stream in
@@ -21,52 +21,64 @@ The arrays rest on three invariants, stated here only:
   multipliers run over k = 1..(p-1)/2 only, the first witnessing k never
   exceeds (p-1)/2 and the maximum over the half range is the maximum over
   all k.  Negating any coordinate of x changes no value either, so the
-  scan reads one representative per sign-flip class
-  (`enumerate_isotropic_classes`), weighed by its orbit size.
+  scan reads one representative per sign-flip class, weighed by its
+  orbit size.  And every multiplier is an index shift: F_p* is cyclic
+  (Lidl and Niederreiter, Finite Fields, ch. 2), so with g a primitive
+  root and h = (p-1)/2, k*x_j = +-g^(log k + log x_j) with logs taken
+  mod h, and a row read in log order, R[j, i] = S[j, g^(i mod h)], gives
+  S[j, k*x_j] = R[j, log x_j + log k] with no product and no reduction.
 - Eta: the nullity of a character with support s is s - 1 plus the
   per-piece eta_cable values, and eta_cable is zero for every valid
   piece (gcd(p, 2q') = 1, so xi_p^a is never an Alexander root of
   T(2,q')); `build_sigma_tables` raises ArithmeticError otherwise.  As p
   is prime, k*x_j = 0 mod p only when x_j = 0, so the support of k*x is
-  nnz(x) for every k and eta = nnz(x) - 1 is one number per row.
-- Scratch: no temporary of the scan or of the class enumeration exceeds
-  CELLS int64 cells (64 KB), a size the allocator reuses instead of
-  mapping afresh.
+  nnz(x) for every k and eta = nnz(x) - 1 is one number per class.
+- Scratch: the per-class arrays are n long (the enumerator's bound and
+  eta, the scan's first, best and eta) and the tables O(rank * p) (S,
+  the tiled root table, the log-order rows); no other temporary of the
+  enumerator or the scan exceeds CELLS int64 cells (64 KB), a size the
+  allocator reuses instead of mapping afresh.
 
 Only the table rows are memoised: per (q', p), for the life of the
 process and read-only (`_cable_rows`; `cache_clear()` frees them), so no
-caller can change what a later one reads.  A class array lives as long
+caller can change what a later one reads.  Everything else lives as long
 as the scan of its part.
+
+Rung one on the grid: `enumerate_rung_one` walks the classes on the grid
+of their free coordinates, slab by slab, and scores each at k = 1 from
+outer sums of per-coordinate rows.  It keeps per class only the k = 1
+bound |S + p*s1| - p*eta and eta, and writes out coordinates only for
+the seed: the classes k = 1 leaves unwitnessed and the witnessed class
+of smallest bound.  `class_rows` rebuilds any other class from its slab.
 
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
 p*eta), not every best(x).  Every running maximum over k = 1..d is a
 lower bound L(x) <= best(x), and the scan takes a class only as deep as
-it must, always visiting multipliers in increasing order, so a witness
-it finds is the first one.  One helper, settle(rows, depth), evaluates
-rows at k = 1..depth and writes their first and best; past depth 1
-every step is one settle:
+it must, always visiting multipliers in increasing order up to BLOCK, so
+a witness it finds is the first one.  `scan_classes` takes any rows; on
+the verify path (`obstruction._settle`) it gets the seed.  One helper,
+settle(rows, depth), evaluates rows at k = 1..depth and writes their
+first and best; past depth 1 every step is one settle:
 
-- depth 1 evaluates k = 1 for every class, one 1-D gather S[j, x_j] per
-  piece, written out with `out=` buffers, and L is the k = 1 value.
-  Most classes are witnessed here;
-- depth BLOCK settles the classes depth 1 left unwitnessed to BLOCK;
-- the seed, every class still unwitnessed and the witnessed class of
-  smallest L, is settled to (p-1)/2.  The smallest exact best among it
-  is the bound U >= the margin;
-- the rest, the witnessed classes with L < U, the only ones that could
+- depth 1 evaluates k = 1 for every row, one 1-D gather S[j, x_j] per
+  piece, written out with `out=` buffers, and L is the k = 1 value;
+- depth BLOCK settles the rows depth 1 left unwitnessed to BLOCK, one
+  row of a (p, BLOCK) table per piece;
+- the scan's own seed, every row still unwitnessed and the witnessed row
+  of smallest L, is settled to (p-1)/2.  The smallest exact best among
+  it is the bound U >= the margin;
+- the rest, the witnessed rows with L < U, the only ones that could
   still set the margin, is settled to BLOCK, and the part of it still
   below U to (p-1)/2.
 
-The result is exact: first is the first witness, and every class not
-settled to (p-1)/2 keeps an L >= U >= the minimum, so min(best) is the
-margin whatever depth each class reached.
-
-In the scan, depth 1 runs over blocks of CELLS rows, and settle over
-CELLS // depth rows (at least one), computing k*x mod p for the rows of
-its batch only.  Beyond its two outputs the scan keeps every row's eta
-and one index array: the classes depth 1 leaves unwitnessed, compacted
-in place into the seed.
+A full-depth settle reads, per piece, the window R[j, log x_j : log x_j
++ h] of one strided view, so its columns come in log order and its first
+witness is the smallest multiplier min(g^i, p - g^i) over the hits.  The
+result is exact: first is the first witness, and every row not settled
+to (p-1)/2 keeps an L >= U >= the minimum, so min(best) is the margin
+whatever depth each row reached.  Depth 1 runs over blocks of CELLS
+rows, and settle over CELLS // depth rows (at least one).
 
 Per row the kernel reports two facts: the first witnessing multiplier
 (0 when none) and a lower bound on best that is exact for every row able
@@ -77,15 +89,18 @@ are evaluated at the point, by `obstruction.verify_primary_part`.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import NamedTuple
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .knots import GAKnot, Piece
-from .linking_form import PrimaryPart, sqrt_table
+from .linking_form import PrimaryPart
+from .primes import primitive_root
 
 BLOCK = 4
 CELLS = 8192
+TOP = 2**63 - 1  # the largest int64
 
 
 class SigmaTable(NamedTuple):
@@ -142,51 +157,161 @@ def _cable_rows(qc: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return sig, eta
 
 
-def enumerate_isotropic_classes(part: PrimaryPart) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-flip classes of projective isotropic vectors, as (xs, sizes).
+class _ClassGrid(NamedTuple):
+    """The grid of `_class_grid`: what `enumerate_rung_one` and `class_rows` walk."""
+
+    heads: tuple[np.ndarray, ...]  # x_0 (and x_1) of each row of the first axis
+    head: np.ndarray  # t = -Q(x_0..x_{r-2})/eps_last = add.outer(head, inner)
+    inner: np.ndarray
+    invalid: np.ndarray  # cells of row (0, 0) whose first nonzero coordinate is not 1
+    roots: np.ndarray  # the smallest square root of t mod p (-1 for none), tiled rank-1 times
+
+
+class RungOne(NamedTuple):
+    """The sign-flip classes of a primary part, scored at k = 1 (`enumerate_rung_one`).
+
+    Class i has the k = 1 bound bound[i] = |S + p*s1| - p*eta[i] and the
+    orbit size 1 << eta[i].  seed lists the classes that k = 1 leaves
+    unwitnessed (bound <= p*thr), ascending, then the witnessed class of
+    smallest bound, if any; the rows of the (len(seed), rank) array xs are
+    their coordinates.  Slab s holds rows s*step.. of grid and classes
+    starts[s]..starts[s+1]-1, from which `class_rows` rebuilds any class.
+    """
+
+    bound: np.ndarray
+    eta: np.ndarray
+    seed: np.ndarray
+    xs: np.ndarray
+    grid: Optional[_ClassGrid]  # None below rank 2, where there are no classes
+    step: int
+    starts: np.ndarray
+
+
+def _grid_sum(rows, heads, const):
+    """(head, inner): a per-coordinate quantity over the class grid is add.outer(head, inner).
+
+    rows[j] is its row over [0, (p-1)/2] for coordinate j; the grid's first
+    axis takes coordinate j at heads[j] for j < len(heads), its other axes
+    run over the remaining rows, and const is added once.
+    """
+    head = sum(row.take(at) for row, at in zip(rows, heads)) + const
+    return head, reduce(np.add.outer, rows[len(heads) :], np.zeros((), dtype=np.int64))
+
+
+def _class_grid(part: PrimaryPart) -> _ClassGrid:
+    """The grid of the classes' first rank-1 coordinates, whose first nonzero is 1.
+
+    Its first axis runs over the leading pair (x_0, x_1): (0, 0), (0, 1),
+    then (1, a) for a = 0..(p-1)/2 (x_0 = 1 alone at rank 2); its other
+    axes over x_2..x_{r-2} in [0, (p-1)/2].  C order is lexicographic
+    order.  In row (0, 0) only the cells whose first nonzero is 1 are
+    classes.  Every row entry of t is in [0, p), so t < (rank-1)*p and the
+    tiled root table needs no reduction mod p.
+    """
+    p, signs, r = part.p, part.signs, part.rank
+    half = np.arange((p + 1) // 2, dtype=np.int64)
+    sq = half * half % p
+    if r > 2:
+        x1 = np.arange(-2, len(half))
+        heads = ((x1 >= 0).astype(np.int64), x1)
+        x1[:2] = 0, 1
+    else:
+        heads = (half[1:2],)
+    neg_inv = -pow(signs[-1] % p, p - 2, p)
+    head, inner = _grid_sum([neg_inv * e % p * sq % p for e in signs[:-1]], heads, 0)
+    valid = np.zeros((), dtype=bool)  # over x_2..: the first nonzero is 1
+    for _ in range(r - 3):
+        valid, suffix = np.zeros((len(half),) + valid.shape, dtype=bool), valid
+        valid[0], valid[1] = suffix, True
+    roots = np.full((r - 1, p), -1, dtype=np.int64)
+    roots[:, sq] = half  # the `sqrt_table` root: the squares of 0..(p-1)/2 are distinct
+    return _ClassGrid(heads, head, inner, ~valid, roots.ravel())
+
+
+def _slab(grid: _ClassGrid, lo: int, step: int):
+    """t and its root over grid rows lo..lo+step-1, the root -1 off the classes."""
+    t = np.add.outer(grid.head[lo : lo + step], grid.inner)
+    root = grid.roots.take(t)
+    if lo == 0 and len(grid.heads) > 1:
+        np.copyto(root[:1], -1, where=grid.invalid)
+    return t, root
+
+
+def _coords(grid: _ClassGrid, lo: int, t: np.ndarray, root: np.ndarray, cells) -> np.ndarray:
+    """(rank, len(cells)) coordinates of the classes at flat cells of a slab."""
+    at = np.unravel_index(cells, t.shape)
+    return np.array([h.take(at[0] + lo) for h in grid.heads] + list(at[1:]) + [root.take(cells)])
+
+
+def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int) -> RungOne:
+    """Sign-flip classes of projective isotropic vectors, scored at k = 1.
 
     Negating any coordinate keeps a vector isotropic, and negating the
     leading 1 is the same projective point as negating all the others, so
     the class of a normalized vector is every sign pattern on its nonzero
-    non-leading coordinates: orbit size 2^(that count).  The
+    non-leading coordinates: orbit size 2^(that count) = 2^eta.  The
     representative is the lexicographically smallest member: non-leading
     coordinates in [0, (p-1)/2], the last one the `sqrt_table` root.
 
-    xs is an (n, rank) int64 array of representatives in ascending
-    lexicographic order (per leading position, a C-order grid of the free
-    coordinates over [0, (p-1)/2], Q an outer sum of their squares, the
-    last one solved from it) and sizes their int64 orbit sizes, which sum
-    to the length of `linking_form.enumerate_projective_isotropic(part)`.
-    Each grid is built in slabs along its first axis, at most CELLS cells
-    or one row of it.  xs is column-major, built as (rank, n), so each
-    xs[:, j] is contiguous.
+    Classes come in ascending lexicographic order, from the grid of
+    `_class_grid` in slabs of its first axis of at most CELLS cells or one
+    row.  In a slab, t = -Q/eps_last, the k = 1 value and eta are outer
+    sums of one row per coordinate; the last coordinate's S entry is read
+    at t.  Only the seed classes are written out as coordinates.
     """
-    p, signs, r = part.p, part.signs, part.rank
+    p, r = part.p, part.rank
     if r < 2:
-        return np.zeros((0, r), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    roots = np.array(sqrt_table(p), dtype=np.int64)
-    neg_inv = -pow(signs[-1] % p, p - 2, p)
-    sq, blocks = np.arange((p + 1) // 2, dtype=np.int64) ** 2 % p, []
-    for lead in range(r - 2, -1, -1):
-        # the last coordinate is a root of t = -Q(the others)/eps_last mod p, over the grid
-        # of coordinates lead+1..r-2 (or of lead alone, set to 1, when that is empty)
-        rows = [neg_inv * e * sq % p for e in signs[lead + 1 : r - 1]] or [np.zeros(1, np.int64)]
-        inner = reduce(lambda a, b: np.add.outer(a, b) % p, rows[1:], np.zeros((), dtype=np.int64))
-        head, step = rows[0] + neg_inv * signs[lead] % p, max(1, CELLS // inner.size)
-        for v in range(0, len(head), step):
-            t = np.add.outer(head[v : v + step], inner)
-            t %= p
-            root = roots[t].ravel()
-            keep = np.flatnonzero(root >= 0)
-            x = np.zeros((r, len(keep)), dtype=np.int64)
-            x[r - 1 - t.ndim : r - 1] = np.unravel_index(keep, t.shape)
-            x[r - 1 - t.ndim] += v
-            x[lead] = 1
-            x[r - 1] = root[keep]
-            blocks.append(x)
-    cols = np.concatenate(blocks, axis=1)
-    del blocks  # release the slabs before the orbit sizes are built
-    return cols.T, 1 << (np.count_nonzero(cols, axis=0) - 1)
+        none = np.zeros(0, dtype=np.int64)
+        return RungOne(none, none, none, np.zeros((0, r), dtype=np.int64), None, 1, np.zeros(1, dtype=np.int64))
+    grid = _class_grid(part)
+    last = S[r - 1].take(grid.roots)  # garbage at non-residues, which are dropped
+    nz = np.minimum(np.arange((p + 1) // 2, dtype=np.int64), 1)
+    head_s, inner_s = _grid_sum([S[j, : len(nz)] for j in range(r - 1)], grid.heads, p * s1)
+    head_e, inner_e = _grid_sum([nz] * (r - 1), grid.heads, -1)
+    step = max(1, CELLS // grid.inner.size)
+    bounds, etas, seed, xs, starts = [], [], [], [], [0]
+    least, top = TOP, None  # the witnessed class of smallest bound: (index, row)
+    for lo in range(0, len(grid.head), step):
+        t, root = _slab(grid, lo, step)
+        keep = (root >= 0).ravel().nonzero()[0]
+        val = np.add.outer(head_s[lo : lo + step], inner_s)
+        val += last.take(t)
+        np.abs(val, out=val)
+        eta = np.add.outer(head_e[lo : lo + step], inner_e)
+        eta += root > 0
+        val -= p * eta
+        bound = val.take(keep)
+        miss = bound <= p * thr
+        out = miss.nonzero()[0]
+        if len(out) < len(keep):
+            i = np.where(miss, TOP, bound).argmin()
+            if bound[i] < least:
+                least, top = bound[i], (starts[-1] + i, _coords(grid, lo, t, root, keep[i : i + 1]))
+        if len(out):
+            seed.append(out + starts[-1])
+            xs.append(_coords(grid, lo, t, root, keep.take(out)))
+        bounds.append(bound)
+        etas.append(eta.take(keep))
+        starts.append(starts[-1] + len(keep))
+    if top is not None:
+        seed.append(np.array([top[0]]))
+        xs.append(top[1])
+    cat = np.concatenate
+    seed = cat(seed) if seed else np.zeros(0, dtype=np.int64)
+    xs = cat(xs, axis=1).T if xs else np.zeros((0, r), dtype=np.int64)
+    return RungOne(cat(bounds), cat(etas), seed, xs, grid, step, np.array(starts))
+
+
+def class_rows(one: RungOne, idx: np.ndarray) -> np.ndarray:
+    """Coordinates of the classes idx (ascending) of a `RungOne`, rebuilt
+    from their slabs, as a (len(idx), rank) int64 array."""
+    rows = np.empty((len(idx), one.xs.shape[1]), dtype=np.int64)
+    cut = np.searchsorted(idx, one.starts)
+    for s in (cut[1:] > cut[:-1]).nonzero()[0].tolist():
+        t, root = _slab(one.grid, s * one.step, one.step)
+        cells = (root >= 0).ravel().nonzero()[0].take(idx[cut[s] : cut[s + 1]] - one.starts[s])
+        rows[cut[s] : cut[s + 1]] = _coords(one.grid, s * one.step, t, root, cells).T
+    return rows
 
 
 def scan_classes(xs, S, s1, p, thr):
@@ -197,26 +322,52 @@ def scan_classes(xs, S, s1, p, thr):
     each an int64 array of length n.
     """
     n, r = xs.shape
-    ks = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    top = np.iinfo(np.int64).max
+    h = (p - 1) // 2
     first, best = np.empty((2, n), dtype=np.int64)
     etas = np.empty(n, dtype=np.int64)
+    # discrete-log order: with g a primitive root, k*x = +-g^(log k + log x), and
+    # the rows are symmetric, so R[j, i] = S[j, g^(i mod h)] for i < 2h, then h
+    # entries S[j, 0] for x_j = 0 (log 0 = 2h), gives S[j, k*x_j] = R[j, log x_j + log k]
+    g = primitive_root(p)
+    pw = np.array(list(accumulate(range(h - 1), lambda a, _: a * g % p, initial=1)), dtype=np.int64)
+    log = np.empty(p, dtype=np.int64)
+    log[pw] = log[p - pw] = np.arange(h)
+    log[0] = 2 * h
+    R = S[:, np.concatenate((pw, pw, np.zeros(h, dtype=np.int64)))]
+    # windows[j, a] = R[j, a : a + h]: every multiplier of a coordinate with log a
+    windows = np.ndarray((r, 2 * h + 1, h), R.dtype, R, strides=(R.strides[0], R.strides[1], R.strides[1]))
+    mults = np.minimum(pw, p - pw)  # the multiplier in 1..h of each log
+    ks = np.arange(1, min(BLOCK, h) + 1)
+    block = R[:, log[:, None] + log.take(ks)]  # block[j, a, k-1] = S[j, k*a mod p] for k <= BLOCK
 
     def settle(rows, depth):
-        """Evaluate rows at k = 1..depth; write their first and best."""
-        k = ks[:depth, None]  # arrays below are (depth, rows): one multiplier per row
-        step = max(1, CELLS // len(k))
+        """Evaluate rows at k = 1..depth (BLOCK or h); write their first and best.
+
+        At depth h a row reads one window per piece, in log order; at depth
+        BLOCK one row of block per piece.
+        """
+        if not len(rows):
+            return
+        full = depth >= h
+        cols = mults if full else ks  # the multiplier of each column
+        step = max(1, CELLS // len(cols))
         for i in range(0, len(rows), step):
             at = rows[i : i + step]
-            val = S[0].take(xs[at, 0] * k % p) + p * s1
-            for j in range(1, r):
-                val += S[j].take(xs[at, j] * k % p)
+            if full:
+                lx = log.take(xs[at])
+                val = windows[0][lx[:, 0]]
+                for j in range(1, r):
+                    val += windows[j][lx[:, j]]
+            else:
+                val = block[0].take(xs[at, 0], axis=0)
+                for j in range(1, r):
+                    val += block[j].take(xs[at, j], axis=0)
+            val += p * s1
             np.abs(val, out=val)
             eta = etas[at]
-            hit = val > p * (thr + eta)
-            col = hit.argmax(axis=0)
-            first[at] = np.where(hit[col, np.arange(len(at))], col + 1, 0)
-            best[at] = val.max(axis=0) - p * eta
+            hit = val > (p * (thr + eta))[:, None]
+            first[at] = np.where(hit, cols, h + 1).min(axis=1) % (h + 1)  # no hit: h + 1 -> 0
+            best[at] = val.max(axis=1) - p * eta
 
     for i in range(0, n, CELLS):  # depth 1
         # settle's 2-D buffers cost more than this one column needs, so it is written out
@@ -238,14 +389,14 @@ def scan_classes(xs, S, s1, p, thr):
         miss[kept : kept + len(rows)] = rows  # compacted in place into the seed
         kept += len(rows)
     seed = miss[:kept]
-    best[seed] = top  # overwritten by the full scan; argmin now sees witnessed classes only
+    best[seed] = TOP  # overwritten by the full scan; argmin now sees witnessed classes only
     if kept < n:  # seed the witnessed class of smallest bound too
         seed = np.append(seed, best.argmin())
-    settle(seed, len(ks))
-    bound = best[seed].min(initial=top)
+    settle(seed, h)
+    bound = best[seed].min(initial=TOP)
     rest = np.flatnonzero((first > 0) & (best < bound))  # the only classes that could set the margin
     settle(rest, BLOCK)
-    settle(rest[best[rest] < bound], len(ks))
+    settle(rest[best[rest] < bound], h)
     return first, best
 
 

@@ -9,8 +9,8 @@ verdict is invariant under scaling a vector, enumeration works projectively:
 one representative per scalar class, first nonzero coordinate normalized
 to 1, ascending lexicographic order.  `enumerate_projective_isotropic`
 streams every point lazily in that order; the scan reads the same points
-as int64 sign-flip classes (`kernels.enumerate_isotropic_classes`), and
-witnesses are the first streamed points whose class is witnessed.
+as int64 sign-flip classes (`kernels.enumerate_rung_one`), and witnesses
+are the first streamed points whose class is witnessed.
 """
 
 from __future__ import annotations

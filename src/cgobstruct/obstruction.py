@@ -28,7 +28,14 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .casson_gordon import eta_knot, sigma_knot
-from .kernels import assert_int64_budget, build_sigma_tables, enumerate_isotropic_classes, select_kernel
+from .kernels import (
+    RungOne,
+    assert_int64_budget,
+    build_sigma_tables,
+    class_rows,
+    enumerate_rung_one,
+    select_kernel,
+)
 from .knots import GAKnot, Piece, family_parameters
 from .linking_form import (
     PrimaryPart,
@@ -167,7 +174,9 @@ def _frac(x: Fraction) -> str:
 
 
 def _check_args(part: PrimaryPart, K: GAKnot, g: int) -> None:
-    if part not in primary_parts(K):
+    # the part of K at part.p, read from the pieces without building every part
+    idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == part.p)
+    if not idx or part != (part.p, idx, tuple(K.pieces[j].sign for j in idx)):
         raise ValueError(f"primary part at p={part.p} does not belong to the knot")
     if g < 0:
         raise ValueError(f"genus hypothesis must be >= 0, got {g}")
@@ -219,57 +228,80 @@ def verify_primary_part(
 def _scan_part(pieces: tuple[Piece, ...], s1: int, g: int, max_witnesses: int) -> PrimeResult:
     """The scan behind `verify_primary_part`, on the knot of these pieces alone.
 
-    The kernel scans one representative per sign-flip class
-    (`enumerate_isotropic_classes`; the array dies with the scan), which
-    decides its whole orbit; points, the sum of orbit sizes, is checked
-    against the closed-form count, and margin is the minimum over
-    representatives, exact however deep each class was scanned.
-    Witnesses are the first points in enumeration order whose class is
-    witnessed, with its first k and with sigma and eta evaluated from the
-    tables at the point: each streamed point is folded to its class
-    representative (v -> min(v, p - v)) and looked up among the first
-    max_witnesses witnessed classes, and the walk stops once every witness
-    is placed.
+    The classes come scored at k = 1 (`enumerate_rung_one`; its arrays die
+    with the scan), one representative per sign-flip class, which decides
+    its whole orbit; points, the sum of orbit sizes, is checked against the
+    closed-form count, and `_settle` gives each class's first witness and
+    the exact margin.  Witnesses are the first points in enumeration order
+    whose class is witnessed, with its first k and with sigma and eta
+    evaluated from the tables at the point.  They lie in the first
+    max_witnesses witnessed classes, as each representative is the smallest
+    point of its orbit: a streamed point is witnessed at k = 1 if its class
+    is, and otherwise its class representative (v -> min(v, p - v)) is
+    looked up among those classes' seed rows.  The walk stops once every
+    witness is placed.
     """
     K = GAKnot(pieces)
     [part] = primary_parts(K)
     p = part.p
     S = build_sigma_tables(K, p).scaled_sigma
     thr = 4 * g + 1
-    xs, sizes = enumerate_isotropic_classes(part)
-    n = int(sizes.sum())
+    assert_int64_budget(S, p, s1, thr)
+    classes = enumerate_rung_one(part, S, s1, thr)
+    n = int((1 << classes.eta).sum())
     want = isotropic_point_count(part)
     if n != want:
         raise ArithmeticError(f"isotropic point count mismatch at p={p}: {n} != {want}")
     if n == 0:
         return PrimeResult(p, 0, True, (), None)
-    assert_int64_budget(S, p, s1, thr)
-    _, scan = select_kernel()
     try:
-        first, best = scan(xs, S, s1, p, thr)
+        first, least = _settle(classes, S, s1, p, thr)
     except (ValueError, IndexError) as exc:  # a kernel bug, not bad input
         raise ArithmeticError(f"scan kernel failed at p={p}: {exc}") from exc
 
     verified = bool((first > 0).all())
-    margin = Fraction(int(best.min()), p)
+    margin = Fraction(least, p)
     if verified != (margin > thr):
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
-    # the first n witnessed points lie in the first n witnessed classes: each
-    # representative is the smallest point of its orbit
     idx = (first > 0).nonzero()[0][:max_witnesses]
-    ks = dict(zip(map(tuple, xs[idx].tolist()), first[idx].tolist()))
-    wanted = min(max_witnesses, int(sizes[idx].sum()))
+    wanted = min(max_witnesses, int((1 << classes.eta[idx]).sum()))
     witnesses: list[Witness] = []
     if wanted:
+        deep = (classes.seed <= idx[-1]) & (first[classes.seed] > 1)
+        ks = dict(zip(map(tuple, classes.xs[deep].tolist()), first[classes.seed[deep]].tolist()))
         for x in enumerate_projective_isotropic(part):
-            k = ks.get(tuple(min(v, p - v) for v in x))
+            eta = len(x) - x.count(0) - 1
+            sig = sum(S.item(j, v) for j, v in enumerate(x))
+            k = 1 if abs(sig + p * s1) > p * (thr + eta) else ks.get(tuple(min(v, p - v) for v in x))
             if k:
                 sig = sum(S.item(j, k * v % p) for j, v in enumerate(x))
-                eta = len(x) - x.count(0) - 1
                 witnesses.append(Witness(p, x, k, Fraction(sig, p), eta, thr))
                 if len(witnesses) == wanted:
                     break
     return PrimeResult(p, n, verified, tuple(witnesses), margin)
+
+
+def _settle(classes: RungOne, S, s1: int, p: int, thr: int):
+    """Each class's first witnessing k and the margin numerator min(best).
+
+    The scan kernel takes the seed: the classes that k = 1 leaves
+    unwitnessed and the witnessed class of smallest k = 1 bound.  Its
+    minimum best is exact over them.  Every other class has first = 1 and
+    best >= its k = 1 bound, so only those whose bound lies below that
+    minimum can lower it, and a second call scans them.
+    """
+    _, scan = select_kernel()
+    bound, seed = classes.bound, classes.seed
+    hit = bound > p * thr
+    first = hit.astype(int)
+    first[seed], best = scan(classes.xs, S, s1, p, thr)
+    least = int(best.min())
+    low = hit & (bound < least)
+    low[seed] = False
+    low = low.nonzero()[0]
+    if len(low):
+        least = min(least, int(scan(class_rows(classes, low), S, s1, p, thr)[1].min()))
+    return first, least
 
 
 def genus_lower_bound(

@@ -67,3 +67,21 @@ def odd_prime_count_floor(lo: int, hi: int) -> int:
     if hi < 17:
         return 0
     return max(0, floor(hi / log(hi) - 1.25506 * a / log(a)) - 1)
+
+
+def primitive_root(p: int) -> int:
+    """The smallest generator of the multiplicative group of F_p, p an odd prime.
+
+    g generates when g^((p-1)/q) != 1 mod p for every prime q dividing p-1
+    (the group is cyclic: Lidl and Niederreiter, Finite Fields, ch. 2).
+    """
+    n, factors, d = p - 1, [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))

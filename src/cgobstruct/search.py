@@ -16,7 +16,7 @@ the part's pieces in order, sigma_K(-1), genus and witness count
 (`kernels._cable_rows`), as in a verify.  So the symmetry, eta,
 point-count and int64 checks run once per distinct key, not once per
 candidate.  A memoised PrimeResult holds ints and Fractions only, and no
-class array outlives its scan.  Progress is checkpointed
+array of a prime's classes outlives its scan.  Progress is checkpointed
 as JSON lines keyed by the candidate tuple, and a resumed sweep yields
 byte-identical results because every stage is deterministic.  Every
 checkpoint line also carries a "config" fingerprint (genus,

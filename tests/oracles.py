@@ -4,7 +4,8 @@ These deliberately avoid the package's computation paths: one signature
 oracle runs the tridiagonal minor recurrence in 260-digit floating point,
 another counts double precision eigenvalue signs (the package counts
 lattice points), the kernel-dimension oracle uses singular values, and
-the isotropic-set oracle is a full quartic-space filter.  Each oracle
+the isotropic-set oracle is a full quartic-space filter, and the
+sign-flip classes are read off the package's point stream.  Each oracle
 self-checks that no value lands in its ambiguity band, so a wrong
 threshold fails loudly instead of silently agreeing.  The scan oracle
 reads the package's sigma tables but none of its reductions: it checks
@@ -257,6 +258,24 @@ def brute_isotropic(p: int, signs: tuple[int, ...]) -> set[tuple[int, ...]]:
         if sum(e * v * v for e, v in zip(signs, x)) % p == 0:
             out.add(x)
     return out
+
+
+def enumerate_isotropic_classes(part) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-flip classes of projective isotropic vectors, as (xs, sizes).
+
+    A class is every sign pattern on the nonzero non-leading coordinates of
+    a normalized vector, and its representative is its lexicographically
+    smallest member: the one whose coordinates all lie in [0, (p-1)/2].  So
+    the classes are the streamed points with that property, in stream order
+    (ascending), and an orbit has 2^(nonzero coordinates - 1) points.  xs
+    is an (n, rank) int64 array and sizes an int64 array of length n.
+    """
+    from cgobstruct.linking_form import enumerate_projective_isotropic
+
+    half = (part.p - 1) // 2
+    reps = [x for x in enumerate_projective_isotropic(part) if max(x) <= half]
+    xs = np.array(reps, dtype=np.int64).reshape(len(reps), part.rank)
+    return xs, 1 << (np.count_nonzero(xs, axis=1).astype(np.int64) - 1)
 
 
 def expand_projective(reps, p: int, rank: int) -> set[tuple[int, ...]]:

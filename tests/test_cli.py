@@ -112,9 +112,10 @@ def test_verify_flagship_golden_bytes(capsys, fmt, name, threads):
 
 @pytest.mark.parametrize("cells", [None, 64])
 def test_verify_p300_golden_bytes(capsys, monkeypatch, cells):
-    # 10,953 and 12,013 classes: two depth-1 row blocks, one depth-BLOCK
-    # batch (805 and 739 classes) and several enumeration slabs per prime,
-    # and 172 and 188 depth-1 blocks when the scratch is 64 cells
+    # 10,953 and 12,013 classes in three enumeration slabs per prime, of
+    # which the 806 and 740 seed classes reach the scan (one depth-BLOCK
+    # batch); with 64 cells of scratch, one grid row per slab (149 and 156)
+    # and 13 and 12 depth-1 blocks
     if cells:
         monkeypatch.setattr(kernels, "CELLS", cells)
     rc, out, err = run(capsys, ["verify", "--family", "293,307,17,11,13", "--format", "json"])
@@ -123,9 +124,10 @@ def test_verify_p300_golden_bytes(capsys, monkeypatch, cells):
 
 
 def test_verify_p1000_golden_bytes(capsys):
-    # 128,019 and 129,033 classes, 16 depth-1 row blocks per prime; the
-    # golden bytes were taken while stage 1 still evaluated k = 1..4 for
-    # every class
+    # 128,019 and 129,033 classes in 32 enumeration slabs per prime, of
+    # which the 2,289 and 2,555 seed classes reach the scan; the golden
+    # bytes were taken while stage 1 still evaluated k = 1..4 for every
+    # class
     rc, out, err = run(capsys, ["verify", "--family", "1009,1013,17,11,13", "--format", "json"])
     assert (rc, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / "verify_p1000.json").read_bytes()
@@ -464,13 +466,13 @@ def test_search_cli_resume_with_other_genus_exit_2(tmp_path, capsys):
 def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
     import cgobstruct.obstruction as obstruction
 
-    classes = obstruction.enumerate_isotropic_classes
+    classes = obstruction.enumerate_rung_one
 
-    def miscounted(part):  # orbit sizes that no longer add up to (p+1)^2
-        xs, sizes = classes(part)
-        return xs, sizes * 0 + 1
+    def miscounted(*args):  # orbit sizes that no longer add up to (p+1)^2
+        one = classes(*args)
+        return one._replace(eta=one.eta * 0)
 
-    monkeypatch.setattr(obstruction, "enumerate_isotropic_classes", miscounted)
+    monkeypatch.setattr(obstruction, "enumerate_rung_one", miscounted)
     rc, out, err = run(capsys, ["verify", *FLAGSHIP])
     assert rc == 3
     assert out == ""
@@ -593,6 +595,27 @@ def test_cli_import_does_not_load_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+COLD_RUNS = (
+    "import sys, contextlib, io\n"
+    "from cgobstruct import build_family, genus_lower_bound\n"
+    "from cgobstruct.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    rcs = [main(['verify', '--family', '83,103,17,11,13']),\n"
+    "           genus_lower_bound(build_family(293, 307, 17, 11, 13), g_max=2).genus.lower_bound,\n"
+    "           main(['search', '--p-set', '83,103', '--q-set', '11,13,17,19'])]\n"
+    "print(rcs, 'numpy.ma' in sys.modules)\n"
+)
+
+
+def test_cold_runs_do_not_load_numpy_ma():
+    # np.unique, setdiff1d, intersect1d and union1d import numpy.ma on first
+    # use, 12-19 ms in a fresh process: a flagship verify, a p = 300 genus
+    # bound and the 12-candidate sweep call none of them
+    proc = subprocess.run([sys.executable, "-c", COLD_RUNS], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 2, 0] False"
 
 
 PARSER_ARGVS = [

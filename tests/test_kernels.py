@@ -19,13 +19,19 @@ from cgobstruct.kernels import (
     BLOCK,
     CELLS,
     assert_int64_budget,
-    enumerate_isotropic_classes,
     scan_classes,
     select_kernel,
 )
 from cgobstruct.linking_form import PrimaryPart, enumerate_projective_isotropic
 
-from oracles import assert_bounded, assert_bounded_scan, compose_multipliers, loop_scan, scan_chunk
+from oracles import (
+    assert_bounded,
+    assert_bounded_scan,
+    compose_multipliers,
+    enumerate_isotropic_classes,
+    loop_scan,
+    scan_chunk,
+)
 
 
 def scan(xs, S, p, s1, thr):

@@ -7,16 +7,16 @@ import pytest
 from cgobstruct import (
     GAKnot,
     Piece,
-    enumerate_isotropic_classes,
     enumerate_projective_isotropic,
     is_isotropic,
     primary_parts,
     sqrt_table,
 )
 from cgobstruct import kernels
+from cgobstruct.kernels import class_rows, enumerate_rung_one
 from cgobstruct.linking_form import PrimaryPart, isotropic_point_count
 
-from oracles import brute_isotropic, expand_projective
+from oracles import brute_isotropic, enumerate_isotropic_classes, expand_projective
 
 
 def test_primary_parts_flagship(flagship):
@@ -120,11 +120,10 @@ def test_odd_rank_pattern_supported():
 
 
 def _classes(part):
-    """enumerate_isotropic_classes as a list of (rep tuple, orbit size)."""
+    """The oracle's classes as a list of (rep tuple, orbit size)."""
     xs, sizes = enumerate_isotropic_classes(part)
     assert xs.dtype == sizes.dtype == np.int64
     assert xs.shape == (len(sizes), part.rank)
-    assert xs.flags.f_contiguous  # the scan kernel gathers through whole columns
     return [(tuple(rep), size) for rep, size in zip(xs.tolist(), sizes.tolist())]
 
 
@@ -160,33 +159,42 @@ def test_classes_match_brute_force_all_sign_patterns():
                 _check_classes_brute_force(PrimaryPart(p, tuple(range(r)), signs))
 
 
+def _rung_one_classes(part):
+    """The rung-one enumerator's classes, every index rebuilt, as (xs, sizes)."""
+    one = enumerate_rung_one(part, np.zeros((part.rank, part.p), dtype=np.int64), 0, 0)
+    return class_rows(one, np.arange(len(one.eta))), 1 << one.eta
+
+
 @pytest.mark.parametrize("cells", [1, 5, 40])
 def test_classes_in_tiny_slabs_match_brute_force(monkeypatch, cells):
     # slabs of one row or of a few cells cut every grid at many slab edges;
-    # the rows, their order and the orbit sizes are those of one slab
+    # the rows, their order and the orbit sizes are the oracle's
     cases = [(7, (1,)), (7, (1, -1)), (11, (1, 1, -1)), (11, (1, -1, 1, -1)), (7, (1, 1, 1, -1))]
     cases += [(5, (1, -1, 1, -1, 1)), (7, (-1, -1, 1, 1, 1)), (3, (1, -1, 1, -1, 1, -1)), (5, (1, 1, 1, 1, -1, 1))]
-    whole = [enumerate_isotropic_classes(PrimaryPart(p, tuple(range(len(e))), e)) for p, e in cases]
     monkeypatch.setattr(kernels, "CELLS", cells)
-    for (p, signs), (xs, sizes) in zip(cases, whole):
+    for p, signs in cases:
         part = PrimaryPart(p, tuple(range(len(signs))), signs)
-        got = enumerate_isotropic_classes(part)
+        xs, sizes = enumerate_isotropic_classes(part)
+        got = _rung_one_classes(part)
         assert np.array_equal(got[0], xs) and np.array_equal(got[1], sizes)
         _check_classes_brute_force(part)
 
 
 def test_classes_memory_at_p307():
-    # 12,013 classes built slab by slab: the traced peak stays within 2x
-    # the bytes of the two arrays returned
+    # 12,013 classes scored slab by slab with a zero table (all unwitnessed,
+    # so every class is written out): the traced peak stays within 2x the
+    # bytes of the arrays returned plus eight CELLS-cell slabs of scratch
     part = PrimaryPart(307, (0, 1, 2, 3), (1, -1, 1, -1))
+    S = np.zeros((4, 307), dtype=np.int64)
     tracemalloc.start()
     try:
-        xs, sizes = enumerate_isotropic_classes(part)
+        one = enumerate_rung_one(part, S, 0, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(xs) == 12013
-    assert peak <= 2.0 * (xs.nbytes + sizes.nbytes), (peak, xs.nbytes + sizes.nbytes)
+    assert len(one.bound) == len(one.seed) == 12013
+    cap = 2 * sum(arr.nbytes for arr in one[:4]) + 8 * 8 * kernels.CELLS
+    assert peak <= cap, (peak, cap)
 
 
 def test_classes_rank_below_two_empty():

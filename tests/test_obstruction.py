@@ -364,14 +364,14 @@ def test_prime_scan_memo_keeps_no_exception(monkeypatch, flagship):
     import cgobstruct.obstruction as obstruction
 
     # a miscount raises; once the patch is undone the same key scans correctly
-    classes, part = obstruction.enumerate_isotropic_classes, primary_parts(flagship)[0]
+    classes, part = obstruction.enumerate_rung_one, primary_parts(flagship)[0]
 
-    def miscounted(part):
-        xs, sizes = classes(part)
-        return xs, sizes * 0 + 1
+    def miscounted(*args):
+        one = classes(*args)
+        return one._replace(eta=one.eta * 0)
 
     with monkeypatch.context() as patch:
-        patch.setattr(obstruction, "enumerate_isotropic_classes", miscounted)
+        patch.setattr(obstruction, "enumerate_rung_one", miscounted)
         with pytest.raises(ArithmeticError, match="point count mismatch at p=83"):
             verify_primary_part(part, flagship, 1)
     res = verify_primary_part(part, flagship, 1)

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from cgobstruct.primes import LIMIT, is_odd_prime, is_prime, odd_prime_count_floor, odd_primes_in
+from cgobstruct.primes import LIMIT, is_odd_prime, is_prime, odd_prime_count_floor, odd_primes_in, primitive_root
 
 
 def test_is_prime_small():
@@ -68,3 +68,17 @@ def test_is_prime_below_the_limit():
     assert is_prime(341_550_071_728_289)  # the largest prime below LIMIT
     assert not is_prime(LIMIT - 1)
     assert not is_prime(10_670_053 * 32_010_151)  # a composite just below LIMIT
+
+
+def test_primitive_root_is_the_smallest_generator():
+    # by brute force: the order of g mod p is the length of its power cycle
+    def order(g, p):
+        k, x = 1, g
+        while x != 1:
+            k, x = k + 1, x * g % p
+        return k
+
+    for p in odd_primes_in(3, 1013):
+        g = primitive_root(p)
+        assert order(g, p) == p - 1, p
+        assert all(order(a, p) < p - 1 for a in range(2, g)), p

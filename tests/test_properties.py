@@ -2,8 +2,10 @@
 the closed-form sigma table rows against a double precision eigenvalue
 count, the net-sign signature function against the per-piece sweep, the
 branch-and-bound scan kernel against an element-wise loop, on random
-and on adversarial tables and in blocks of a few cells, and whole
-primary-part results, witnesses included, against a point-by-point scan."""
+and on adversarial tables and in blocks of a few cells, the rung-one
+enumerator and the per-prime pipeline against the class oracle, and
+whole primary-part results, witnesses included, against a point-by-point
+scan."""
 
 from fractions import Fraction
 
@@ -27,12 +29,20 @@ from cgobstruct import (
     signature_function_samples,
     verify_primary_part,
 )
-from cgobstruct import kernels
-from cgobstruct.kernels import assert_int64_budget, scan_classes
+from cgobstruct import kernels, obstruction
+from cgobstruct.kernels import assert_int64_budget, class_rows, enumerate_rung_one, scan_classes
+from cgobstruct.linking_form import PrimaryPart
 from cgobstruct.obstruction import _scan_part
 from cgobstruct.primes import odd_primes_in
 
-from oracles import assert_bounded_scan, eigen_signature, full_scan, piece_signature_samples
+from oracles import (
+    assert_bounded_scan,
+    eigen_signature,
+    enumerate_isotropic_classes,
+    full_scan,
+    loop_scan,
+    piece_signature_samples,
+)
 
 PRIMES = odd_primes_in(3, 211)
 BUDGET = 2**62
@@ -258,3 +268,58 @@ def test_scan_kernel_in_tiny_blocks_matches_elementwise_loop(case, cells):
         patch.setattr(kernels, "CELLS", cells)
         got = scan_classes(xs, S, s1, p, thr)
     assert_bounded_scan(got, xs, S, p, s1, thr)
+
+
+@st.composite
+def rung_one_cases(draw):
+    """A primary part (p <= 31, rank 1-5, any signs), a table with rows
+    symmetric under a -> p-a and any S[:, 0], s1 and a threshold on the
+    scale of the table."""
+    p = draw(st.sampled_from(odd_primes_in(3, 31)))
+    r = draw(st.integers(1, 5))
+    signs = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=r, max_size=r)))
+    half = (p - 1) // 2
+    S = np.zeros((r, p), dtype=np.int64)
+    for j in range(r):
+        row = draw(st.lists(st.integers(-2 * p * p, 2 * p * p), min_size=half + 1, max_size=half + 1))
+        S[j, : half + 1] = row
+        S[j, half + 1 :] = row[:0:-1]
+    s1 = draw(st.integers(-2 * p, 2 * p))
+    thr = draw(st.integers(0, 3 * p))
+    return PrimaryPart(p, tuple(range(r)), signs), S, s1, thr
+
+
+@settings(deadline=None)
+@given(rung_one_cases(), st.none() | st.integers(1, 16))
+def test_rung_one_enumerator_matches_the_class_oracle(case, cells):
+    # coordinates rebuilt at every index, orbit sizes, k = 1 bounds and the
+    # seed, also with 1 to 16 cells of scratch (slabs of one grid row)
+    part, S, s1, thr = case
+    with pytest.MonkeyPatch.context() as patch:
+        if cells:
+            patch.setattr(kernels, "CELLS", cells)
+        one = enumerate_rung_one(part, S, s1, thr)
+    xs, sizes = enumerate_isotropic_classes(part)
+    assert np.array_equal(class_rows(one, np.arange(len(xs))), xs)
+    assert np.array_equal(1 << one.eta, sizes)
+    p = part.p
+    bound = loop_scan(xs, S, p, s1, thr, k_max=1)[1] if len(xs) else sizes
+    assert np.array_equal(one.bound, bound)
+    hit = np.flatnonzero(bound > p * thr)
+    seed = np.flatnonzero(bound <= p * thr).tolist() + ([int(hit[bound[hit].argmin()])] if len(hit) else [])
+    assert one.seed.tolist() == seed
+    assert np.array_equal(one.xs, xs[seed].reshape(-1, part.rank))
+
+
+@settings(deadline=None)
+@given(rung_one_cases())
+def test_per_prime_pipeline_matches_loop_over_the_oracle_classes(case):
+    # each class's first witness and the margin: one scan of the seed, and a
+    # second of the witnessed classes left below its minimum
+    part, S, s1, thr = case
+    xs, _ = enumerate_isotropic_classes(part)
+    assume(len(xs))
+    first, least = obstruction._settle(enumerate_rung_one(part, S, s1, thr), S, s1, part.p, thr)
+    want_first, want_best = loop_scan(xs, S, part.p, s1, thr, k_max=(part.p - 1) // 2)
+    assert np.array_equal(first, want_first)
+    assert least == want_best.min()
