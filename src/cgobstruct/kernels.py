@@ -34,22 +34,23 @@ The arrays rest on three invariants, stated here only:
   is prime, k*x_j = 0 mod p only when x_j = 0, so the support of k*x is
   nnz(x) for every k and eta = nnz(x) - 1 is one number per class.
 - Scratch: the per-class arrays are n long (the enumerator's bound and
-  eta, the scan's first, best and eta) and the tables O(rank * p) (S,
-  the tiled root table, the log-order rows); no other temporary of the
-  enumerator or the scan exceeds CELLS int64 cells (64 KB), a size the
-  allocator reuses instead of mapping afresh.
+  eta, the scan's first, best and eta), the tables O(rank * p) (S, the
+  tiled root table, the log-order rows) and the grid's inner arrays
+  ((p+1)/2)^(rank-3) cells (1,764 at rank 5 and p = 83).  A slab is
+  CELLS int64 cells (64 KB), or one grid row when a row is larger
+  (74,088 cells at rank 6 and p = 83), and no other temporary of the
+  enumerator or the scan exceeds CELLS cells.  A grid of more than
+  GRID_CELLS cells in all, ((p+1)/2 + 2) * ((p+1)/2)^(rank-3), is
+  refused before any array is built (`assert_grid_budget`).
 
 Only the table rows are memoised: per (q', p), for the life of the
 process and read-only (`_cable_rows`; `cache_clear()` frees them), so no
 caller can change what a later one reads.  Everything else lives as long
 as the scan of its part.
 
-Rung one on the grid: `enumerate_rung_one` walks the classes on the grid
-of their free coordinates, slab by slab, and scores each at k = 1 from
-outer sums of per-coordinate rows.  It keeps per class only the k = 1
-bound |S + p*s1| - p*eta and eta, and writes out coordinates only for
-the seed: the classes k = 1 leaves unwitnessed and the witnessed class
-of smallest bound.  `class_rows` rebuilds any other class from its slab.
+Rung one on the grid: `enumerate_rung_one` scores every class at k = 1,
+slab by slab, and writes out only the seed's coordinates (`RungOne`);
+`class_rows` rebuilds any other class from its slab.
 
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
@@ -78,12 +79,8 @@ witness is the smallest multiplier min(g^i, p - g^i) over the hits.  The
 result is exact: first is the first witness, and every row not settled
 to (p-1)/2 keeps an L >= U >= the minimum, so min(best) is the margin
 whatever depth each row reached.  Depth 1 runs over blocks of CELLS
-rows, and settle over CELLS // depth rows (at least one).
-
-Per row the kernel reports two facts: the first witnessing multiplier
-(0 when none) and a lower bound on best that is exact for every row able
-to set the minimum (so min(best) is exact).  Sigma and eta at a witness
-are evaluated at the point, by `obstruction.verify_primary_part`.
+rows, and settle over CELLS // depth rows (at least one).  Sigma and eta
+at a witness are evaluated at the point, by `obstruction._scan_part`.
 """
 
 from __future__ import annotations
@@ -94,12 +91,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .knots import GAKnot, Piece
+from .knots import Piece
 from .linking_form import PrimaryPart
 from .primes import primitive_root
 
 BLOCK = 4
 CELLS = 8192
+GRID_CELLS = 2**25  # a scan peaks at about 18 bytes per grid cell (p = 1009, 1013): 0.6 GB at the cap
 TOP = 2**63 - 1  # the largest int64
 
 
@@ -113,25 +111,24 @@ class SigmaTable(NamedTuple):
     eta_arr: np.ndarray
 
 
-def build_sigma_tables(K: GAKnot, p: int) -> SigmaTable:
+def build_sigma_tables(part: PrimaryPart) -> SigmaTable:
     """Tabulate p * sign * sigma_cable and eta_cable over all residues mod p.
 
-    The per-piece rows come from the memo of `_cable_rows`, so knots that
-    share a (q', p) share its read-only rows; the symmetry and eta checks
-    still run on every table.
+    Row i is part.pieces[i]'s, read from the part alone.  The per-piece
+    rows come from the memo of `_cable_rows`, so parts that share a
+    (q', p) share its read-only rows; the symmetry and eta checks still
+    run on every table.
     """
-    idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == p)
-    if not idx:
-        raise ValueError(f"{p} is not a cable prime of the knot")
-    rows = [_cable_rows(K.pieces[j].companion_q, p) for j in idx]
-    signs = np.array([[K.pieces[j].sign] for j in idx], dtype=np.int64)
+    p = part.p
+    rows = [_cable_rows(pc.companion_q, p) for pc in part.pieces]
+    signs = np.array([[s] for s in part.signs], dtype=np.int64)
     scaled = signs * np.array([sig for sig, _ in rows])
     etas = np.array([eta for _, eta in rows])
     if etas.any():
         raise ArithmeticError(f"nonzero eta_cable at p={p}: the scan kernel assumes it vanishes")
     if not np.array_equal(scaled[:, 1:], scaled[:, :0:-1]):
         raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
-    return SigmaTable(p, idx, scaled, etas)
+    return SigmaTable(p, part.piece_indices, scaled, etas)
 
 
 @lru_cache(maxsize=None)
@@ -253,11 +250,10 @@ def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int) -> R
     representative is the lexicographically smallest member: non-leading
     coordinates in [0, (p-1)/2], the last one the `sqrt_table` root.
 
-    Classes come in ascending lexicographic order, from the grid of
-    `_class_grid` in slabs of its first axis of at most CELLS cells or one
-    row.  In a slab, t = -Q/eps_last, the k = 1 value and eta are outer
-    sums of one row per coordinate; the last coordinate's S entry is read
-    at t.  Only the seed classes are written out as coordinates.
+    Classes come in ascending lexicographic order, slab by slab from the
+    grid of `_class_grid`.  In a slab, t = -Q/eps_last, the k = 1 value and
+    eta are outer sums of one row per coordinate; the last coordinate's S
+    entry is read at t.  Only the seed classes are written out.
     """
     p, r = part.p, part.rank
     if r < 2:
@@ -325,9 +321,7 @@ def scan_classes(xs, S, s1, p, thr):
     h = (p - 1) // 2
     first, best = np.empty((2, n), dtype=np.int64)
     etas = np.empty(n, dtype=np.int64)
-    # discrete-log order: with g a primitive root, k*x = +-g^(log k + log x), and
-    # the rows are symmetric, so R[j, i] = S[j, g^(i mod h)] for i < 2h, then h
-    # entries S[j, 0] for x_j = 0 (log 0 = 2h), gives S[j, k*x_j] = R[j, log x_j + log k]
+    # the rows in log order (module docstring), then h entries S[j, 0] for x_j = 0 (log 0 = 2h)
     g = primitive_root(p)
     pw = np.array(list(accumulate(range(h - 1), lambda a, _: a * g % p, initial=1)), dtype=np.int64)
     log = np.empty(p, dtype=np.int64)
@@ -341,11 +335,7 @@ def scan_classes(xs, S, s1, p, thr):
     block = R[:, log[:, None] + log.take(ks)]  # block[j, a, k-1] = S[j, k*a mod p] for k <= BLOCK
 
     def settle(rows, depth):
-        """Evaluate rows at k = 1..depth (BLOCK or h); write their first and best.
-
-        At depth h a row reads one window per piece, in log order; at depth
-        BLOCK one row of block per piece.
-        """
+        """Evaluate rows at k = 1..depth (BLOCK or h); write their first and best."""
         if not len(rows):
             return
         full = depth >= h
@@ -381,16 +371,11 @@ def scan_classes(xs, S, s1, p, thr):
         np.abs(val, out=val)
         val -= p * eta
         first[blk] = val > p * thr  # |S + p*s1| > p*(thr + eta)
-    miss, kept = np.flatnonzero(first == 0), 0
-    for i in range(0, len(miss), CELLS):  # depth BLOCK for the classes k = 1 leaves unwitnessed
-        rows = miss[i : i + CELLS]
-        settle(rows, BLOCK)
-        rows = rows[first[rows] == 0]
-        miss[kept : kept + len(rows)] = rows  # compacted in place into the seed
-        kept += len(rows)
-    seed = miss[:kept]
+    miss = np.flatnonzero(first == 0)
+    settle(miss, BLOCK)  # depth BLOCK for the classes k = 1 leaves unwitnessed
+    seed = miss[first[miss] == 0]
     best[seed] = TOP  # overwritten by the full scan; argmin now sees witnessed classes only
-    if kept < n:  # seed the witnessed class of smallest bound too
+    if len(seed) < n:  # seed the witnessed class of smallest bound too
         seed = np.append(seed, best.argmin())
     settle(seed, h)
     bound = best[seed].min(initial=TOP)
@@ -398,6 +383,14 @@ def scan_classes(xs, S, s1, p, thr):
     settle(rest, BLOCK)
     settle(rest[best[rest] < bound], h)
     return first, best
+
+
+def assert_grid_budget(part: PrimaryPart) -> None:
+    """Refuse a part whose class grid has more than GRID_CELLS cells."""
+    half, r = (part.p + 1) // 2, part.rank
+    cells = (half + 2) * half ** (r - 3) if r > 2 else 1
+    if cells > GRID_CELLS:
+        raise ValueError(f"the class grid at p={part.p}, rank {r} has {cells} cells, over the cap of {GRID_CELLS}")
 
 
 def assert_int64_budget(S: np.ndarray, p: int, s1: int, thr: int) -> None:

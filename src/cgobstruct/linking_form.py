@@ -19,21 +19,41 @@ import math
 from typing import Iterator, NamedTuple
 
 from .casson_gordon import Character
-from .knots import GAKnot
+from .knots import GAKnot, Piece
 
 PrimaryVector = tuple[int, ...]
 
 
-class PrimaryPart(NamedTuple):
-    """Diagonal sign form of one prime: Q(x) = sum eps_i x_i^2 mod p."""
-
+class _PartFields(NamedTuple):
     p: int
     piece_indices: tuple[int, ...]
-    signs: tuple[int, ...]
+    pieces: tuple[Piece, ...]
+
+
+class PrimaryPart(_PartFields):
+    """The p-primary part of a knot K, pieces[i] = K.pieces[piece_indices[i]]:
+    the form Q(x) = sum eps_i x_i^2 mod p, eps_i = pieces[i].sign.
+
+    Its values are read from the pieces alone; the indices only place a
+    vector on K (`to_character`).  Every piece must be cabled over p, so a
+    part names no prime but its own.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, piece_indices, pieces) -> "PrimaryPart":
+        piece_indices, pieces = tuple(piece_indices), tuple(pieces)
+        if len(piece_indices) != len(pieces) or any(pc.cable_p != p for pc in pieces):
+            raise ValueError(f"a part at p={p} needs one index per piece and every piece cabled over {p}")
+        return super().__new__(cls, p, piece_indices, pieces)
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return tuple(pc.sign for pc in self.pieces)
 
     @property
     def rank(self) -> int:
-        return len(self.piece_indices)
+        return len(self.pieces)
 
     def to_character(self, x: PrimaryVector, K: GAKnot) -> Character:
         """Place residue x_i on piece piece_indices[i], zero elsewhere."""
@@ -46,12 +66,12 @@ class PrimaryPart(NamedTuple):
 
 
 def primary_parts(K: GAKnot) -> list[PrimaryPart]:
-    """One part per distinct cable prime, in first-appearance piece order."""
+    """One part per distinct cable prime, in first-appearance piece order:
+    the one place that decides which pieces of K sit at p."""
     parts: list[PrimaryPart] = []
     for p in K.primes():
         idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == p)
-        signs = tuple(K.pieces[j].sign for j in idx)
-        parts.append(PrimaryPart(p, idx, signs))
+        parts.append(PrimaryPart(p, idx, (K.pieces[j] for j in idx)))
     return parts
 
 

@@ -30,13 +30,14 @@ from typing import NamedTuple, Optional
 from .casson_gordon import eta_knot, sigma_knot
 from .kernels import (
     RungOne,
+    assert_grid_budget,
     assert_int64_budget,
     build_sigma_tables,
     class_rows,
     enumerate_rung_one,
     select_kernel,
 )
-from .knots import GAKnot, Piece, family_parameters
+from .knots import GAKnot, family_parameters
 from .linking_form import (
     PrimaryPart,
     PrimaryVector,
@@ -174,9 +175,10 @@ def _frac(x: Fraction) -> str:
 
 
 def _check_args(part: PrimaryPart, K: GAKnot, g: int) -> None:
-    # the part of K at part.p, read from the pieces without building every part
-    idx = tuple(j for j, pc in enumerate(K.pieces) if pc.cable_p == part.p)
-    if not idx or part != (part.p, idx, tuple(K.pieces[j].sign for j in idx)):
+    # K's part at part.p: K's pieces at ascending indices, and no other piece of K at p
+    idx = part.piece_indices
+    at = tuple(K.pieces[j] for j in idx if 0 <= j < len(K.pieces))
+    if not at or part.pieces != at or K.rank(part.p) != len(at) or sorted(set(idx)) != list(idx):
         raise ValueError(f"primary part at p={part.p} does not belong to the knot")
     if g < 0:
         raise ValueError(f"genus hypothesis must be >= 0, got {g}")
@@ -211,40 +213,40 @@ def verify_primary_part(
 ) -> PrimeResult:
     """Scan every projective isotropic point of one primary part of K.
 
-    A part that is not one of `primary_parts(K)`, a negative g or a
-    negative max_witnesses raises ValueError.  verified means every point
-    has a violating multiplier.  The result is a pure function of the
-    part's pieces in order, s1 = sigma_K(-1), g and max_witnesses, and is
-    memoised on them (`_scan_part`); an exception is not memoised.
+    A part that is not one of `primary_parts(K)`, one too large to
+    enumerate, a negative g or a negative max_witnesses raises ValueError.
+    verified means every point has a violating multiplier.  The result is
+    a pure function of the part, s1 = sigma_K(-1), g and max_witnesses,
+    and is memoised on them (`_scan_part`); an exception is not memoised.
     """
     _check_args(part, K, g)
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
-    pieces = tuple(K.pieces[j] for j in part.piece_indices)
-    return _scan_part(pieces, signature_at_minus_one(K), g, max_witnesses)
+    return _scan_part(part, signature_at_minus_one(K), g, max_witnesses)
 
 
 @lru_cache(maxsize=None)
-def _scan_part(pieces: tuple[Piece, ...], s1: int, g: int, max_witnesses: int) -> PrimeResult:
-    """The scan behind `verify_primary_part`, on the knot of these pieces alone.
+def _scan_part(part: PrimaryPart, s1: int, g: int, max_witnesses: int) -> PrimeResult:
+    """The scan behind `verify_primary_part`, on the part alone.
 
-    The classes come scored at k = 1 (`enumerate_rung_one`; its arrays die
-    with the scan), one representative per sign-flip class, which decides
-    its whole orbit; points, the sum of orbit sizes, is checked against the
-    closed-form count, and `_settle` gives each class's first witness and
-    the exact margin.  Witnesses are the first points in enumeration order
-    whose class is witnessed, with its first k and with sigma and eta
-    evaluated from the tables at the point.  They lie in the first
-    max_witnesses witnessed classes, as each representative is the smallest
-    point of its orbit: a streamed point is witnessed at k = 1 if its class
-    is, and otherwise its class representative (v -> min(v, p - v)) is
-    looked up among those classes' seed rows.  The walk stops once every
-    witness is placed.
+    The key holds the whole part, indices included, so knots whose pieces
+    at p agree but sit at other indices (F and T(2,5) # -T(2,5) # F) scan
+    p apart.
+    A part whose grid exceeds `kernels.GRID_CELLS` raises ValueError
+    before any array is built.  The classes come scored at k = 1
+    (`enumerate_rung_one`; its arrays die with the scan); points, the sum
+    of orbit sizes, is checked against the closed-form count, and
+    `_settle` gives each class's first witness and the exact margin.
+    Witnesses are the first streamed points whose class is witnessed, with
+    its first k and with sigma and eta evaluated at the point.  They lie in
+    the first max_witnesses witnessed classes, as a representative is the
+    smallest point of its orbit: a point is witnessed at k = 1 if its class
+    is, and otherwise its representative (v -> min(v, p - v)) is looked up
+    among those classes' seed rows, until every witness is placed.
     """
-    K = GAKnot(pieces)
-    [part] = primary_parts(K)
     p = part.p
-    S = build_sigma_tables(K, p).scaled_sigma
+    assert_grid_budget(part)
+    S = build_sigma_tables(part).scaled_sigma
     thr = 4 * g + 1
     assert_int64_budget(S, p, s1, thr)
     classes = enumerate_rung_one(part, S, s1, thr)
@@ -319,8 +321,9 @@ def genus_lower_bound(
     smaller threshold, and qualification only shrinks with g), so the
     certified lower bound is (largest refuted g) + 1.  threads (>= 1) is
     accepted for callers that pass it and changes nothing: each prime is
-    one scan, `verify_primary_part`, which derives its sigma tables and
-    sigma_K(-1) from K.  Its PrimeResult and the table rows per (q', p)
+    one scan, `verify_primary_part` on one of `primary_parts(K)`, whose
+    tables are read from the part and s1 from K.  Its PrimeResult (keyed
+    on the part, s1, g and max_witnesses) and the table rows per (q', p)
     are memoised for the life of the process (`_scan_part`,
     `kernels._cable_rows`) as pure functions of their keys, so the report
     never depends on what an earlier call built.
@@ -342,9 +345,7 @@ def genus_lower_bound(
     for g in range(1, g_max + 1):
         qualifying = [part for part in parts if part.rank - 2 * g >= 2]
         if not qualifying:
-            justification.append(
-                f"g={g}: no prime satisfies r_p - 2g >= 2, hypothesis not refutable by this obstruction"
-            )
+            justification.append(f"g={g}: no prime satisfies r_p - 2g >= 2, hypothesis not refutable by this obstruction")
             break
         results = verify_parts(qualifying, g)
         ok = all(r.verified for r in results)
@@ -362,18 +363,11 @@ def genus_lower_bound(
             break
 
     lower = (max(refuted) + 1) if refuted else 0
-    fam = family_parameters(K)
-    upper = 2 if fam is not None else None
-    source = UPPER_BOUND_SOURCE if fam is not None else None
-    if reported is None:
-        # no prime qualified at any hypothesis: show a diagnostic g=1 scan
-        g_report = 1
-        prime_results = verify_parts(parts, 1)
-        justification.append(
-            "primes section shows a diagnostic g=1 scan; no conclusion follows from it"
-        )
-    else:
-        g_report, prime_results = reported
+    upper, source = (2, UPPER_BOUND_SOURCE) if family_parameters(K) else (None, None)
+    if reported is None:  # no prime qualified at any hypothesis: show a diagnostic g=1 scan
+        reported = (1, verify_parts(parts, 1))
+        justification.append("primes section shows a diagnostic g=1 scan; no conclusion follows from it")
+    g_report, prime_results = reported
     notes = (
         "every nonzero isotropic vector is checked, which covers every possible metabolizer element",
         "algebraic sliceness is not certified by this report; only necessary conditions are checked by the verify command diagnostics",

@@ -10,13 +10,13 @@ ranking key is configurable and recorded in the results.
 
 Each candidate runs the full genus pipeline; candidates certifying a
 lower bound of at least genus+1 are retained.  The sweep is one serial
-walk in ranking order.  A prime's scan is memoised on its real inputs,
-the part's pieces in order, sigma_K(-1), genus and witness count
-(`obstruction._scan_part`), and its (q', p) table rows on (q', p)
-(`kernels._cable_rows`), as in a verify.  So the symmetry, eta,
-point-count and int64 checks run once per distinct key, not once per
-candidate.  A memoised PrimeResult holds ints and Fractions only, and no
-array of a prime's classes outlives its scan.  Progress is checkpointed
+walk in ranking order.  As in a verify, a prime's scan is memoised on
+its part (pieces and their indices), sigma_K(-1), genus and witness
+count (`obstruction._scan_part`), and its table rows on (q', p)
+(`kernels._cable_rows`), so a prime's checks run once per distinct key.
+Family knots place a prime's pieces by its role (p1 at indices 0..3, p2
+at 4..7), so keys repeat across candidates.  A memoised PrimeResult holds
+ints and Fractions only.  Progress is checkpointed
 as JSON lines keyed by the candidate tuple, and a resumed sweep yields
 byte-identical results because every stage is deterministic.  Every
 checkpoint line also carries a "config" fingerprint (genus,
@@ -203,11 +203,6 @@ def _run_candidate(cand: tuple[int, int, int, int, int], cfg: SearchConfig) -> d
     return record
 
 
-def _fingerprint(cfg: SearchConfig) -> dict:
-    """The settings a checkpoint record's verdict depends on."""
-    return {"genus": cfg.genus, "require_algebraic": cfg.require_algebraic, "version": __version__}
-
-
 def _load_checkpoint(path: Optional[str], fingerprint: dict) -> dict[tuple, dict]:
     """Finished records by tuple, with their "config" field stripped.
 
@@ -253,11 +248,11 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
     never abort the sweep.  With cfg.limit, the sweep stops at the
     limit-th kept record: later candidates are neither evaluated nor
     recorded.  Candidates run one at a time, in ranking order, sharing the
-    memoised prime scans and table rows of their primes (see the module
-    docstring); the memos live as long as the process and hold no class
-    array.
+    memoised scans and table rows of the module docstring, which live as
+    long as the process.
     """
-    fingerprint = _fingerprint(cfg)
+    # the settings a checkpoint record's verdict depends on
+    fingerprint = {"genus": cfg.genus, "require_algebraic": cfg.require_algebraic, "version": __version__}
     done = _load_checkpoint(checkpoint, fingerprint)
     kept: list[dict] = []
     sink = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
@@ -267,7 +262,8 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
             if rec is None:
                 rec = _run_candidate(cand, cfg)
                 if sink:
-                    _append(sink, rec, fingerprint)
+                    sink.write(json.dumps({**rec, "config": fingerprint}, ensure_ascii=False) + "\n")
+                    sink.flush()
             if rec.get("kept"):
                 kept.append(rec)
                 if len(kept) == cfg.limit:
@@ -276,11 +272,6 @@ def search(cfg: SearchConfig, checkpoint: Optional[str] = None) -> list[dict]:
         if sink:
             sink.close()
     return kept
-
-
-def _append(sink, rec: dict, fingerprint: dict) -> None:
-    sink.write(json.dumps({**rec, "config": fingerprint}, ensure_ascii=False) + "\n")
-    sink.flush()
 
 
 def parse_config_file(path: str) -> dict[str, str]:

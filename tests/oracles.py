@@ -20,6 +20,7 @@ function before terms were merged by net sign: it adds every piece's
 cable and companion term at every arc.  The Laurent polynomials, the
 T(2,q) Alexander polynomial and Seifert matrix check the structured
 Fox-Milnor pairing and the signature formulas against expanded objects.
+`form_part` and `part_at` only build primary parts for the tests.
 """
 
 from __future__ import annotations
@@ -489,3 +490,18 @@ def assert_bounded(got, want, one, block) -> None:
     if held.any():
         low = exact < best[held].min()
         assert np.array_equal(best[low], exact[low])
+
+
+def form_part(p: int, signs: tuple[int, ...]):
+    """A part of the knot # eps_i T(2,p): one T(2,p) piece per sign, for
+    the tests that read only the part's form."""
+    from cgobstruct import Piece, PrimaryPart
+
+    return PrimaryPart(p, tuple(range(len(signs))), tuple(Piece(1, p, s) for s in signs))
+
+
+def part_at(K, p: int):
+    """The part of K at p."""
+    from cgobstruct import primary_parts
+
+    return next(part for part in primary_parts(K) if part.p == p)

@@ -18,7 +18,6 @@ from cgobstruct import (
     Character,
     GAKnot,
     Piece,
-    PrimaryPart,
     RootOfUnity,
     build_family,
     check_point,
@@ -44,6 +43,7 @@ from cgobstruct.primes import odd_primes_in
 from oracles import (
     brute_isotropic,
     expand_projective,
+    form_part,
     grid_signature_samples,
     kernel_dimension,
     signature_arcs,
@@ -311,10 +311,10 @@ def test_projective_enumeration_expands_to_brute_force():
     for p in (5, 7, 11, 13):
         for bits in range(16):
             signs = tuple(1 if bits & (1 << i) else -1 for i in range(4))
-            part = PrimaryPart(p, (0, 1, 2, 3), signs)
+            part = form_part(p, signs)
             reps = list(enumerate_projective_isotropic(part))
             assert expand_projective(reps, p, 4) == brute_isotropic(p, signs), (p, signs)
-        hyper = PrimaryPart(p, (0, 1, 2, 3), (1, -1, 1, -1))
+        hyper = form_part(p, (1, -1, 1, -1))
         reps = list(enumerate_projective_isotropic(hyper))
         assert len(reps) == (p + 1) ** 2
         nonzero = expand_projective(reps, p, 4) - {(0, 0, 0, 0)}

@@ -15,6 +15,8 @@ from cgobstruct import (
     sigma_torus,
 )
 
+from oracles import part_at
+
 
 def test_sigma_torus_values():
     assert sigma_torus(3, 1) == Fraction(-5, 3)
@@ -146,7 +148,7 @@ def test_denominator_bound(flagship):
 
 def test_sigma_table_structure(flagship):
     for p in (83, 103):
-        tab = build_sigma_tables(flagship, p)
+        tab = build_sigma_tables(part_at(flagship, p))
         assert tab.p == p
         assert len(tab.piece_indices) == 4
         for i, j in enumerate(tab.piece_indices):
@@ -162,15 +164,10 @@ def test_sigma_table_structure(flagship):
                 assert tab.scaled_sigma[i][a] == direct * p
 def test_sigma_table_mirror_twins_negate():
     K = GAKnot((Piece(5, 7, +1), Piece(5, 7, -1)))
-    tab = build_sigma_tables(K, 7)
+    tab = build_sigma_tables(part_at(K, 7))
     for a in range(7):
         assert Fraction(int(tab.scaled_sigma[0, a]), 7) == -Fraction(int(tab.scaled_sigma[1, a]), 7)
         assert tab.eta_arr[0, a] == tab.eta_arr[1, a]
-
-
-def test_sigma_table_rejects_foreign_prime(flagship):
-    with pytest.raises(ValueError):
-        build_sigma_tables(flagship, 7)
 
 
 def test_sigma_table_asserts_row_symmetry(monkeypatch):
@@ -188,7 +185,7 @@ def test_sigma_table_asserts_row_symmetry(monkeypatch):
 
     monkeypatch.setattr(kernels, "_cable_rows", skewed)
     with pytest.raises(ArithmeticError, match="not symmetric"):
-        kernels.build_sigma_tables(K, 7)
+        kernels.build_sigma_tables(part_at(K, 7))
 
 
 def test_sigma_table_asserts_eta_vanishes(monkeypatch):
@@ -196,7 +193,7 @@ def test_sigma_table_asserts_eta_vanishes(monkeypatch):
     from cgobstruct import kernels
 
     K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
-    assert not kernels.build_sigma_tables(K, 7).eta_arr.any()
+    assert not kernels.build_sigma_tables(part_at(K, 7)).eta_arr.any()
     real = kernels._cable_rows
 
     def nonzero(qc, p):  # a nullity at a = 3 (and its conjugate) of the second row
@@ -207,4 +204,4 @@ def test_sigma_table_asserts_eta_vanishes(monkeypatch):
 
     monkeypatch.setattr(kernels, "_cable_rows", nonzero)
     with pytest.raises(ArithmeticError, match="nonzero eta_cable at p=7"):
-        kernels.build_sigma_tables(K, 7)
+        kernels.build_sigma_tables(part_at(K, 7))

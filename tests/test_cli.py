@@ -178,7 +178,7 @@ def test_search_pool_golden_bytes(tmp_path, capsys, threads):
 @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
 def test_search_both_roles_golden_bytes(tmp_path, capsys, resumed):
     # each of the five p-primes is p1 of some candidates and p2 of others, so
-    # its memoised classes and rows serve both roles; a resume from a
+    # its memoised table rows serve both roles; a resume from a
     # checkpoint cut mid-line gives the same bytes
     golden = (GOLDEN / "search_both_roles.checkpoint.jsonl").read_bytes()
     ckpt = tmp_path / "sweep.jsonl"

@@ -22,13 +22,14 @@ from cgobstruct.kernels import (
     scan_classes,
     select_kernel,
 )
-from cgobstruct.linking_form import PrimaryPart, enumerate_projective_isotropic
+from cgobstruct.linking_form import enumerate_projective_isotropic
 
 from oracles import (
     assert_bounded,
     assert_bounded_scan,
     compose_multipliers,
     enumerate_isotropic_classes,
+    form_part,
     loop_scan,
     scan_chunk,
 )
@@ -47,7 +48,7 @@ def assert_same(got, want):
 @pytest.fixture(scope="module")
 def scan_inputs(flagship):
     part = primary_parts(flagship)[0]
-    tab = build_sigma_tables(flagship, 83)
+    tab = build_sigma_tables(part)
     xs = np.array(list(enumerate_projective_isotropic(part))[:500], dtype=np.int64)
     return part, tab, xs
 
@@ -97,7 +98,7 @@ def test_kernel_against_exact_reference_nonzero_s1(scan_inputs, flagship, s1):
     part, tab, xs = scan_inputs
     K = flagship + GAKnot((NONZERO_S1_TAILS[s1],))
     assert signature_at_minus_one(K) == s1 and primary_parts(K)[0] == part
-    assert (build_sigma_tables(K, 83).scaled_sigma == tab.scaled_sigma).all()
+    assert (build_sigma_tables(primary_parts(K)[0]).scaled_sigma == tab.scaled_sigma).all()
     _against_check_point(K, part, tab, xs[:40])
 
 
@@ -177,7 +178,7 @@ def test_kernel_many_rows_tie_at_the_minimum():
     rows = np.random.default_rng(11).choice([0, p, -p, 2 * p], (4, half + 1))
     rows[:, 0] = 0
     S = np.concatenate([rows, rows[:, :0:-1]], axis=1)
-    part = PrimaryPart(p, (0, 1, 2, 3), (1, 1, -1, -1))
+    part = form_part(p, (1, 1, -1, -1))
     xs = np.array(list(enumerate_projective_isotropic(part))[::4], dtype=np.int64)
     got = scan(xs, S, p, 0, 1)
     assert_bounded_scan(got, xs, S, p, 0, 1)
@@ -193,7 +194,7 @@ def p300_classes():
     # every class of family(293,307,17,11,13): 10,953 and 12,013 rows
     K = build_family(293, 307, 17, 11, 13)
     parts = primary_parts(K)
-    return [(build_sigma_tables(K, part.p), enumerate_isotropic_classes(part)[0]) for part in parts]
+    return [(build_sigma_tables(part), enumerate_isotropic_classes(part)[0]) for part in parts]
 
 
 def reference(xs, S, p, s1, thr, k_max=None):
@@ -214,7 +215,7 @@ def p83_classes():
     # every class of family(83,89,11,17,19) at p = 83: 925 rows
     K = build_family(83, 89, 11, 17, 19)
     part = primary_parts(K)[0]
-    return build_sigma_tables(K, part.p), enumerate_isotropic_classes(part)[0]
+    return build_sigma_tables(part), enumerate_isotropic_classes(part)[0]
 
 
 def test_kernel_bounded_on_full_class_arrays(p300_classes, p83_classes):

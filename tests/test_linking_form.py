@@ -14,9 +14,9 @@ from cgobstruct import (
 )
 from cgobstruct import kernels
 from cgobstruct.kernels import class_rows, enumerate_rung_one
-from cgobstruct.linking_form import PrimaryPart, isotropic_point_count
+from cgobstruct.linking_form import isotropic_point_count
 
-from oracles import brute_isotropic, enumerate_isotropic_classes, expand_projective
+from oracles import brute_isotropic, enumerate_isotropic_classes, expand_projective, form_part
 
 
 def test_primary_parts_flagship(flagship):
@@ -37,10 +37,10 @@ def test_primary_parts_small():
 
 
 def test_is_isotropic():
-    P = PrimaryPart(83, (0, 1, 2, 3), (1, -1, 1, -1))
+    P = form_part(83, (1, -1, 1, -1))
     assert is_isotropic((1, 1, 0, 0), P)
     assert not is_isotropic((1, 0, 0, 0), P)
-    P5 = PrimaryPart(5, (0, 1, 2, 3), (1, -1, 1, -1))
+    P5 = form_part(5, (1, -1, 1, -1))
     assert not is_isotropic((1, 2, 1, 2), P5)  # 1-4+1-4 = -6 != 0 mod 5
     with pytest.raises(ValueError):
         is_isotropic((1, 0), P5)
@@ -61,7 +61,7 @@ def test_sqrt_table():
 def test_enumeration_matches_brute_force_all_sign_patterns():
     for p in (5, 7, 11, 13):
         for signs in itertools.product((1, -1), repeat=4):
-            part = PrimaryPart(p, (0, 1, 2, 3), signs)
+            part = form_part(p, signs)
             reps = list(enumerate_projective_isotropic(part))
             for x in reps:
                 assert is_isotropic(x, part)
@@ -78,7 +78,7 @@ def test_enumeration_matches_brute_force_all_sign_patterns():
 
 def test_enumeration_hyperbolic_count():
     for p in (5, 7, 11, 13, 83, 103):
-        part = PrimaryPart(p, (0, 1, 2, 3), (1, -1, 1, -1))
+        part = form_part(p, (1, -1, 1, -1))
         reps = list(enumerate_projective_isotropic(part))
         assert len(reps) == (p + 1) ** 2
 
@@ -87,18 +87,18 @@ def test_enumeration_rank_two_definite():
     # x^2 + y^2 = 0 mod 5 has only the zero solution (-1 is a residue mod 5:
     # 2^2 = 4 = -1, so x^2 = -y^2 does have solutions; check against brute force)
     for signs in ((1, 1), (1, -1)):
-        part = PrimaryPart(5, (0, 1), signs)
+        part = form_part(5, signs)
         reps = list(enumerate_projective_isotropic(part))
         assert expand_projective(reps, 5, 2) == brute_isotropic(5, signs)
 
 
 def test_enumeration_rank_one_empty():
-    part = PrimaryPart(7, (0,), (1,))
+    part = form_part(7, (1,))
     assert list(enumerate_projective_isotropic(part)) == []
 
 
 def test_enumeration_order_deterministic_and_sorted():
-    part = PrimaryPart(7, (0, 1, 2, 3), (1, -1, 1, -1))
+    part = form_part(7, (1, -1, 1, -1))
     reps = list(enumerate_projective_isotropic(part))
     assert reps == sorted(reps)
     assert reps == list(enumerate_projective_isotropic(part))
@@ -114,7 +114,7 @@ def test_to_character(flagship):
 
 
 def test_odd_rank_pattern_supported():
-    part = PrimaryPart(7, (0, 1, 2), (1, 1, -1))
+    part = form_part(7, (1, 1, -1))
     reps = list(enumerate_projective_isotropic(part))
     assert expand_projective(reps, 7, 3) == brute_isotropic(7, (1, 1, -1))
 
@@ -156,7 +156,7 @@ def test_classes_match_brute_force_all_sign_patterns():
     for p in (5, 7, 11, 13):
         for r in (2, 3, 4):
             for signs in itertools.product((1, -1), repeat=r):
-                _check_classes_brute_force(PrimaryPart(p, tuple(range(r)), signs))
+                _check_classes_brute_force(form_part(p, signs))
 
 
 def _rung_one_classes(part):
@@ -173,7 +173,7 @@ def test_classes_in_tiny_slabs_match_brute_force(monkeypatch, cells):
     cases += [(5, (1, -1, 1, -1, 1)), (7, (-1, -1, 1, 1, 1)), (3, (1, -1, 1, -1, 1, -1)), (5, (1, 1, 1, 1, -1, 1))]
     monkeypatch.setattr(kernels, "CELLS", cells)
     for p, signs in cases:
-        part = PrimaryPart(p, tuple(range(len(signs))), signs)
+        part = form_part(p, signs)
         xs, sizes = enumerate_isotropic_classes(part)
         got = _rung_one_classes(part)
         assert np.array_equal(got[0], xs) and np.array_equal(got[1], sizes)
@@ -184,7 +184,7 @@ def test_classes_memory_at_p307():
     # 12,013 classes scored slab by slab with a zero table (all unwitnessed,
     # so every class is written out): the traced peak stays within 2x the
     # bytes of the arrays returned plus eight CELLS-cell slabs of scratch
-    part = PrimaryPart(307, (0, 1, 2, 3), (1, -1, 1, -1))
+    part = form_part(307, (1, -1, 1, -1))
     S = np.zeros((4, 307), dtype=np.int64)
     tracemalloc.start()
     try:
@@ -198,14 +198,14 @@ def test_classes_memory_at_p307():
 
 
 def test_classes_rank_below_two_empty():
-    for part in (PrimaryPart(7, (0,), (1,)), PrimaryPart(7, (), ())):
+    for part in (form_part(7, (1,)), form_part(7, ())):
         assert _classes(part) == []
 
 
 def test_classes_flagship_counts():
     # orbit sizes add up to the hyperbolic (p+1)^2, over ~8x fewer classes
     for p in (83, 103):
-        classes = _classes(PrimaryPart(p, (0, 1, 2, 3), (1, -1, 1, -1)))
+        classes = _classes(form_part(p, (1, -1, 1, -1)))
         assert sum(size for _, size in classes) == (p + 1) ** 2
         assert len(classes) < (p + 1) ** 2 / 6
 
@@ -217,9 +217,9 @@ def test_isotropic_point_count_closed_form():
     seen = 0
     for p, r in cases:
         for signs in itertools.product((1, -1), repeat=r):
-            part = PrimaryPart(p, tuple(range(r)), signs)
+            part = form_part(p, signs)
             _, sizes = enumerate_isotropic_classes(part)
             assert isotropic_point_count(part) == int(sizes.sum()), (p, signs)
             seen += 1
     assert seen == 346
-    assert isotropic_point_count(PrimaryPart(83, (0, 1, 2, 3), (1, -1, 1, -1))) == 84**2
+    assert isotropic_point_count(form_part(83, (1, -1, 1, -1))) == 84**2

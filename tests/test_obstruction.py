@@ -20,9 +20,11 @@ from cgobstruct import (
     signature_at_minus_one,
     verify_primary_part,
 )
+from cgobstruct.kernels import GRID_CELLS, assert_grid_budget
+from cgobstruct.linking_form import PrimaryPart
 from cgobstruct.obstruction import _scan_part
 
-from oracles import brute_isotropic, full_scan
+from oracles import brute_isotropic, form_part, full_scan
 
 SMALL_COMPANIONS = {5: (3, 7, 9), 7: (3, 9, 11), 11: (3, 5, 7), 13: (3, 5, 7)}
 
@@ -162,6 +164,54 @@ def test_verify_primary_part_refuses_another_primes_tables(flagship):
             check_point((0, 0, 1, 1), swapped, flagship, 1)
 
 
+def test_ownership_check_compares_pieces(flagship):
+    # the p = 83 part of family(83,103,13,11,17) has the flagship's p, indices
+    # and signs but other companions; the flagship part with a piece dropped
+    # has no other piece of the knot; both are refused
+    own = primary_parts(flagship)[0]
+    other = primary_parts(build_family(83, 103, 13, 11, 17))[0]
+    assert (other.p, other.piece_indices, other.signs) == (own.p, own.piece_indices, own.signs)
+    assert other.pieces != own.pieces
+    dropped = PrimaryPart(83, own.piece_indices[1:], own.pieces[1:])
+    for part in (other, dropped):
+        with pytest.raises(ValueError, match="at p=83 does not belong to the knot"):
+            verify_primary_part(part, flagship, 1)
+        with pytest.raises(ValueError, match="at p=83 does not belong to the knot"):
+            check_point((0,) * (part.rank - 2) + (1, 1), part, flagship, 1)
+
+
+def test_prime_scan_memo_key_holds_the_piece_indices(flagship):
+    # T(2,5) # -T(2,5) # F has F's p = 83 pieces and s1 = 0, at indices 2..5:
+    # the same result, scanned under its own key
+    K = parse_knot("T(2,5) # -T(2,5)") + flagship
+    mine, theirs = primary_parts(flagship)[0], primary_parts(K)[1]
+    assert theirs.pieces == mine.pieces and theirs.piece_indices == (2, 3, 4, 5)
+    assert signature_at_minus_one(K) == signature_at_minus_one(flagship) == 0
+    assert verify_primary_part(theirs, K, 1) == verify_primary_part(mine, flagship, 1)
+    assert _scan_part.cache_info().currsize == 2
+
+
+def test_part_too_large_to_enumerate_is_refused_before_any_array(monkeypatch, flagship):
+    # the doubled flagship has rank 8 at p = 83: a grid of 44 * 42^5 cells,
+    # so the scan is refused before the tables or the enumerator are reached
+    import cgobstruct.obstruction as obstruction
+
+    def unreachable(*args):
+        raise AssertionError("the scan reached an array")
+
+    monkeypatch.setattr(obstruction, "build_sigma_tables", unreachable)
+    monkeypatch.setattr(obstruction, "enumerate_rung_one", unreachable)
+    K = flagship + flagship
+    part = primary_parts(K)[0]
+    assert part.rank == 8
+    with pytest.raises(ValueError, match=rf"p=83, rank 8 has 5750414208 cells, over the cap of {GRID_CELLS}"):
+        verify_primary_part(part, K, 1)
+    assert 258_063 < 3_259_872 <= GRID_CELLS  # the largest golden grid, and rank 6 at p = 83
+    assert_grid_budget(form_part(83, (1, -1) * 3))
+    with pytest.raises(ValueError, match="over the cap"):
+        assert_grid_budget(form_part(1013, (1, -1, 1, -1, 1)))
+
+
 def test_per_prime_layer_refuses_a_negative_genus_hypothesis(flagship):
     # at g = -2 the threshold 4g+1 is -7, which every point would violate
     part = primary_parts(flagship)[0]
@@ -297,19 +347,15 @@ def _leaves(value):
 
 
 def test_prime_scan_memo_holds_one_plain_result_per_key(flagship):
-    # one memo entry per (pieces of the part, s1, g, max_witnesses); 103 is p2
-    # of the first two knots and p1 of the third, and the fourth shares the
-    # flagship's p = 103 layout
+    # one memo entry per (part, s1, g, max_witnesses); 103 is p2 of the first
+    # two knots and p1 of the third, and the fourth shares the flagship's
+    # p = 103 part
     from cgobstruct.kernels import _cable_rows
 
     knots = [flagship, build_family(83, 103, 13, 11, 17), build_family(103, 107, 13, 11, 17)]
     knots.append(build_family(89, 103, 17, 11, 13))
     reports = [genus_lower_bound(K) for K in knots]
-    keys = {
-        (tuple(K.pieces[j] for j in part.piece_indices), signature_at_minus_one(K))
-        for K in knots
-        for part in primary_parts(K)
-    }
+    keys = {(part, signature_at_minus_one(K)) for K in knots for part in primary_parts(K)}
     rows = {(pc.companion_q, pc.cable_p) for K in knots for pc in K.pieces}
     assert _scan_part.cache_info().currsize == len(keys) == 7
     assert _cable_rows.cache_info().currsize == len(rows) == 16
@@ -385,7 +431,7 @@ def test_genus_lower_bound_rejects_bad_gmax(flagship):
 
 
 def _against_full_oracle(K, part, g, max_witnesses):
-    tab = build_sigma_tables(K, part.p)
+    tab = build_sigma_tables(part)
     s1 = signature_at_minus_one(K)
     got = verify_primary_part(part, K, g, max_witnesses=max_witnesses)
     want = full_scan(list(enumerate_projective_isotropic(part)), tab, g, s1, max_witnesses)

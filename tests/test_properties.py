@@ -25,13 +25,13 @@ from cgobstruct import (
     genus_lower_bound,
     parse_knot,
     primary_parts,
+    sigma_cable,
     signature_at_minus_one,
     signature_function_samples,
     verify_primary_part,
 )
 from cgobstruct import kernels, obstruction
 from cgobstruct.kernels import assert_int64_budget, class_rows, enumerate_rung_one, scan_classes
-from cgobstruct.linking_form import PrimaryPart
 from cgobstruct.obstruction import _scan_part
 from cgobstruct.primes import odd_primes_in
 
@@ -39,6 +39,7 @@ from oracles import (
     assert_bounded_scan,
     eigen_signature,
     enumerate_isotropic_classes,
+    form_part,
     full_scan,
     loop_scan,
     piece_signature_samples,
@@ -79,7 +80,7 @@ def test_sigma_table_rows_match_eigenvalue_engine(pc):
     # the rows use the lattice-count closed form; the oracle counts the
     # signs of double precision eigenvalues, refusing any in its ambiguity band
     p, qc = pc.cable_p, pc.companion_q
-    tab = build_sigma_tables(GAKnot((pc,)), p)
+    tab = build_sigma_tables(primary_parts(GAKnot((pc,)))[0])
     assert tab.scaled_sigma[0, 0] == tab.eta_arr[0, 0] == 0
     for a in range(1, p):
         want = pc.sign * (-p + Fraction(2 * a * (p - a), p) + 2 * eigen_signature(qc, a, p))
@@ -104,13 +105,29 @@ def knots_with_repeats_and_mirrors(draw):
 
 
 @settings(deadline=None)
+@given(knots_with_repeats_and_mirrors())
+def test_table_rows_follow_the_part(K):
+    # row i is the i-th piece of the part, against the Fraction path
+    for part in primary_parts(K):
+        if part.rank > 5:
+            continue
+        p, tab = part.p, build_sigma_tables(part)
+        assert part.pieces == tuple(K.pieces[j] for j in part.piece_indices)
+        assert tab.piece_indices == part.piece_indices
+        for i, pc in enumerate(part.pieces):
+            for a in range(p):
+                assert tab.scaled_sigma[i, a] == pc.sign * p * sigma_cable(pc.companion_q, p, a)
+                assert tab.eta_arr[i, a] == eta_cable(pc.companion_q, p, a)
+
+
+@settings(deadline=None)
 @given(st.lists(small_pieces, min_size=1, max_size=5).map(GAKnot))
 def test_verify_primary_part_matches_point_by_point_scan(K):
     # witnesses are the first witnessed points of the stream, each with its
     # class's smallest k, for any number asked for
     s1 = signature_at_minus_one(K)
     for part in primary_parts(K):
-        tab = build_sigma_tables(K, part.p)
+        tab = build_sigma_tables(part)
         points = list(enumerate_projective_isotropic(part))
         for g in (1, 2):
             for max_witnesses in (0, 1, 3, 10, 10**6):
@@ -286,7 +303,7 @@ def rung_one_cases(draw):
         S[j, half + 1 :] = row[:0:-1]
     s1 = draw(st.integers(-2 * p, 2 * p))
     thr = draw(st.integers(0, 3 * p))
-    return PrimaryPart(p, tuple(range(r)), signs), S, s1, thr
+    return form_part(p, signs), S, s1, thr
 
 
 @settings(deadline=None)

@@ -23,6 +23,8 @@ from cgobstruct import (
 )
 from cgobstruct.obstruction import GenusConclusion
 
+from oracles import form_part
+
 
 def _witness(k=10):
     return Witness(83, (0, 0, 1, 1), k, Fraction(8), 1, 5)
@@ -43,7 +45,7 @@ RECORDS = {
     "FoxMilnorResult": lambda v: FoxMilnorResult(v == 1, (("cable[3]", 0, 1),), ()),
     "RootOfUnity": lambda v: RootOfUnity(v, 7),
     "Character": lambda v: Character((v, 0, 2)),
-    "PrimaryPart": lambda v: PrimaryPart(83, (0, 1), (1, v)),
+    "PrimaryPart": lambda v: form_part(83, (1, v)),
     "Witness": lambda v: _witness(k=10 + v),
     "PrimeResult": lambda v: _prime(points=7056 + v),
     "GenusConclusion": lambda v: _genus(lower=2 + v),
@@ -107,6 +109,10 @@ def test_records_normalise_their_fields():
         (lambda: Piece(3, 9, 1), "cable parameter must be an odd prime, got 9"),
         (lambda: Piece(15, 5, 1), "cable prime 5 must not divide twice the companion parameter 15"),
         (lambda: GAKnot(()), "a knot needs at least one piece"),
+        (
+            lambda: PrimaryPart(83, (0,), (Piece(1, 3, 1),)),
+            "a part at p=83 needs one index per piece and every piece cabled over 83",
+        ),
         (lambda: RootOfUnity(1, 0), "order must be positive, got 0"),
         (lambda: SearchConfig((9, 83), (11,)), "search pools must contain odd primes, got 9"),
         (

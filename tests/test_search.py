@@ -179,6 +179,26 @@ def test_cached_sweep_records_match_uncached_runs(tmp_path):
             assert rec["lower_bound"] == report.genus.lower_bound, rec["tuple"]
 
 
+@pytest.mark.parametrize(
+    "p_primes, q_primes, scans, rows",
+    [
+        ((83, 89, 97, 101, 103), (11, 13, 17), (36, 24), (76, 20)),  # search_both_roles
+        ((83, 103), (11, 13, 17, 19), (0, 24), (86, 10)),  # search_pool
+    ],
+)
+def test_sweep_memo_traffic(p_primes, q_primes, scans, rows):
+    # (hits, misses) of the two memos over a sweep from cleared memos: a scan
+    # key holds the part's piece indices, so a prime's p1 and p2 roles scan
+    # apart, while its (q', p) rows serve both
+    from cgobstruct.kernels import _cable_rows
+    from cgobstruct.obstruction import _scan_part
+
+    search(SearchConfig(p_primes, q_primes))
+    for memo, want in ((_scan_part, scans), (_cable_rows, rows)):
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == want
+
+
 @pytest.mark.parametrize("first", [1, 2])
 def test_search_limit_resume_matches_fresh(tmp_path, first):
     # a sweep stopped at limit `first` resumes under a larger limit, then none
