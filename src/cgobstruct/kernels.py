@@ -50,25 +50,26 @@ as the scan of its part.
 
 Rung one on the grid: `enumerate_rung_one` scores every class at k = 1,
 slab by slab, and writes out only the seed's coordinates (`RungOne`);
-`class_rows` rebuilds any other class from its slab.
+`class_rows` rebuilds any other class from its slab.  It is the only
+k = 1 scorer: the scan takes its bounds.
 
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
 p*eta), not every best(x).  Every running maximum over k = 1..d is a
 lower bound L(x) <= best(x), and the scan takes a class only as deep as
 it must, always visiting multipliers in increasing order up to BLOCK, so
-a witness it finds is the first one.  `scan_classes` takes any rows; on
-the verify path (`obstruction._settle`) it gets the seed.  One helper,
-settle(rows, depth), evaluates rows at k = 1..depth and writes their
-first and best; past depth 1 every step is one settle:
+a witness it finds is the first one.  `scan_classes` takes any rows with
+their k = 1 bounds and least, the smallest exact best known so far (TOP
+for none); on the verify path (`obstruction._settle`) it gets the seed.
+Depth 1 is the bound: first is 1 where it exceeds p*thr, and L starts
+at it.  One helper, settle(rows, depth), evaluates rows at k = 1..depth
+and writes their first and best, and every deeper step is one settle:
 
-- depth 1 evaluates k = 1 for every row, one 1-D gather S[j, x_j] per
-  piece, written out with `out=` buffers, and L is the k = 1 value;
-- depth BLOCK settles the rows depth 1 left unwitnessed to BLOCK, one
-  row of a (p, BLOCK) table per piece;
+- depth BLOCK settles the rows k = 1 leaves unwitnessed, one row of a
+  (p, BLOCK) table per piece;
 - the scan's own seed, every row still unwitnessed and the witnessed row
-  of smallest L, is settled to (p-1)/2.  The smallest exact best among
-  it is the bound U >= the margin;
+  of smallest L, is settled to (p-1)/2.  U is the smaller of least and
+  the smallest exact best among it;
 - the rest, the witnessed rows with L < U, the only ones that could
   still set the margin, is settled to BLOCK, and the part of it still
   below U to (p-1)/2.
@@ -77,10 +78,10 @@ A full-depth settle reads, per piece, the window R[j, log x_j : log x_j
 + h] of one strided view, so its columns come in log order and its first
 witness is the smallest multiplier min(g^i, p - g^i) over the hits.  The
 result is exact: first is the first witness, and every row not settled
-to (p-1)/2 keeps an L >= U >= the minimum, so min(best) is the margin
-whatever depth each row reached.  Depth 1 runs over blocks of CELLS
-rows, and settle over CELLS // depth rows (at least one).  Sigma and eta
-at a witness are evaluated at the point, by `obstruction._scan_part`.
+to (p-1)/2 keeps an L >= U, so min(least, min(best)) = min(least, the
+rows' margin) whatever depth each row reached.  settle runs over
+CELLS // depth rows (at least one).  Sigma and eta at a witness are
+evaluated at the point, by `obstruction._scan_part`.
 """
 
 from __future__ import annotations
@@ -310,17 +311,19 @@ def class_rows(one: RungOne, idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-def scan_classes(xs, S, s1, p, thr):
+def scan_classes(xs, S, s1, p, thr, bound, least):
     """Branch-and-bound scan; see the module docstring for the contract.
 
     xs is an (n, r) int64 array (any layout) of nonzero rows reduced into
-    [0, p) and S the (r, p) scaled sigma table.  Returns (first, best),
-    each an int64 array of length n.
+    [0, p), S the (r, p) scaled sigma table, bound the rows' k = 1 bounds
+    (`RungOne.bound`) and least the smallest exact best known (TOP for
+    none).  Returns (first, best), int64 arrays of length n.
     """
     n, r = xs.shape
     h = (p - 1) // 2
-    first, best = np.empty((2, n), dtype=np.int64)
-    etas = np.empty(n, dtype=np.int64)
+    first = (bound > p * thr).astype(np.int64)
+    best = np.array(bound, dtype=np.int64)  # L at depth 1, a copy: settle writes it
+    etas = np.count_nonzero(xs, axis=1) - 1
     # the rows in log order (module docstring), then h entries S[j, 0] for x_j = 0 (log 0 = 2h)
     g = primitive_root(p)
     pw = np.array(list(accumulate(range(h - 1), lambda a, _: a * g % p, initial=1)), dtype=np.int64)
@@ -359,29 +362,17 @@ def scan_classes(xs, S, s1, p, thr):
             first[at] = np.where(hit, cols, h + 1).min(axis=1) % (h + 1)  # no hit: h + 1 -> 0
             best[at] = val.max(axis=1) - p * eta
 
-    for i in range(0, n, CELLS):  # depth 1
-        # settle's 2-D buffers cost more than this one column needs, so it is written out
-        blk = slice(i, i + CELLS)
-        eta, val = etas[blk], best[blk]
-        np.subtract(np.count_nonzero(xs[blk], axis=1), 1, out=eta)
-        S[0].take(xs[blk, 0], out=val)
-        for j in range(1, r):
-            val += S[j].take(xs[blk, j])
-        val += p * s1
-        np.abs(val, out=val)
-        val -= p * eta
-        first[blk] = val > p * thr  # |S + p*s1| > p*(thr + eta)
     miss = np.flatnonzero(first == 0)
-    settle(miss, BLOCK)  # depth BLOCK for the classes k = 1 leaves unwitnessed
+    settle(miss, BLOCK)  # depth BLOCK for the rows k = 1 leaves unwitnessed
     seed = miss[first[miss] == 0]
-    best[seed] = TOP  # overwritten by the full scan; argmin now sees witnessed classes only
-    if len(seed) < n:  # seed the witnessed class of smallest bound too
+    best[seed] = TOP  # overwritten by the full scan; argmin now sees witnessed rows only
+    if len(seed) < n:  # seed the witnessed row of smallest bound too
         seed = np.append(seed, best.argmin())
     settle(seed, h)
-    bound = best[seed].min(initial=TOP)
-    rest = np.flatnonzero((first > 0) & (best < bound))  # the only classes that could set the margin
+    upper = min(least, best[seed].min(initial=TOP))
+    rest = np.flatnonzero((first > 0) & (best < upper))  # the only rows that could set the margin
     settle(rest, BLOCK)
-    settle(rest[best[rest] < bound], h)
+    settle(rest[best[rest] < upper], h)
     return first, best
 
 

@@ -37,6 +37,7 @@ class Piece(_PieceFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     def __new__(cls, companion_q: int, cable_p: int, sign: int) -> "Piece":
         q, p, s = companion_q, cable_p, sign
@@ -77,6 +78,7 @@ class GAKnot(_KnotFields):
     """Ordered connected sum of pieces (n >= 1)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     def __new__(cls, pieces) -> "GAKnot":
         pieces = tuple(pieces)

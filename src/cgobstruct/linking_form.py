@@ -40,6 +40,7 @@ class PrimaryPart(_PartFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     def __new__(cls, p: int, piece_indices, pieces) -> "PrimaryPart":
         piece_indices, pieces = tuple(piece_indices), tuple(pieces)

@@ -29,6 +29,7 @@ from typing import NamedTuple, Optional
 
 from .casson_gordon import eta_knot, sigma_knot
 from .kernels import (
+    TOP,
     RungOne,
     assert_grid_budget,
     assert_int64_budget,
@@ -234,9 +235,10 @@ def _scan_part(part: PrimaryPart, s1: int, g: int, max_witnesses: int) -> PrimeR
     p apart.
     A part whose grid exceeds `kernels.GRID_CELLS` raises ValueError
     before any array is built.  The classes come scored at k = 1
-    (`enumerate_rung_one`; its arrays die with the scan); points, the sum
-    of orbit sizes, is checked against the closed-form count, and
-    `_settle` gives each class's first witness and the exact margin.
+    (`enumerate_rung_one`, the only k = 1 scorer; its arrays die with the
+    scan); points, the sum of orbit sizes, is checked against the
+    closed-form count, and `_settle` scans on from those k = 1 bounds to
+    each class's first witness and the exact margin.
     Witnesses are the first streamed points whose class is witnessed, with
     its first k and with sigma and eta evaluated at the point.  They lie in
     the first max_witnesses witnessed classes, as a representative is the
@@ -286,23 +288,24 @@ def _scan_part(part: PrimaryPart, s1: int, g: int, max_witnesses: int) -> PrimeR
 def _settle(classes: RungOne, S, s1: int, p: int, thr: int):
     """Each class's first witnessing k and the margin numerator min(best).
 
-    The scan kernel takes the seed: the classes that k = 1 leaves
-    unwitnessed and the witnessed class of smallest k = 1 bound.  Its
-    minimum best is exact over them.  Every other class has first = 1 and
-    best >= its k = 1 bound, so only those whose bound lies below that
-    minimum can lower it, and a second call scans them.
+    The scan kernel takes the seed, the classes that k = 1 leaves
+    unwitnessed and the witnessed class of smallest k = 1 bound, with
+    their bounds from rung one and no best known yet (TOP); its minimum
+    best is exact over them.  Every other class has first = 1 and best >=
+    its k = 1 bound, so only those whose bound lies below that minimum
+    can lower it, and a second call scans them, starting from it.
     """
     _, scan = select_kernel()
     bound, seed = classes.bound, classes.seed
     hit = bound > p * thr
     first = hit.astype(int)
-    first[seed], best = scan(classes.xs, S, s1, p, thr)
+    first[seed], best = scan(classes.xs, S, s1, p, thr, bound[seed], TOP)
     least = int(best.min())
     low = hit & (bound < least)
     low[seed] = False
     low = low.nonzero()[0]
     if len(low):
-        least = min(least, int(scan(class_rows(classes, low), S, s1, p, thr)[1].min()))
+        least = min(least, int(scan(class_rows(classes, low), S, s1, p, thr, bound[low], least)[1].min()))
     return first, least
 
 

@@ -80,6 +80,7 @@ class SearchConfig(_ConfigFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     def __new__(cls, *args, **kwargs) -> "SearchConfig":
         cfg = super().__new__(cls, *args, **kwargs)

@@ -35,6 +35,7 @@ class RootOfUnity(_RootFields):
     """exp(2*pi*i*a/m), stored in lowest terms with 0 <= a < m."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     def __new__(cls, a: int, m: int) -> "RootOfUnity":
         if m < 1:

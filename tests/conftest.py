@@ -4,6 +4,13 @@ from cgobstruct import build_family, genus_lower_bound
 from cgobstruct.kernels import _cable_rows
 from cgobstruct.obstruction import _scan_part
 
+try:  # `pytest --hypothesis-profile=deep`: the property tests at 2,000 examples each
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    settings.register_profile("deep", max_examples=2000)
+
 
 @pytest.fixture(autouse=True)
 def fresh_memos():

@@ -35,6 +35,7 @@ import numpy as np
 DPS = 260
 ZERO_BAND = mpmath.mpf("1e-230")
 SAFE_BAND = mpmath.mpf("1e-215")
+TOP = 2**63 - 1  # `kernels.TOP`: no best known yet
 
 
 def sturm_signature_nullity(q: int, a: int, m: int) -> tuple[int, int]:
@@ -418,7 +419,7 @@ def loop_scan(xs, S, p: int, s1: int, thr: int, k_max: int | None = None):
             if not first and val > p * thr:
                 first = k
         out.append((first, best))
-    return tuple(np.array(col, dtype=np.int64) for col in zip(*out))
+    return tuple(np.array([row[i] for row in out], dtype=np.int64) for i in (0, 1))
 
 
 def compose_multipliers(S: np.ndarray, p: int) -> np.ndarray:
@@ -450,28 +451,29 @@ def scan_chunk(xs, T, s1, p, thr):
     return np.where(has, at + 1, 0).astype(np.int64), best
 
 
-def assert_bounded_scan(got, xs, S, p: int, s1: int, thr: int) -> None:
+def assert_bounded_scan(got, xs, S, p: int, s1: int, thr: int, least: int = TOP) -> None:
     """Check branch-and-bound kernel outputs against `loop_scan`."""
     from cgobstruct.kernels import BLOCK
 
     want = loop_scan(xs, S, p, s1, thr)
     depths = [loop_scan(xs, S, p, s1, thr, k_max=k)[1] for k in (1, BLOCK)]
-    assert_bounded(got, want, *depths)
+    assert_bounded(got, want, *depths, least=least)
 
 
-def assert_bounded(got, want, one, block) -> None:
+def assert_bounded(got, want, one, block, least: int = TOP) -> None:
     """Check branch-and-bound kernel outputs against an exact scan.
 
     want is an exact scan's (first, best), one its best at k = 1 and block
-    its best over k = 1..BLOCK.  first must equal the exact scan's row by
+    its best over k = 1..BLOCK, and least the best the kernel was told is
+    known already (TOP for none).  first must equal the exact scan's row by
     row.  best must be a lower bound on the exact best with the same
-    minimum.  A row left below its exact value must have a witness inside
-    the block and hold a running maximum: over k = 1..BLOCK, or, when
-    first == 1, over k = 1 alone or k = 1..BLOCK (a row witnessed at k = 1
-    is deepened only when its k = 1 bound might set the minimum).  best
-    must be exact wherever the exact value lies below the smallest best of
-    the rows that may have been left so (witnessed in the block, best equal
-    to such a running maximum).
+    minimum once least joins both.  A row left below its exact value must
+    have a witness inside the block and hold a running maximum: over
+    k = 1..BLOCK, or, when first == 1, over k = 1 alone or k = 1..BLOCK
+    (a row witnessed at k = 1 is deepened only when its k = 1 bound might
+    set the minimum).  best must be exact wherever the exact value lies
+    below the smallest best of the rows that may have been left so
+    (witnessed in the block, best equal to such a running maximum).
     """
     from cgobstruct.kernels import BLOCK
 
@@ -481,7 +483,7 @@ def assert_bounded(got, want, one, block) -> None:
     assert np.array_equal(first, first_want), (first, first_want)
     assert (best <= exact).all()
     if len(best):
-        assert best.min() == exact.min()
+        assert min(least, best.min()) == min(least, exact.min())
     in_block = (first >= 1) & (first <= BLOCK)
     held = in_block & ((best == block) | ((first == 1) & (best == one)))
     left = best < exact

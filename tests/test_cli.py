@@ -115,7 +115,7 @@ def test_verify_p300_golden_bytes(capsys, monkeypatch, cells):
     # 10,953 and 12,013 classes in three enumeration slabs per prime, of
     # which the 806 and 740 seed classes reach the scan (one depth-BLOCK
     # batch); with 64 cells of scratch, one grid row per slab (149 and 156)
-    # and 13 and 12 depth-1 blocks
+    # and depth-BLOCK batches of 16 rows
     if cells:
         monkeypatch.setattr(kernels, "CELLS", cells)
     rc, out, err = run(capsys, ["verify", "--family", "293,307,17,11,13", "--format", "json"])
@@ -483,7 +483,7 @@ def test_kernel_failure_exit_3(capsys, monkeypatch):
     # a ValueError from inside the scan is a bug, not bad input
     import cgobstruct.obstruction as obstruction
 
-    def broken(xs, S, s1, p, thr):
+    def broken(xs, S, s1, p, thr, bound, least):
         raise ValueError("operands could not be broadcast together")
 
     monkeypatch.setattr(obstruction, "select_kernel", lambda name=None: ("numpy", broken))
@@ -505,7 +505,7 @@ def test_unverified_knot_report_matches_row_gather_reference(capsys, monkeypatch
     assert rc == 1
     assert json.loads(out)["primes"][0]["margin"] == "-3/1"
 
-    def reference(xs, S, s1, p, thr):
+    def reference(xs, S, s1, p, thr, bound, least):
         return scan_chunk(xs, compose_multipliers(S, p), s1, p, thr)
 
     monkeypatch.setattr(obstruction, "select_kernel", lambda: ("numpy", reference))

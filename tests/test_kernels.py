@@ -18,6 +18,7 @@ from cgobstruct import (
 from cgobstruct.kernels import (
     BLOCK,
     CELLS,
+    TOP,
     assert_int64_budget,
     scan_classes,
     select_kernel,
@@ -36,7 +37,7 @@ from oracles import (
 
 
 def scan(xs, S, p, s1, thr):
-    return scan_classes(xs, S, s1, p, thr)
+    return scan_classes(xs, S, s1, p, thr, loop_scan(xs, S, p, s1, thr, k_max=1)[1], TOP)
 
 
 def assert_same(got, want):
@@ -123,9 +124,9 @@ def test_kernel_matches_loop_on_flagship_rows(scan_inputs, s1, thr):
 @pytest.mark.parametrize("cells", [1, 7, 60])
 @pytest.mark.parametrize("s1, thr", [(0, 5), (-4, 9), (5, 1), (0, 10**4)])
 def test_kernel_in_tiny_blocks_matches_loop(monkeypatch, scan_inputs, cells, s1, thr):
-    # a few cells of scratch: depth 1 runs 1, 7 or 60 rows per block, depth
-    # BLOCK 1 or 15 rows per batch and the full scan one row per batch, so
-    # every depth crosses a block edge at nearly every row
+    # a few cells of scratch: depth BLOCK runs 1 or 15 rows per batch and
+    # the full scan one row per batch, so every depth crosses a batch edge
+    # at nearly every row
     monkeypatch.setattr(kernels, "CELLS", cells)
     _, tab, xs = scan_inputs
     S, p, rows = tab.scaled_sigma, tab.p, xs[::10]
@@ -219,7 +220,7 @@ def p83_classes():
 
 
 def test_kernel_bounded_on_full_class_arrays(p300_classes, p83_classes):
-    # real tables. At p = 293, 307, over two depth-1 row blocks of classes:
+    # real tables. At p = 293, 307, over more than CELLS classes:
     # depth BLOCK for the 805 and 739 classes without a k = 1 witness, then
     # the seed (the 39 and 177 classes without a block witness). At p = 83
     # the seed sets the bound 11p. Of the 132 witnessed classes below it,
@@ -243,10 +244,10 @@ def test_kernel_bounded_on_full_class_arrays(p300_classes, p83_classes):
 
 
 def test_kernel_bounded_on_full_class_arrays_in_tiny_blocks(monkeypatch, p300_classes):
-    # 64 rows per depth-1 block, 16 per depth-BLOCK batch and one per
-    # full-scan batch; the seed alone settles the margin here, so the same
-    # classes are scanned in full and every output, best included, equals
-    # the scan's at the default CELLS
+    # 16 rows per depth-BLOCK batch and one per full-scan batch; the seed
+    # alone settles the margin here, so the same classes are scanned in
+    # full and every output, best included, equals the scan's at the
+    # default CELLS
     for tab, xs in p300_classes:
         S, p = tab.scaled_sigma, tab.p
         whole = scan(xs, S, p, 0, 5)
@@ -292,16 +293,17 @@ def test_kernel_deepening_stops_a_full_scan():
 
 
 def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):
-    # nothing is witnessed, so every class passes all three depths and is
-    # scanned in full, in batches of CELLS // 146 and CELLS // 153 rows;
-    # beyond the two output arrays, the per-row eta and the k = 1 miss
-    # indices (compacted in place into the seed), scratch stays within eight
-    # CELLS-cell blocks
+    # nothing is witnessed, so every class is settled to BLOCK and then
+    # scanned in full, in batches of CELLS // 146 and CELLS // 153 rows; the
+    # k = 1 bounds are the caller's, built outside the traced window, and
+    # beyond the two output arrays and the per-row eta, scratch (the miss
+    # indices and the seed among it) stays within eight CELLS-cell blocks
     for tab, xs in p300_classes:
         S, p = tab.scaled_sigma, tab.p
+        bound = loop_scan(xs, S, p, 0, 10**6, k_max=1)[1]
         tracemalloc.start()
         try:
-            got = scan(xs, S, p, 0, 10**6)
+            got = scan_classes(xs, S, 0, p, 10**6, bound, TOP)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -20,7 +20,7 @@ from cgobstruct import (
     signature_at_minus_one,
     verify_primary_part,
 )
-from cgobstruct.kernels import GRID_CELLS, assert_grid_budget
+from cgobstruct.kernels import GRID_CELLS, TOP, assert_grid_budget, enumerate_rung_one
 from cgobstruct.linking_form import PrimaryPart
 from cgobstruct.obstruction import _scan_part
 
@@ -486,3 +486,31 @@ def test_witness_walk_stops_once_every_witness_is_placed(monkeypatch, flagship):
     part = primary_parts(flagship)[0]
     res = verify_primary_part(part, flagship, 1)
     assert res.verified and [w.x for w in res.witnesses] == streamed[:3] == streamed
+
+
+def test_second_scan_starts_from_the_first_scans_margin(monkeypatch):
+    # in the (83,103,11,17,19) layout of the search_pool sweep the witnessed
+    # classes whose k = 1 bound lies below the seed's margin (124 and 45)
+    # are scanned once more, told that margin instead of TOP
+    import cgobstruct.obstruction as obstruction
+
+    select, calls = obstruction.select_kernel, []
+
+    def recording(name=None):
+        resolved, scan = select(name)
+
+        def recorded(xs, S, s1, p, thr, bound, least):
+            calls.append((p, len(xs), least))
+            return scan(xs, S, s1, p, thr, bound, least)
+
+        return resolved, recorded
+
+    monkeypatch.setattr(obstruction, "select_kernel", recording)
+    K = build_family(83, 103, 11, 17, 19)
+    s1, thr = signature_at_minus_one(K), 5
+    margins = []
+    for part in primary_parts(K):
+        S = build_sigma_tables(part).scaled_sigma
+        margins.append(obstruction._settle(enumerate_rung_one(part, S, s1, thr), S, s1, part.p, thr)[1])
+    assert calls == [(83, 279, TOP), (83, 124, 913), (103, 98, TOP), (103, 45, 1133)]
+    assert margins == [11 * 83, 11 * 103] == [913, 1133]

@@ -31,7 +31,7 @@ from cgobstruct import (
     verify_primary_part,
 )
 from cgobstruct import kernels, obstruction
-from cgobstruct.kernels import assert_int64_budget, class_rows, enumerate_rung_one, scan_classes
+from cgobstruct.kernels import TOP, assert_int64_budget, class_rows, enumerate_rung_one, scan_classes
 from cgobstruct.obstruction import _scan_part
 from cgobstruct.primes import odd_primes_in
 
@@ -265,25 +265,33 @@ def adversarial_scan_cases(draw):
     return p, S, np.array(xs, dtype=np.int64), draw(st.integers(-2, 2)), draw(st.integers(0, 4))
 
 
-@given(st.one_of(scan_cases(), adversarial_scan_cases()))
-def test_scan_kernel_matches_elementwise_loop(case):
+@given(st.one_of(scan_cases(), adversarial_scan_cases()), st.data())
+def test_scan_kernel_matches_elementwise_loop(case, data):
+    # least, the best known before the scan, is TOP, the exact minimum or
+    # a value around the rows' exact bests: first never depends on it, and
+    # the minimum of best is exact up to it
     p, S, xs, s1, thr = case
-    got = scan_classes(xs, S, s1, p, thr)
-    assert_bounded_scan(got, xs, S, p, s1, thr)
+    bound = loop_scan(xs, S, p, s1, thr, k_max=1)[1]
+    exact = loop_scan(xs, S, p, s1, thr)[1]
+    lo, hi = int(exact.min()), int(exact.max())
+    least = data.draw(st.sampled_from((TOP, lo)) | st.integers(lo - 2 * p, hi + 2 * p), label="least")
+    got = scan_classes(xs, S, s1, p, thr, bound, least)
+    assert_bounded_scan(got, xs, S, p, s1, thr, least)
     # column-major and row-strided copies of the same rows give identical outputs
     for rows in (np.asfortranarray(xs), np.repeat(xs, 3, axis=0)[::3]):
-        for a, b in zip(scan_classes(rows, S, s1, p, thr), got, strict=True):
+        for a, b in zip(scan_classes(rows, S, s1, p, thr, bound, least), got, strict=True):
             assert np.array_equal(a, b)
 
 
 @given(st.one_of(scan_cases(), adversarial_scan_cases()), st.integers(1, 16))
 def test_scan_kernel_in_tiny_blocks_matches_elementwise_loop(case, cells):
-    # 1 to 16 rows per depth-1 block, 1 to 4 per depth-BLOCK batch and few
-    # rows per full-scan batch: the bound carries across many block edges
+    # 1 to 4 rows per depth-BLOCK batch and few rows per full-scan batch:
+    # the bound carries across many batch edges
     p, S, xs, s1, thr = case
+    bound = loop_scan(xs, S, p, s1, thr, k_max=1)[1]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "CELLS", cells)
-        got = scan_classes(xs, S, s1, p, thr)
+        got = scan_classes(xs, S, s1, p, thr, bound, TOP)
     assert_bounded_scan(got, xs, S, p, s1, thr)
 
 

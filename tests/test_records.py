@@ -127,3 +127,30 @@ def test_record_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+# record -> (a valid replacement, an invalid one and its message)
+REPLACEMENTS = {
+    "Piece": (dict(sign=-1), dict(sign=0), "piece sign must be +1 or -1, got 0"),
+    "GAKnot": (dict(pieces=(Piece(1, 3, 1),)), dict(pieces=()), "a knot needs at least one piece"),
+    "PrimaryPart": (
+        dict(piece_indices=(1, 0)),
+        dict(p=7),
+        "a part at p=7 needs one index per piece and every piece cabled over 7",
+    ),
+    "RootOfUnity": (dict(a=8), dict(m=0), "order must be positive, got 0"),
+    "SearchConfig": (dict(genus=2), dict(genus=0, p_primes=(9,)), "search pools must contain odd primes, got 9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLACEMENTS))
+def test_record_replace_validates(name):
+    # _replace builds through the constructor, so it normalises and checks
+    # its fields like any other way of building the record
+    rec = RECORDS[name](1)
+    valid, invalid, message = REPLACEMENTS[name]
+    twin = rec._replace(**valid)
+    assert type(twin) is type(rec) and twin == type(rec)(*twin)
+    with pytest.raises(ValueError) as exc:
+        rec._replace(**invalid)
+    assert str(exc.value) == message

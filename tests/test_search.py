@@ -12,9 +12,11 @@ from cgobstruct import (
     config_from_settings,
     enumerate_candidates,
     genus_lower_bound,
+    is_algebraic_piece,
     parse_config_file,
     search,
 )
+from cgobstruct.primes import odd_primes_in
 
 FLAGSHIP_POOLS = dict(p_primes=(83, 103), q_primes=(11, 13, 17))
 
@@ -36,6 +38,17 @@ def test_candidate_algebraic_filter():
         p_primes=(61, 83), q_primes=(11, 13, 17), require_algebraic=False
     )
     assert len(list(enumerate_candidates(loose))) == 3
+
+
+def test_candidate_algebraic_filter_is_the_piece_rule():
+    # the sweep's inline rule min(p1, p2) <= 4*max(q) drops exactly the
+    # candidates whose family knot has a piece `is_algebraic_piece` refuses
+    pools = dict(p_primes=odd_primes_in(61, 131), q_primes=odd_primes_in(11, 31))
+    every = list(enumerate_candidates(SearchConfig(**pools, require_algebraic=False)))
+    kept = list(enumerate_candidates(SearchConfig(**pools)))
+    algebraic = [c for c in every if all(map(is_algebraic_piece, build_family(*c).pieces))]
+    assert kept == algebraic
+    assert 0 < len(kept) < len(every) == 105 * 105
 
 
 def test_candidate_pools_must_be_disjoint_per_tuple():
