@@ -67,9 +67,10 @@ and writes their first and best, and every deeper step is one settle:
 
 - depth BLOCK settles the rows k = 1 leaves unwitnessed, one row of a
   (p, BLOCK) table per piece;
-- the scan's own seed, every row still unwitnessed and the witnessed row
-  of smallest L, is settled to (p-1)/2.  U is the smaller of least and
-  the smallest exact best among it;
+- the scan's own seed, every row still unwitnessed, is settled to
+  (p-1)/2; only when it is empty and least is TOP, so that nothing bounds
+  the margin, is the row of smallest L settled instead.  U is the smaller
+  of least and the smallest exact best among the seed;
 - the rest, the witnessed rows with L < U, the only ones that could
   still set the margin, is settled to BLOCK, and the part of it still
   below U to (p-1)/2.
@@ -170,9 +171,8 @@ class RungOne(NamedTuple):
 
     Class i has the k = 1 bound bound[i] = |S + p*s1| - p*eta[i] and the
     orbit size 1 << eta[i].  seed lists the classes that k = 1 leaves
-    unwitnessed (bound <= p*thr), ascending, then the witnessed class of
-    smallest bound, if any; the rows of the (len(seed), rank) array xs are
-    their coordinates.  Slab s holds rows s*step.. of grid and classes
+    unwitnessed (bound <= p*thr), ascending, and the rows of the
+    (len(seed), rank) array xs are their coordinates.  Slab s holds rows s*step.. of grid and classes
     starts[s]..starts[s+1]-1, from which `class_rows` rebuilds any class.
     """
 
@@ -267,7 +267,6 @@ def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int) -> R
     head_e, inner_e = _grid_sum([nz] * (r - 1), grid.heads, -1)
     step = max(1, CELLS // grid.inner.size)
     bounds, etas, seed, xs, starts = [], [], [], [], [0]
-    least, top = TOP, None  # the witnessed class of smallest bound: (index, row)
     for lo in range(0, len(grid.head), step):
         t, root = _slab(grid, lo, step)
         keep = (root >= 0).ravel().nonzero()[0]
@@ -280,19 +279,12 @@ def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int) -> R
         bound = val.take(keep)
         miss = bound <= p * thr
         out = miss.nonzero()[0]
-        if len(out) < len(keep):
-            i = np.where(miss, TOP, bound).argmin()
-            if bound[i] < least:
-                least, top = bound[i], (starts[-1] + i, _coords(grid, lo, t, root, keep[i : i + 1]))
         if len(out):
             seed.append(out + starts[-1])
             xs.append(_coords(grid, lo, t, root, keep.take(out)))
         bounds.append(bound)
         etas.append(eta.take(keep))
         starts.append(starts[-1] + len(keep))
-    if top is not None:
-        seed.append(np.array([top[0]]))
-        xs.append(top[1])
     cat = np.concatenate
     seed = cat(seed) if seed else np.zeros(0, dtype=np.int64)
     xs = cat(xs, axis=1).T if xs else np.zeros((0, r), dtype=np.int64)
@@ -365,9 +357,8 @@ def scan_classes(xs, S, s1, p, thr, bound, least):
     miss = np.flatnonzero(first == 0)
     settle(miss, BLOCK)  # depth BLOCK for the rows k = 1 leaves unwitnessed
     seed = miss[first[miss] == 0]
-    best[seed] = TOP  # overwritten by the full scan; argmin now sees witnessed rows only
-    if len(seed) < n:  # seed the witnessed row of smallest bound too
-        seed = np.append(seed, best.argmin())
+    if not len(seed) and least == TOP and n:  # nothing bounds the margin: the row of smallest L does
+        seed = best.argmin(keepdims=True)
     settle(seed, h)
     upper = min(least, best[seed].min(initial=TOP))
     rest = np.flatnonzero((first > 0) & (best < upper))  # the only rows that could set the margin

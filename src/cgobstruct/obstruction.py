@@ -289,21 +289,19 @@ def _settle(classes: RungOne, S, s1: int, p: int, thr: int):
     """Each class's first witnessing k and the margin numerator min(best).
 
     The scan kernel takes the seed, the classes that k = 1 leaves
-    unwitnessed and the witnessed class of smallest k = 1 bound, with
-    their bounds from rung one and no best known yet (TOP); its minimum
-    best is exact over them.  Every other class has first = 1 and best >=
-    its k = 1 bound, so only those whose bound lies below that minimum
-    can lower it, and a second call scans them, starting from it.
+    unwitnessed, with their bounds from rung one and no best known yet
+    (TOP); its minimum best is exact over them, and TOP when the seed is
+    empty.  Every other class has first = 1 and best >= its k = 1 bound,
+    so only those whose bound lies below that minimum can lower it, and a
+    second call scans them, starting from it.
     """
     _, scan = select_kernel()
     bound, seed = classes.bound, classes.seed
     hit = bound > p * thr
     first = hit.astype(int)
     first[seed], best = scan(classes.xs, S, s1, p, thr, bound[seed], TOP)
-    least = int(best.min())
-    low = hit & (bound < least)
-    low[seed] = False
-    low = low.nonzero()[0]
+    least = int(best.min(initial=TOP))
+    low = (hit & (bound < least)).nonzero()[0]
     if len(low):
         least = min(least, int(scan(class_rows(classes, low), S, s1, p, thr, bound[low], least)[1].min()))
     return first, least

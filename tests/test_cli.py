@@ -175,22 +175,36 @@ def test_search_pool_golden_bytes(tmp_path, capsys, threads):
     assert ckpt.read_bytes() == (GOLDEN / "search_pool.checkpoint.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
-def test_search_both_roles_golden_bytes(tmp_path, capsys, resumed):
-    # each of the five p-primes is p1 of some candidates and p2 of others, so
-    # its memoised table rows serve both roles; a resume from a
-    # checkpoint cut mid-line gives the same bytes
-    golden = (GOLDEN / "search_both_roles.checkpoint.jsonl").read_bytes()
+def _search_golden(tmp_path, capsys, name, argv, resumed):
+    """Run a search against its golden bytes, fresh or resumed from its
+    golden checkpoint cut mid-line."""
+    golden = (GOLDEN / f"{name}.checkpoint.jsonl").read_bytes()
     ckpt = tmp_path / "sweep.jsonl"
     if resumed:
         cut = len(golden) // 2
         assert b"\n" not in golden[cut - 1 : cut + 1]
         ckpt.write_bytes(golden[:cut])
-    argv = ["search", "--p-set", "83,89,97,101,103", "--q-set", "11,13,17", "--format", "json"]
-    rc, out, err = run(capsys, [*argv, "--checkpoint", str(ckpt)])
+    rc, out, err = run(capsys, ["search", *argv, "--format", "json", "--checkpoint", str(ckpt)])
     assert (rc, err) == (0, "")
-    assert out.encode("utf-8") == (GOLDEN / "search_both_roles.stdout.jsonl").read_bytes()
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.stdout.jsonl").read_bytes()
     assert ckpt.read_bytes() == golden
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_search_both_roles_golden_bytes(tmp_path, capsys, resumed):
+    # each of the five p-primes is p1 of some candidates and p2 of others, so
+    # its memoised table rows serve both roles; a resume from a
+    # checkpoint cut mid-line gives the same bytes
+    argv = ["--p-set", "83,89,97,101,103", "--q-set", "11,13,17"]
+    _search_golden(tmp_path, capsys, "search_both_roles", argv, resumed)
+
+
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_search_p1000_golden_bytes(tmp_path, capsys, resumed):
+    # 12 candidates near p = 1000, 4 of them kept; two of their parts leave
+    # witnessed classes below the margin of the unwitnessed ones, and those
+    # are scanned a second time, told that margin
+    _search_golden(tmp_path, capsys, "search_p1000", ["--p-set", "1009,1013", "--q-set", "11,13,17,19"], resumed)
 
 
 def test_verify_rejects_nonpositive_threads(capsys):

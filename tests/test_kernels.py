@@ -172,8 +172,8 @@ def test_kernel_first_witness_beyond_block():
 
 def test_kernel_many_rows_tie_at_the_minimum():
     # entries from {0, +-p, 2p}: 40 of 256 classes tie at the minimum, 50
-    # are first witnessed at k = 1 and 50 beyond the block, and 83 are left
-    # below their exact best, 27 of them witnessed at k = 1 and left at their
+    # are first witnessed at k = 1 and 50 beyond the block, and 84 are left
+    # below their exact best, 28 of them witnessed at k = 1 and left at their
     # k = 1 bound
     p, half = 31, 15
     rows = np.random.default_rng(11).choice([0, p, -p, 2 * p], (4, half + 1))
@@ -187,7 +187,7 @@ def test_kernel_many_rows_tie_at_the_minimum():
     assert (exact == exact.min()).sum() == 40 and (got[0] > BLOCK).sum() == 50
     assert (got[0] == 1).sum() == 50
     left = got[1] < exact
-    assert left.sum() == 83 and (left & (got[0] == 1)).sum() == 27
+    assert left.sum() == 84 and (left & (got[0] == 1)).sum() == 28
 
 
 @pytest.fixture(scope="module")
@@ -223,10 +223,9 @@ def test_kernel_bounded_on_full_class_arrays(p300_classes, p83_classes):
     # real tables. At p = 293, 307, over more than CELLS classes:
     # depth BLOCK for the 805 and 739 classes without a k = 1 witness, then
     # the seed (the 39 and 177 classes without a block witness). At p = 83
-    # the seed sets the bound 11p. Of the 132 witnessed classes below it,
-    # the one of smallest bound (9p) is seeded and the rest phase takes 131:
-    # 30 stay below 11p at depth BLOCK (31 with the seeded one) and are
-    # scanned in full
+    # the seed sets the bound 11p, and the rest phase takes the 132
+    # witnessed classes below it (the smallest at 9p): 31 stay below 11p at
+    # depth BLOCK and are scanned in full
     for tab, xs in p300_classes + [p83_classes]:
         S, p = tab.scaled_sigma, tab.p
         got = scan(xs, S, p, 0, 5)
@@ -260,8 +259,8 @@ def test_kernel_bounded_on_full_class_arrays_in_tiny_blocks(monkeypatch, p300_cl
 
 def test_kernel_smallest_k1_bound_is_not_the_margin_class(p300_classes):
     # at p = 307 the witnessed class of smallest k = 1 bound (9p, block
-    # bound 97p) is seeded and scanned in full: its exact best is 173p,
-    # against the 7p margin that the unwitnessed seed classes set
+    # bound 97p, exact best 173p) is not seeded: the unwitnessed seed
+    # classes set the 7p margin, and it stays at its k = 1 bound, 9p >= 7p
     tab, xs = p300_classes[1]
     S, p = tab.scaled_sigma, tab.p
     one = reference(xs, S, p, 0, 5, 1)
@@ -271,13 +270,14 @@ def test_kernel_smallest_k1_bound_is_not_the_margin_class(p300_classes):
     assert (low[arg], exact[1][arg], exact[1].min()) == (9 * p, 173 * p, 7 * p)
     assert reference(xs, S, p, 0, 5, BLOCK)[1][arg] == 97 * p
     got = scan(xs, S, p, 0, 5)
-    assert (got[0][arg], got[1][arg]) == (1, 173 * p)
+    assert (got[0][arg], got[1][arg]) == (1, 9 * p)
     assert_bounded_reference(got, xs, S, p, 0, 5)
 
 
 def test_kernel_deepening_stops_a_full_scan():
     # two pieces, one class each: (1, 0) has k = 1 bound 40 and exact best 60
-    # (at k = 6) and, seeded as the witnessed minimum, sets U = 60 first;
+    # (at k = 6) and, seeded as the row of smallest bound since no row is
+    # unwitnessed and no least is given, sets U = 60 first;
     # (0, 1) has k = 1 bound 50 < U, block
     # bound 80 >= U (at k = 2) and exact best 100 (at k = 9), so deepening it
     # to BLOCK leaves it out of the full scan with best 80
@@ -290,6 +290,24 @@ def test_kernel_deepening_stops_a_full_scan():
     assert got[0].tolist() == [1, 1] and got[1].tolist() == [60, 80]
     assert loop_scan(xs, S, p, 0, 1)[1].tolist() == [60, 100]
     assert_bounded_scan(got, xs, S, p, 0, 1)
+
+
+def test_kernel_given_least_seeds_no_witnessed_row():
+    # the second call of `obstruction._settle`: every row is witnessed at
+    # k = 1, and least = 65 lies above both k = 1 bounds (40, 50), at or
+    # below both block bounds (70, 80) and below both exact bests (90, 100).
+    # least already bounds the margin, so no row is scanned in full and
+    # each stops at its block bound
+    p = 31
+    S = np.zeros((2, p), dtype=np.int64)
+    for j, a, v in [(0, 1, 40), (0, 2, 70), (0, 6, 90), (1, 1, 50), (1, 3, 80), (1, 9, 100)]:
+        S[j, a] = S[j, p - a] = v
+    xs = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    one, block, exact = (loop_scan(xs, S, p, 0, 1, k_max=k)[1] for k in (1, BLOCK, None))
+    assert (one.tolist(), block.tolist(), exact.tolist()) == ([40, 50], [70, 80], [90, 100])
+    got = scan_classes(xs, S, 0, p, 1, one, 65)
+    assert got[0].tolist() == [1, 1] and (got[1] <= block).all()
+    assert_bounded_scan(got, xs, S, p, 0, 1, least=65)
 
 
 def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):

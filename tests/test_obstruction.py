@@ -24,7 +24,7 @@ from cgobstruct.kernels import GRID_CELLS, TOP, assert_grid_budget, enumerate_ru
 from cgobstruct.linking_form import PrimaryPart
 from cgobstruct.obstruction import _scan_part
 
-from oracles import brute_isotropic, form_part, full_scan
+from oracles import brute_isotropic, enumerate_isotropic_classes, form_part, full_scan, loop_scan
 
 SMALL_COMPANIONS = {5: (3, 7, 9), 7: (3, 9, 11), 11: (3, 5, 7), 13: (3, 5, 7)}
 
@@ -490,7 +490,7 @@ def test_witness_walk_stops_once_every_witness_is_placed(monkeypatch, flagship):
 
 def test_second_scan_starts_from_the_first_scans_margin(monkeypatch):
     # in the (83,103,11,17,19) layout of the search_pool sweep the witnessed
-    # classes whose k = 1 bound lies below the seed's margin (124 and 45)
+    # classes whose k = 1 bound lies below the seed's margin (125 and 46)
     # are scanned once more, told that margin instead of TOP
     import cgobstruct.obstruction as obstruction
 
@@ -512,5 +512,29 @@ def test_second_scan_starts_from_the_first_scans_margin(monkeypatch):
     for part in primary_parts(K):
         S = build_sigma_tables(part).scaled_sigma
         margins.append(obstruction._settle(enumerate_rung_one(part, S, s1, thr), S, s1, part.p, thr)[1])
-    assert calls == [(83, 279, TOP), (83, 124, 913), (103, 98, TOP), (103, 45, 1133)]
+    assert calls == [(83, 278, TOP), (83, 125, 913), (103, 97, TOP), (103, 46, 1133)]
     assert margins == [11 * 83, 11 * 103] == [913, 1133]
+
+
+def test_every_class_witnessed_at_k1_leaves_an_empty_seed():
+    # at g = 0 every one of the 13 classes of small_knot(7) is witnessed at
+    # k = 1, so rung one's seed is empty and the first scan has no rows; the
+    # second takes every class, told TOP, and seeds the one of smallest k = 1
+    # bound (21, exact best 105) itself, while the margin 49/7 is another's
+    import cgobstruct.obstruction as obstruction
+
+    K = small_knot(7)
+    [part] = primary_parts(K)
+    p, s1, thr = part.p, signature_at_minus_one(K), 1
+    S = build_sigma_tables(part).scaled_sigma
+    one = enumerate_rung_one(part, S, s1, thr)
+    assert len(one.bound) == 13 and one.seed.tolist() == [] and one.xs.shape == (0, part.rank)
+    xs, _ = enumerate_isotropic_classes(part)
+    want_first, want_best = loop_scan(xs, S, p, s1, thr, k_max=(p - 1) // 2)
+    assert (one.bound.min(), want_best[one.bound.argmin()], want_best.min()) == (21, 105, 49)
+    first, least = obstruction._settle(one, S, s1, p, thr)
+    assert first.tolist() == want_first.tolist() == [1] * 13 and least == 49
+    assert [check_point(tuple(x), part, K, 0).k for x in xs.tolist()] == [1] * 13
+    res = verify_primary_part(part, K, 0)
+    assert res.verified and res.margin == Fraction(49, 7)
+    assert [w.k for w in res.witnesses] == [check_point(w.x, part, K, 0).k for w in res.witnesses] == [1, 1, 1]
