@@ -21,7 +21,6 @@ from .casson_gordon import (
     eta_knot,
     sigma_cable,
     sigma_knot,
-    sigma_torus,
 )
 from .kernels import SigmaTable, build_sigma_tables
 from .knots import (
@@ -29,15 +28,12 @@ from .knots import (
     GAKnot,
     Piece,
     build_family,
-    format_knot,
     fox_milnor_check,
-    is_algebraic_piece,
     parse_knot,
 )
 from .linking_form import (
     PrimaryPart,
     enumerate_projective_isotropic,
-    is_isotropic,
     primary_parts,
     sqrt_table,
 )
@@ -84,11 +80,8 @@ __all__ = [
     "eta_cable",
     "eta_knot",
     "family_parameters",
-    "format_knot",
     "fox_milnor_check",
     "genus_lower_bound",
-    "is_algebraic_piece",
-    "is_isotropic",
     "lt_nullity",
     "lt_signature",
     "parse_config_file",
@@ -97,7 +90,6 @@ __all__ = [
     "search",
     "sigma_cable",
     "sigma_knot",
-    "sigma_torus",
     "signature_at_minus_one",
     "signature_function_samples",
     "signature_nullity_exact",

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .knots import GAKnot, Piece
-from .primes import is_odd_prime
 from .signatures import RootOfUnity, lt_nullity, lt_signature
 
 
@@ -36,28 +35,13 @@ class Character(NamedTuple):
         _check_character(K, chi)
         return chi
 
-    def negated(self, K: GAKnot) -> "Character":
-        return Character(
-            tuple((-r) % pc.cable_p for r, pc in zip(self.residues, K.pieces))
-        )
-
-
-def sigma_torus(q: int, a: int) -> Fraction:
-    """sigma(T(2,q), chi_a) = -q + 2a(q-a)/q, and 0 at a = 0."""
-    if not is_odd_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
-    if not 0 <= a < q:
-        raise ValueError(f"residue {a} out of range mod {q}")
-    if a == 0:
-        return Fraction(0)
-    return -q + Fraction(2 * a * (q - a), q)
-
 
 def sigma_cable(qc: int, p: int, a: int) -> Fraction:
     """sigma of the (2,p)-cable of T(2,qc) at residue a mod p.
 
-    qc = 1 (unknot companion) reduces to sigma_torus(p, a): the correction
-    term 2*sigma_{T(2,1)} vanishes identically.
+    qc = 1 (unknot companion) gives the torus knot T(2,p),
+    -p + 2a(p-a)/p: the correction term 2*sigma_{T(2,1)} vanishes
+    identically.
     """
     _check_cable(qc, p, a)
     if a == 0:

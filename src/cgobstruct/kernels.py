@@ -104,33 +104,31 @@ TOP = 2**63 - 1  # the largest int64
 
 
 class SigmaTable(NamedTuple):
-    """The table of one prime: scaled_sigma[i] is the row S of piece
-    piece_indices[i] and eta_arr[i] its eta_cable row, both int64."""
+    """The table of one prime: scaled_sigma[i] is the int64 row S of
+    piece piece_indices[i]."""
 
     p: int
     piece_indices: tuple[int, ...]
     scaled_sigma: np.ndarray
-    eta_arr: np.ndarray
 
 
 def build_sigma_tables(part: PrimaryPart) -> SigmaTable:
-    """Tabulate p * sign * sigma_cable and eta_cable over all residues mod p.
+    """Tabulate p * sign * sigma_cable over all residues mod p.
 
     Row i is part.pieces[i]'s, read from the part alone.  The per-piece
     rows come from the memo of `_cable_rows`, so parts that share a
-    (q', p) share its read-only rows; the symmetry and eta checks still
-    run on every table.
+    (q', p) share its read-only rows; the symmetry check and the check
+    that every eta_cable row vanishes still run on every table.
     """
     p = part.p
     rows = [_cable_rows(pc.companion_q, p) for pc in part.pieces]
+    if any(eta.any() for _, eta in rows):
+        raise ArithmeticError(f"nonzero eta_cable at p={p}: the scan kernel assumes it vanishes")
     signs = np.array([[s] for s in part.signs], dtype=np.int64)
     scaled = signs * np.array([sig for sig, _ in rows])
-    etas = np.array([eta for _, eta in rows])
-    if etas.any():
-        raise ArithmeticError(f"nonzero eta_cable at p={p}: the scan kernel assumes it vanishes")
     if not np.array_equal(scaled[:, 1:], scaled[:, :0:-1]):
         raise ArithmeticError(f"table row at p={p} is not symmetric under a -> p-a")
-    return SigmaTable(p, part.piece_indices, scaled, etas)
+    return SigmaTable(p, part.piece_indices, scaled)
 
 
 @lru_cache(maxsize=None)

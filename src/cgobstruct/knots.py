@@ -164,18 +164,6 @@ def family_parameters(K: GAKnot) -> Optional[tuple[int, int, int, int, int]]:
     return params
 
 
-def is_algebraic_piece(piece: Piece) -> bool:
-    """Whether the unsigned piece is the link of a plane curve singularity.
-
-    Plain torus knots always are.  The (2,p)-cable of T(2,q') is when the
-    cable parameter clears the iterated-singularity threshold p > 2*2*q'.
-    Negative pieces report the property of their mirror.
-    """
-    if piece.is_plain_torus:
-        return True
-    return piece.cable_p > 4 * piece.companion_q
-
-
 class FoxMilnorResult(NamedTuple):
     """Outcome of the structured slice-compatibility check.
 
@@ -260,8 +248,3 @@ def parse_knot(text: str) -> GAKnot:
         else:
             pieces.append(Piece(first, int(second), sign))
     return GAKnot(tuple(pieces))
-
-
-def format_knot(K: GAKnot) -> str:
-    """Canonical string form; parse_knot(format_knot(K)) == K."""
-    return str(K)

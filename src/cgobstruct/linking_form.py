@@ -76,13 +76,6 @@ def primary_parts(K: GAKnot) -> list[PrimaryPart]:
     return parts
 
 
-def is_isotropic(x: PrimaryVector, part: PrimaryPart) -> bool:
-    """Whether sum eps_i x_i^2 = 0 mod p."""
-    if len(x) != part.rank:
-        raise ValueError(f"vector length {len(x)} does not match rank {part.rank}")
-    return sum(e * v * v for e, v in zip(part.signs, x)) % part.p == 0
-
-
 def isotropic_point_count(part: PrimaryPart) -> int:
     """Projective isotropic points of the part: N = (p^(r-1) - 1)/(p-1) for
     odd rank r, N + chi((-1)^m prod eps_i) * p^(m-1) for r = 2m, with chi the

@@ -48,13 +48,6 @@ class RootOfUnity(_RootFields):
     def is_one(self) -> bool:
         return self.m == 1
 
-    @property
-    def order(self) -> int:
-        return self.m
-
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity(self.m - self.a, self.m) if self.a else self
-
 
 @lru_cache(maxsize=65536)
 def _lt_pair(q: int, a: int, m: int) -> tuple[int, int]:

@@ -20,7 +20,10 @@ function before terms were merged by net sign: it adds every piece's
 cable and companion term at every arc.  The Laurent polynomials, the
 T(2,q) Alexander polynomial and Seifert matrix check the structured
 Fox-Milnor pairing and the signature formulas against expanded objects.
-`form_part` and `part_at` only build primary parts for the tests.
+The torus knot's Casson-Gordon invariant, the isotropy test of a vector
+and the p > 4q' rule for algebraic pieces are the closed forms as the
+paper states them.  `form_part` and `part_at` only build primary parts
+for the tests.
 """
 
 from __future__ import annotations
@@ -252,14 +255,30 @@ def alexander_polynomial(K) -> LaurentPoly:
     return acc.normalized()
 
 
+def sigma_torus(q: int, a: int) -> Fraction:
+    """sigma(T(2,q), chi_a) = -q + 2a(q-a)/q, and 0 at a = 0."""
+    return Fraction(0) if a == 0 else -q + Fraction(2 * a * (q - a), q)
+
+
+def is_algebraic_piece(piece) -> bool:
+    """Whether the unsigned piece is the link of a plane curve singularity.
+
+    Plain torus knots always are.  The (2,p)-cable of T(2,q') is when the
+    cable parameter clears the iterated-singularity threshold p > 2*2*q'.
+    Negative pieces report the property of their mirror.
+    """
+    return piece.companion_q == 1 or piece.cable_p > 4 * piece.companion_q
+
+
+def is_isotropic(x, signs: tuple[int, ...], p: int) -> bool:
+    """Whether sum eps_i x_i^2 = 0 mod p."""
+    return sum(e * v * v for e, v in zip(signs, x, strict=True)) % p == 0
+
+
 def brute_isotropic(p: int, signs: tuple[int, ...]) -> set[tuple[int, ...]]:
     """All vectors of F_p^r (zero included) with sum eps_i x_i^2 = 0 mod p."""
-    r = len(signs)
-    out = set()
-    for x in itertools.product(range(p), repeat=r):
-        if sum(e * v * v for e, v in zip(signs, x)) % p == 0:
-            out.add(x)
-    return out
+    vectors = itertools.product(range(p), repeat=len(signs))
+    return {x for x in vectors if is_isotropic(x, signs, p)}
 
 
 def enumerate_isotropic_classes(part) -> tuple[np.ndarray, np.ndarray]:
@@ -361,20 +380,23 @@ def grid_signature_samples(K, resolution: int, span: int = 1) -> list[tuple[Frac
     return out
 
 
-def full_scan(points, tables, g: int, s1: int, max_witnesses: int):
+def full_scan(points, part, g: int, s1: int, max_witnesses: int):
     """PrimeResult of a point-by-point scan over every multiplier k in 1..p-1.
 
     No sign-flip classes and no half range of k: witnesses are the first
     max_witnesses points in the given order that have a violating k, each
     with its smallest such k; the margin is min over points of
-    max over k of (|sigma + s1| - eta).  Chunked to bound memory.
+    max over k of (|sigma + s1| - eta).  Sigma is read from the part's
+    table and the per-piece eta from `eta_cable`.  Chunked to bound memory.
     """
+    from cgobstruct import build_sigma_tables, eta_cable
     from cgobstruct.obstruction import PrimeResult, Witness
 
-    p, thr = tables.p, 4 * g + 1
+    p, thr = part.p, 4 * g + 1
     if not points:
         return PrimeResult(p, 0, True, (), None)
-    S, E = tables.scaled_sigma, tables.eta_arr
+    S = build_sigma_tables(part).scaled_sigma
+    E = np.array([[eta_cable(pc.companion_q, p, a) for a in range(p)] for pc in part.pieces])
     ks = np.arange(1, p, dtype=np.int64)
     rows = np.arange(S.shape[0])
     verified, margin, witnesses = True, None, []

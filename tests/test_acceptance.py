@@ -31,7 +31,6 @@ from cgobstruct import (
     primary_parts,
     sigma_cable,
     sigma_knot,
-    sigma_torus,
     signature_at_minus_one,
     signature_function_samples,
     torus_signature_at_angle,
@@ -46,6 +45,7 @@ from oracles import (
     form_part,
     grid_signature_samples,
     kernel_dimension,
+    sigma_torus,
     signature_arcs,
     sturm_signature_nullity,
 )
@@ -349,7 +349,9 @@ def test_sigma_eta_conjugation_symmetry(flagship):
     rng = random.Random(20260815)
     for _ in range(25):
         chi = _random_character(flagship, rng)
-        bar = chi.negated(flagship)
+        bar = Character.for_knot(
+            flagship, [-a % pc.cable_p for a, pc in zip(chi.residues, flagship.pieces)]
+        )
         assert sigma_knot(flagship, chi) == sigma_knot(flagship, bar)
         assert eta_knot(flagship, chi) == eta_knot(flagship, bar)
 

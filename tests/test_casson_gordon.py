@@ -12,26 +12,27 @@ from cgobstruct import (
     eta_knot,
     sigma_cable,
     sigma_knot,
-    sigma_torus,
 )
+from cgobstruct import kernels
 
-from oracles import part_at
+from oracles import part_at, sigma_torus
 
 
 def test_sigma_torus_values():
-    assert sigma_torus(3, 1) == Fraction(-5, 3)
-    assert sigma_torus(5, 2) == Fraction(-13, 5)
-    assert sigma_torus(83, 0) == 0
-    assert sigma_torus(83, 1) == Fraction(-6725, 83)
+    # the oracle's closed form, and T(2,q) as the cable of the unknot
+    assert sigma_torus(3, 1) == sigma_cable(1, 3, 1) == Fraction(-5, 3)
+    assert sigma_torus(5, 2) == sigma_cable(1, 5, 2) == Fraction(-13, 5)
+    assert sigma_torus(83, 0) == sigma_cable(1, 83, 0) == 0
+    assert sigma_torus(83, 1) == sigma_cable(1, 83, 1) == Fraction(-6725, 83)
 
 
 def test_sigma_torus_validation():
     with pytest.raises(ValueError):
-        sigma_torus(9, 1)  # composite
+        sigma_cable(1, 9, 1)  # composite
     with pytest.raises(ValueError):
-        sigma_torus(5, 5)  # residue out of range
+        sigma_cable(1, 5, 5)  # residue out of range
     with pytest.raises(ValueError):
-        sigma_torus(5, -1)
+        sigma_cable(1, 5, -1)
 
 
 def test_sigma_cable_values():
@@ -102,7 +103,9 @@ def test_conjugation_symmetry(flagship):
     for _ in range(25):
         res = [rng.randrange(pc.cable_p) for pc in flagship.pieces]
         chi = Character.for_knot(flagship, res)
-        neg = chi.negated(flagship)
+        neg = Character.for_knot(
+            flagship, [-a % pc.cable_p for a, pc in zip(res, flagship.pieces)]
+        )
         assert sigma_knot(flagship, chi) == sigma_knot(flagship, neg)
         assert eta_knot(flagship, chi) == eta_knot(flagship, neg)
 
@@ -155,25 +158,24 @@ def test_sigma_table_structure(flagship):
             pc = flagship.pieces[j]
             assert pc.cable_p == p
             sigma = [Fraction(int(v), p) for v in tab.scaled_sigma[i]]
-            assert sigma[0] == 0 and tab.eta_arr[i][0] == 0
+            eta = kernels._cable_rows(pc.companion_q, p)[1]
+            assert sigma[0] == 0 and eta[0] == 0
             for a in range(1, p):
                 assert sigma[a] == sigma[p - a]
                 direct = pc.sign * sigma_cable(pc.companion_q, p, a)
                 assert sigma[a] == direct
-                assert tab.eta_arr[i][a] == eta_cable(pc.companion_q, p, a)
+                assert eta[a] == eta_cable(pc.companion_q, p, a)
                 assert tab.scaled_sigma[i][a] == direct * p
 def test_sigma_table_mirror_twins_negate():
     K = GAKnot((Piece(5, 7, +1), Piece(5, 7, -1)))
     tab = build_sigma_tables(part_at(K, 7))
     for a in range(7):
         assert Fraction(int(tab.scaled_sigma[0, a]), 7) == -Fraction(int(tab.scaled_sigma[1, a]), 7)
-        assert tab.eta_arr[0, a] == tab.eta_arr[1, a]
+        assert eta_cable(5, 7, a) == kernels._cable_rows(5, 7)[1][a]
 
 
 def test_sigma_table_asserts_row_symmetry(monkeypatch):
     # the class scan is exact only if every row has entry[a] == entry[p-a]
-    from cgobstruct import kernels
-
     K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
     real = kernels._cable_rows
 
@@ -190,10 +192,8 @@ def test_sigma_table_asserts_row_symmetry(monkeypatch):
 
 def test_sigma_table_asserts_eta_vanishes(monkeypatch):
     # the scan kernel takes eta = support - 1, exact only while eta_cable is 0
-    from cgobstruct import kernels
-
     K = GAKnot((Piece(3, 7, +1), Piece(5, 7, -1)))
-    assert not kernels.build_sigma_tables(part_at(K, 7)).eta_arr.any()
+    assert not any(kernels._cable_rows(pc.companion_q, 7)[1].any() for pc in K.pieces)
     real = kernels._cable_rows
 
     def nonzero(qc, p):  # a nullity at a = 3 (and its conjugate) of the second row

@@ -8,7 +8,6 @@ from cgobstruct import (
     GAKnot,
     Piece,
     enumerate_projective_isotropic,
-    is_isotropic,
     primary_parts,
     sqrt_table,
 )
@@ -16,7 +15,7 @@ from cgobstruct import kernels
 from cgobstruct.kernels import class_rows, enumerate_rung_one
 from cgobstruct.linking_form import isotropic_point_count
 
-from oracles import brute_isotropic, enumerate_isotropic_classes, expand_projective, form_part
+from oracles import brute_isotropic, enumerate_isotropic_classes, expand_projective, form_part, is_isotropic
 
 
 def test_primary_parts_flagship(flagship):
@@ -37,13 +36,12 @@ def test_primary_parts_small():
 
 
 def test_is_isotropic():
-    P = form_part(83, (1, -1, 1, -1))
-    assert is_isotropic((1, 1, 0, 0), P)
-    assert not is_isotropic((1, 0, 0, 0), P)
-    P5 = form_part(5, (1, -1, 1, -1))
-    assert not is_isotropic((1, 2, 1, 2), P5)  # 1-4+1-4 = -6 != 0 mod 5
+    signs = (1, -1, 1, -1)
+    assert is_isotropic((1, 1, 0, 0), signs, 83)
+    assert not is_isotropic((1, 0, 0, 0), signs, 83)
+    assert not is_isotropic((1, 2, 1, 2), signs, 5)  # 1-4+1-4 = -6 != 0 mod 5
     with pytest.raises(ValueError):
-        is_isotropic((1, 0), P5)
+        is_isotropic((1, 0), signs, 5)
 
 
 def test_sqrt_table():
@@ -64,7 +62,7 @@ def test_enumeration_matches_brute_force_all_sign_patterns():
             part = form_part(p, signs)
             reps = list(enumerate_projective_isotropic(part))
             for x in reps:
-                assert is_isotropic(x, part)
+                assert is_isotropic(x, signs, p)
                 assert next(v for v in x if v) == 1  # normalized representative
             # no two representatives are proportional
             seen = set()
@@ -135,7 +133,7 @@ def _check_classes_brute_force(part):
     orbits = set()
     for rep, size in classes:
         lead = next(i for i, v in enumerate(rep) if v)
-        assert rep[lead] == 1 and is_isotropic(rep, part)
+        assert rep[lead] == 1 and is_isotropic(rep, part.signs, p)
         assert all(0 <= v <= half for v in rep[lead + 1 :])
         assert rep[-1] == sqrt_table(p)[rep[-1] ** 2 % p]
         # every sign pattern on the non-leading coordinates

@@ -1,3 +1,4 @@
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +59,18 @@ def test_readme_library_use_runs(capsys):
     assert "verify_primary_part(part, K, 1)" in example
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("g₄^top = g₄ = 2\n{")
+
+
+def test_star_import_binds_exactly_all():
+    # the package imports only what it exports, and lists each name once, in order
+    import cgobstruct
+
+    ns: dict = {}
+    exec("from cgobstruct import *", ns)
+    del ns["__builtins__"]
+    public = {n for n, v in vars(cgobstruct).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert set(ns) == public == set(cgobstruct.__all__)
+    assert cgobstruct.__all__ == sorted(set(cgobstruct.__all__))
 
 
 def test_check_point_refuses_a_vector_of_another_length(flagship):
@@ -264,6 +277,26 @@ def test_genus_report_slice_control():
     assert rep.primes[0].margin == Fraction(-1)
 
 
+RANK6 = parse_knot("T(2,3;2,23) # T(2,5;2,23) # -T(2,7;2,23) # -T(2,7;2,23) # T(2,3;2,23) # T(2,7;2,23)")
+
+
+def test_default_g_max_refutes_only_g1():
+    # rank 6 at p = 23 qualifies at g = 2 as well, so a larger default would show
+    rep = genus_lower_bound(RANK6)
+    assert rep == genus_lower_bound(RANK6, g_max=1)
+    assert rep.genus.hypotheses_refuted == (1,)
+
+
+def test_rank_six_knot_certifies_genus_three():
+    # r_23 - 2g = 2 at g = 2; the lower bound is the largest refuted g plus one
+    rep = genus_lower_bound(RANK6, g_max=2)
+    assert rep.genus_hypothesis == 2
+    assert rep.genus.hypotheses_refuted == (1, 2)
+    assert rep.genus.lower_bound == 3
+    assert [(pr.p, pr.verified, pr.margin) for pr in rep.primes] == [(23, True, 19)]
+    assert rep.conclusion() == "g₄^top >= 3"
+
+
 def test_genus_report_json_schema(flagship_report):
     jsonschema = pytest.importorskip("jsonschema")
     import cgobstruct
@@ -431,10 +464,9 @@ def test_genus_lower_bound_rejects_bad_gmax(flagship):
 
 
 def _against_full_oracle(K, part, g, max_witnesses):
-    tab = build_sigma_tables(part)
     s1 = signature_at_minus_one(K)
     got = verify_primary_part(part, K, g, max_witnesses=max_witnesses)
-    want = full_scan(list(enumerate_projective_isotropic(part)), tab, g, s1, max_witnesses)
+    want = full_scan(list(enumerate_projective_isotropic(part)), part, g, s1, max_witnesses)
     assert got == want, (str(K), part.p, g)
     return got
 

@@ -82,9 +82,9 @@ def test_record_copies_and_pickles(name):
 
 
 def test_sigma_table_record():
-    S, E = np.zeros((2, 7), dtype=np.int64), np.zeros((2, 7), dtype=np.int64)
-    tab = SigmaTable(7, (0, 1), S, E)
-    assert tab == SigmaTable(7, (0, 1), S, E)  # same arrays
+    S = np.zeros((2, 7), dtype=np.int64)
+    tab = SigmaTable(7, (0, 1), S)
+    assert tab == SigmaTable(7, (0, 1), S)  # same arrays
     assert tab.piece_indices == (0, 1) and tab.scaled_sigma is S
     with pytest.raises(AttributeError):
         tab.p = 11

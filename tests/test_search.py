@@ -12,11 +12,12 @@ from cgobstruct import (
     config_from_settings,
     enumerate_candidates,
     genus_lower_bound,
-    is_algebraic_piece,
     parse_config_file,
     search,
 )
 from cgobstruct.primes import odd_primes_in
+
+from oracles import is_algebraic_piece
 
 FLAGSHIP_POOLS = dict(p_primes=(83, 103), q_primes=(11, 13, 17))
 

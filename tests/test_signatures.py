@@ -34,8 +34,8 @@ def test_root_of_unity_reduction():
     assert RootOfUnity(2, 6) == RootOfUnity(1, 3)
     assert RootOfUnity(5, 5) == RootOfUnity(0, 1)
     assert RootOfUnity(7, 5) == RootOfUnity(2, 5)
-    assert RootOfUnity(3, 6).order == 2
-    assert RootOfUnity(1, 8).conjugate() == RootOfUnity(7, 8)
+    assert RootOfUnity(3, 6).m == 2
+    assert RootOfUnity(-1, 8) == RootOfUnity(7, 8)
     with pytest.raises(ValueError):
         RootOfUnity(1, 0)
 
