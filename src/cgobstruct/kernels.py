@@ -33,13 +33,15 @@ The arrays rest on three invariants, stated here only:
   T(2,q')); `build_sigma_tables` raises ArithmeticError otherwise.  As p
   is prime, k*x_j = 0 mod p only when x_j = 0, so the support of k*x is
   nnz(x) for every k and eta = nnz(x) - 1 is one number per class.
-- Scratch: the per-class arrays are n long (the enumerator's bound and
-  eta, the scan's first, best and eta), the tables O(rank * p) (S, the
-  tiled root table, the log-order rows) and the grid's inner arrays
-  ((p+1)/2)^(rank-3) cells (1,764 at rank 5 and p = 83).  A slab is
-  CELLS int64 cells (64 KB), or one grid row when a row is larger
-  (74,088 cells at rank 6 and p = 83), and no other temporary of the
-  enumerator or the scan exceeds CELLS cells.  A grid of more than
+- Scratch: over all classes the enumerator keeps three numbers (the
+  point count, the smallest witnessed k = 1 bound and a class counter);
+  the row arrays are as long as the rows written out (the enumerator's
+  class indices, coordinates and bounds, the scan's first, best and
+  eta), the tables O(rank * p) (S, the tiled root table, the log-order
+  rows) and the grid's inner arrays ((p+1)/2)^(rank-3) cells (1,764 at
+  rank 5 and p = 83).  A slab is CELLS int64 cells (64 KB), or one grid
+  row when a row is larger (74,088 cells at rank 6 and p = 83), and no
+  other temporary of the enumerator or the scan exceeds CELLS cells.  A grid of more than
   GRID_CELLS cells in all, ((p+1)/2 + 2) * ((p+1)/2)^(rank-3), is
   refused before any array is built (`assert_grid_budget`).
 
@@ -49,9 +51,10 @@ caller can change what a later one reads.  Everything else lives as long
 as the scan of its part.
 
 Rung one on the grid: `enumerate_rung_one` scores every class at k = 1,
-slab by slab, and writes out only the seed's coordinates (`RungOne`);
-`class_rows` rebuilds any other class from its slab.  It is the only
-k = 1 scorer: the scan takes its bounds.
+slab by slab, and writes out only the rows asked for (`RungOne`): the
+seed, or the witnessed classes whose bound lies below a given least.  It
+is the only k = 1 scorer and the only source of the scan's rows: the
+scan takes their bounds.
 
 Branch and bound: the certificate needs each class's first witnessing
 multiplier and the margin min_x best(x), best(x) = max_k (|S + p*s1| -
@@ -99,7 +102,7 @@ from .primes import primitive_root
 
 BLOCK = 4
 CELLS = 8192
-GRID_CELLS = 2**25  # a scan peaks at about 18 bytes per grid cell (p = 1009, 1013): 0.6 GB at the cap
+GRID_CELLS = 2**25  # memory follows the seed: at the cap a scan traced 8.9 MB at rank 4 (p = 11579), 293 MB at rank 6 (p = 149)
 TOP = 2**63 - 1  # the largest int64
 
 
@@ -155,7 +158,7 @@ def _cable_rows(qc: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ClassGrid(NamedTuple):
-    """The grid of `_class_grid`: what `enumerate_rung_one` and `class_rows` walk."""
+    """The grid of `_class_grid`, which `enumerate_rung_one` walks slab by slab."""
 
     heads: tuple[np.ndarray, ...]  # x_0 (and x_1) of each row of the first axis
     head: np.ndarray  # t = -Q(x_0..x_{r-2})/eps_last = add.outer(head, inner)
@@ -165,22 +168,21 @@ class _ClassGrid(NamedTuple):
 
 
 class RungOne(NamedTuple):
-    """The sign-flip classes of a primary part, scored at k = 1 (`enumerate_rung_one`).
+    """The rows of a primary part's sign-flip classes that `enumerate_rung_one` writes out.
 
-    Class i has the k = 1 bound bound[i] = |S + p*s1| - p*eta[i] and the
-    orbit size 1 << eta[i].  seed lists the classes that k = 1 leaves
-    unwitnessed (bound <= p*thr), ascending, and the rows of the
-    (len(seed), rank) array xs are their coordinates.  Slab s holds rows s*step.. of grid and classes
-    starts[s]..starts[s+1]-1, from which `class_rows` rebuilds any class.
+    Every class is scored at k = 1: its bound is |S + p*s1| - p*eta and its
+    orbit size 2^eta.  seed lists the classes written out, ascending, the
+    rows of the (len(seed), rank) array xs are their coordinates and bound
+    their k = 1 bounds.  Over all classes only two numbers are kept:
+    points, the sum of orbit sizes, and low, the smallest bound among the
+    classes that k = 1 witnesses (bound > p*thr; TOP for none).
     """
 
-    bound: np.ndarray
-    eta: np.ndarray
     seed: np.ndarray
     xs: np.ndarray
-    grid: Optional[_ClassGrid]  # None below rank 2, where there are no classes
-    step: int
-    starts: np.ndarray
+    bound: np.ndarray
+    points: int
+    low: int
 
 
 def _grid_sum(rows, heads, const):
@@ -224,22 +226,7 @@ def _class_grid(part: PrimaryPart) -> _ClassGrid:
     return _ClassGrid(heads, head, inner, ~valid, roots.ravel())
 
 
-def _slab(grid: _ClassGrid, lo: int, step: int):
-    """t and its root over grid rows lo..lo+step-1, the root -1 off the classes."""
-    t = np.add.outer(grid.head[lo : lo + step], grid.inner)
-    root = grid.roots.take(t)
-    if lo == 0 and len(grid.heads) > 1:
-        np.copyto(root[:1], -1, where=grid.invalid)
-    return t, root
-
-
-def _coords(grid: _ClassGrid, lo: int, t: np.ndarray, root: np.ndarray, cells) -> np.ndarray:
-    """(rank, len(cells)) coordinates of the classes at flat cells of a slab."""
-    at = np.unravel_index(cells, t.shape)
-    return np.array([h.take(at[0] + lo) for h in grid.heads] + list(at[1:]) + [root.take(cells)])
-
-
-def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int) -> RungOne:
+def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int, least: Optional[int] = None) -> RungOne:
     """Sign-flip classes of projective isotropic vectors, scored at k = 1.
 
     Negating any coordinate keeps a vector isotropic, and negating the
@@ -252,21 +239,27 @@ def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int) -> R
     Classes come in ascending lexicographic order, slab by slab from the
     grid of `_class_grid`.  In a slab, t = -Q/eps_last, the k = 1 value and
     eta are outer sums of one row per coordinate; the last coordinate's S
-    entry is read at t.  Only the seed classes are written out.
+    entry is read at t.  Only the rows asked for are written out: by
+    default the seed, the classes k = 1 leaves unwitnessed (bound <=
+    p*thr); given least, the witnessed classes whose bound lies below it.
     """
     p, r = part.p, part.rank
+    none = np.zeros(0, dtype=np.int64)
     if r < 2:
-        none = np.zeros(0, dtype=np.int64)
-        return RungOne(none, none, none, np.zeros((0, r), dtype=np.int64), None, 1, np.zeros(1, dtype=np.int64))
+        return RungOne(none, np.zeros((0, r), dtype=np.int64), none, 0, TOP)
     grid = _class_grid(part)
     last = S[r - 1].take(grid.roots)  # garbage at non-residues, which are dropped
     nz = np.minimum(np.arange((p + 1) // 2, dtype=np.int64), 1)
     head_s, inner_s = _grid_sum([S[j, : len(nz)] for j in range(r - 1)], grid.heads, p * s1)
     head_e, inner_e = _grid_sum([nz] * (r - 1), grid.heads, -1)
     step = max(1, CELLS // grid.inner.size)
-    bounds, etas, seed, xs, starts = [], [], [], [], [0]
+    seed, xs, bounds = [none], [np.zeros((r, 0), dtype=np.int64)], [none]
+    points, low, count = 0, TOP, 0
     for lo in range(0, len(grid.head), step):
-        t, root = _slab(grid, lo, step)
+        t = np.add.outer(grid.head[lo : lo + step], grid.inner)
+        root = grid.roots.take(t)  # -1 off the classes
+        if lo == 0 and len(grid.heads) > 1:
+            np.copyto(root[:1], -1, where=grid.invalid)
         keep = (root >= 0).ravel().nonzero()[0]
         val = np.add.outer(head_s[lo : lo + step], inner_s)
         val += last.take(t)
@@ -275,30 +268,18 @@ def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int) -> R
         eta += root > 0
         val -= p * eta
         bound = val.take(keep)
-        miss = bound <= p * thr
-        out = miss.nonzero()[0]
+        points += int((1 << eta.take(keep)).sum())
+        hit = bound > p * thr
+        low = min(low, int(bound[hit].min(initial=TOP)))
+        out = (~hit if least is None else hit & (bound < least)).nonzero()[0]
         if len(out):
-            seed.append(out + starts[-1])
-            xs.append(_coords(grid, lo, t, root, keep.take(out)))
-        bounds.append(bound)
-        etas.append(eta.take(keep))
-        starts.append(starts[-1] + len(keep))
-    cat = np.concatenate
-    seed = cat(seed) if seed else np.zeros(0, dtype=np.int64)
-    xs = cat(xs, axis=1).T if xs else np.zeros((0, r), dtype=np.int64)
-    return RungOne(cat(bounds), cat(etas), seed, xs, grid, step, np.array(starts))
-
-
-def class_rows(one: RungOne, idx: np.ndarray) -> np.ndarray:
-    """Coordinates of the classes idx (ascending) of a `RungOne`, rebuilt
-    from their slabs, as a (len(idx), rank) int64 array."""
-    rows = np.empty((len(idx), one.xs.shape[1]), dtype=np.int64)
-    cut = np.searchsorted(idx, one.starts)
-    for s in (cut[1:] > cut[:-1]).nonzero()[0].tolist():
-        t, root = _slab(one.grid, s * one.step, one.step)
-        cells = (root >= 0).ravel().nonzero()[0].take(idx[cut[s] : cut[s + 1]] - one.starts[s])
-        rows[cut[s] : cut[s + 1]] = _coords(one.grid, s * one.step, t, root, cells).T
-    return rows
+            cells = keep.take(out)
+            at = np.unravel_index(cells, t.shape)
+            xs.append(np.array([h.take(at[0] + lo) for h in grid.heads] + list(at[1:]) + [root.take(cells)]))
+            seed.append(out + count)
+            bounds.append(bound.take(out))
+        count += len(keep)
+    return RungOne(np.concatenate(seed), np.concatenate(xs, axis=1).T, np.concatenate(bounds), points, low)
 
 
 def scan_classes(xs, S, s1, p, thr, bound, least):
@@ -307,12 +288,15 @@ def scan_classes(xs, S, s1, p, thr, bound, least):
     xs is an (n, r) int64 array (any layout) of nonzero rows reduced into
     [0, p), S the (r, p) scaled sigma table, bound the rows' k = 1 bounds
     (`RungOne.bound`) and least the smallest exact best known (TOP for
-    none).  Returns (first, best), int64 arrays of length n.
+    none).  Returns (first, best), int64 arrays of length n; with no rows
+    they come back at once, before any table is built.
     """
     n, r = xs.shape
     h = (p - 1) // 2
     first = (bound > p * thr).astype(np.int64)
     best = np.array(bound, dtype=np.int64)  # L at depth 1, a copy: settle writes it
+    if not n:
+        return first, best
     etas = np.count_nonzero(xs, axis=1) - 1
     # the rows in log order (module docstring), then h entries S[j, 0] for x_j = 0 (log 0 = 2h)
     g = primitive_root(p)
@@ -355,7 +339,7 @@ def scan_classes(xs, S, s1, p, thr, bound, least):
     miss = np.flatnonzero(first == 0)
     settle(miss, BLOCK)  # depth BLOCK for the rows k = 1 leaves unwitnessed
     seed = miss[first[miss] == 0]
-    if not len(seed) and least == TOP and n:  # nothing bounds the margin: the row of smallest L does
+    if not len(seed) and least == TOP:  # nothing bounds the margin: the row of smallest L does
         seed = best.argmin(keepdims=True)
     settle(seed, h)
     upper = min(least, best[seed].min(initial=TOP))

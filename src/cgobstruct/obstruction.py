@@ -23,6 +23,7 @@ family shape.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -34,7 +35,6 @@ from .kernels import (
     assert_grid_budget,
     assert_int64_budget,
     build_sigma_tables,
-    class_rows,
     enumerate_rung_one,
     select_kernel,
 )
@@ -234,32 +234,37 @@ def _scan_part(part: PrimaryPart, s1: int, g: int, max_witnesses: int) -> PrimeR
     at p agree but sit at other indices (F and T(2,5) # -T(2,5) # F) scan
     p apart.
     A part whose grid exceeds `kernels.GRID_CELLS` raises ValueError
-    before any array is built.  The classes come scored at k = 1
-    (`enumerate_rung_one`, the only k = 1 scorer; its arrays die with the
-    scan); points, the sum of orbit sizes, is checked against the
-    closed-form count, and `_settle` scans on from those k = 1 bounds to
-    each class's first witness and the exact margin.
+    before any array is built.  Rung one (`enumerate_rung_one`, the only
+    k = 1 scorer) writes out the seed, the classes k = 1 leaves
+    unwitnessed, and sums the orbit sizes into points, which is checked
+    against the closed-form count; `_settle` scans on from the seed's k = 1
+    bounds to each seed class's first witness and the exact margin.  Every
+    other class is witnessed at k = 1, so points less the unwitnessed seed
+    classes' points are witnessed.
     Witnesses are the first streamed points whose class is witnessed, with
     its first k and with sigma and eta evaluated at the point.  They lie in
     the first max_witnesses witnessed classes, as a representative is the
-    smallest point of its orbit: a point is witnessed at k = 1 if its class
-    is, and otherwise its representative (v -> min(v, p - v)) is looked up
-    among those classes' seed rows, until every witness is placed.
+    smallest point of its orbit, and those classes end where
+    max_witnesses witnessed classes precede the next unwitnessed one: at
+    the unwitnessed class u[i], u[i] - i witnessed classes precede it.  A
+    point is witnessed at k = 1 if its class is, and otherwise its
+    representative (v -> min(v, p - v)) is looked up among those classes'
+    seed rows, until every witness is placed.
     """
     p = part.p
     assert_grid_budget(part)
     S = build_sigma_tables(part).scaled_sigma
     thr = 4 * g + 1
     assert_int64_budget(S, p, s1, thr)
-    classes = enumerate_rung_one(part, S, s1, thr)
-    n = int((1 << classes.eta).sum())
+    one = enumerate_rung_one(part, S, s1, thr)
+    n = one.points
     want = isotropic_point_count(part)
     if n != want:
         raise ArithmeticError(f"isotropic point count mismatch at p={p}: {n} != {want}")
     if n == 0:
         return PrimeResult(p, 0, True, (), None)
     try:
-        first, least = _settle(classes, S, s1, p, thr)
+        first, least = _settle(part, one, S, s1, thr)
     except (ValueError, IndexError) as exc:  # a kernel bug, not bad input
         raise ArithmeticError(f"scan kernel failed at p={p}: {exc}") from exc
 
@@ -267,12 +272,14 @@ def _scan_part(part: PrimaryPart, s1: int, g: int, max_witnesses: int) -> PrimeR
     margin = Fraction(least, p)
     if verified != (margin > thr):
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
-    idx = (first > 0).nonzero()[0][:max_witnesses]
-    wanted = min(max_witnesses, int((1 << classes.eta[idx]).sum()))
+    miss = first == 0
+    u = one.seed[miss]
+    wanted = min(max_witnesses, n - int((1 << ((one.xs[miss] != 0).sum(axis=1) - 1)).sum()))
     witnesses: list[Witness] = []
     if wanted:
-        deep = (classes.seed <= idx[-1]) & (first[classes.seed] > 1)
-        ks = dict(zip(map(tuple, classes.xs[deep].tolist()), first[classes.seed[deep]].tolist()))
+        end = max_witnesses - 1 + bisect_left(range(len(u)), max_witnesses, key=lambda i: u.item(i) - i)
+        deep = (one.seed <= end) & (first > 1)
+        ks = dict(zip(map(tuple, one.xs[deep].tolist()), first[deep].tolist()))
         for x in enumerate_projective_isotropic(part):
             eta = len(x) - x.count(0) - 1
             sig = sum(S.item(j, v) for j, v in enumerate(x))
@@ -285,25 +292,25 @@ def _scan_part(part: PrimaryPart, s1: int, g: int, max_witnesses: int) -> PrimeR
     return PrimeResult(p, n, verified, tuple(witnesses), margin)
 
 
-def _settle(classes: RungOne, S, s1: int, p: int, thr: int):
-    """Each class's first witnessing k and the margin numerator min(best).
+def _settle(part: PrimaryPart, one: RungOne, S, s1: int, thr: int):
+    """The seed classes' first witnessing k and the margin numerator min(best).
 
-    The scan kernel takes the seed, the classes that k = 1 leaves
-    unwitnessed, with their bounds from rung one and no best known yet
+    The scan kernel takes rung one's seed (one), the classes that k = 1
+    leaves unwitnessed, with their k = 1 bounds and no best known yet
     (TOP); its minimum best is exact over them, and TOP when the seed is
     empty.  Every other class has first = 1 and best >= its k = 1 bound,
-    so only those whose bound lies below that minimum can lower it, and a
-    second call scans them, starting from it.
+    so only those whose bound lies below that minimum can lower it.  When
+    rung one's low, the smallest such bound, does, a second pass of rung
+    one writes those classes out and a second call scans them, starting
+    from that minimum.
     """
     _, scan = select_kernel()
-    bound, seed = classes.bound, classes.seed
-    hit = bound > p * thr
-    first = hit.astype(int)
-    first[seed], best = scan(classes.xs, S, s1, p, thr, bound[seed], TOP)
+    p = part.p
+    first, best = scan(one.xs, S, s1, p, thr, one.bound, TOP)
     least = int(best.min(initial=TOP))
-    low = (hit & (bound < least)).nonzero()[0]
-    if len(low):
-        least = min(least, int(scan(class_rows(classes, low), S, s1, p, thr, bound[low], least)[1].min()))
+    if one.low < least:
+        low = enumerate_rung_one(part, S, s1, thr, least)
+        least = min(least, int(scan(low.xs, S, s1, p, thr, low.bound, least)[1].min()))
     return first, least
 
 

@@ -331,6 +331,19 @@ def test_kernel_unwitnessed_full_class_arrays_in_pieces(p300_classes):
         assert peak < cap, f"scan peak {peak} B at p={p}, cap {cap} B"
 
 
+def test_scan_of_no_rows_builds_no_table(monkeypatch):
+    # an empty seed comes back at once, before the primitive root and the
+    # log-order tables are built
+    def unreachable(p):
+        raise AssertionError("the scan built its tables")
+
+    monkeypatch.setattr(kernels, "primitive_root", unreachable)
+    S, none = np.zeros((4, 83), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    for least in (TOP, 0):
+        got = scan_classes(np.zeros((0, 4), dtype=np.int64), S, 0, 83, 5, none, least)
+        assert [(a.dtype, a.shape) for a in got] == [(np.int64, (0,))] * 2
+
+
 def test_select_kernel_env():
     # one kernel is left; the seam still resolves it by name
     assert select_kernel() == ("numpy", scan_classes)

@@ -12,7 +12,7 @@ from cgobstruct import (
     sqrt_table,
 )
 from cgobstruct import kernels
-from cgobstruct.kernels import class_rows, enumerate_rung_one
+from cgobstruct.kernels import enumerate_rung_one
 from cgobstruct.linking_form import isotropic_point_count
 
 from oracles import brute_isotropic, enumerate_isotropic_classes, expand_projective, form_part, is_isotropic
@@ -158,9 +158,13 @@ def test_classes_match_brute_force_all_sign_patterns():
 
 
 def _rung_one_classes(part):
-    """The rung-one enumerator's classes, every index rebuilt, as (xs, sizes)."""
+    """The rung-one enumerator's classes as (xs, sizes): with a zero table
+    every class is unwitnessed, so every one is written out, and its k = 1
+    bound is -p*eta."""
     one = enumerate_rung_one(part, np.zeros((part.rank, part.p), dtype=np.int64), 0, 0)
-    return class_rows(one, np.arange(len(one.eta))), 1 << one.eta
+    sizes = 1 << (-one.bound // part.p)
+    assert one.seed.tolist() == list(range(len(one.xs))) and one.points == sizes.sum()
+    return one.xs, sizes
 
 
 @pytest.mark.parametrize("cells", [1, 5, 40])
@@ -190,8 +194,8 @@ def test_classes_memory_at_p307():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(one.bound) == len(one.seed) == 12013
-    cap = 2 * sum(arr.nbytes for arr in one[:4]) + 8 * 8 * kernels.CELLS
+    assert len(one.bound) == len(one.seed) == len(one.xs) == 12013
+    cap = 2 * sum(arr.nbytes for arr in one[:3]) + 8 * 8 * kernels.CELLS
     assert peak <= cap, (peak, cap)
 
 

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from cgobstruct import (
     signature_at_minus_one,
     verify_primary_part,
 )
-from cgobstruct.kernels import GRID_CELLS, TOP, assert_grid_budget, enumerate_rung_one
+from cgobstruct.kernels import BLOCK, CELLS, GRID_CELLS, TOP, _cable_rows, assert_grid_budget, enumerate_rung_one
 from cgobstruct.linking_form import PrimaryPart
 from cgobstruct.obstruction import _scan_part
 
@@ -223,6 +224,29 @@ def test_part_too_large_to_enumerate_is_refused_before_any_array(monkeypatch, fl
     assert_grid_budget(form_part(83, (1, -1) * 3))
     with pytest.raises(ValueError, match="over the cap"):
         assert_grid_budget(form_part(1013, (1, -1, 1, -1, 1)))
+
+
+def test_part_scan_memory_at_p1009():
+    # one cold scan of the p = 1009 part, 128,019 classes, of which k = 1
+    # leaves 2,288 unwitnessed: the traced peak stays within twice the seed's
+    # bytes (a class index, a row and a bound each), eight CELLS-cell slabs
+    # of scratch and the tables, BLOCK + 8 rank-by-p rows in all (the scan's
+    # block table is BLOCK of them); nothing is as long as the class count
+    K = build_family(1009, 1013, 17, 11, 13)
+    part, s1 = primary_parts(K)[0], signature_at_minus_one(K)
+    S = build_sigma_tables(part).scaled_sigma
+    seed = len(enumerate_rung_one(part, S, s1, 5).seed)
+    assert seed == 2288
+    _cable_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        res = _scan_part(part, s1, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.verified and res.points == 1_020_100
+    cap = 2 * seed * 8 * (part.rank + 2) + 8 * 8 * CELLS + (BLOCK + 8) * S.nbytes
+    assert peak <= cap, (peak, cap)
 
 
 def test_per_prime_layer_refuses_a_negative_genus_hypothesis(flagship):
@@ -447,7 +471,7 @@ def test_prime_scan_memo_keeps_no_exception(monkeypatch, flagship):
 
     def miscounted(*args):
         one = classes(*args)
-        return one._replace(eta=one.eta * 0)
+        return one._replace(points=one.points - 1)
 
     with monkeypatch.context() as patch:
         patch.setattr(obstruction, "enumerate_rung_one", miscounted)
@@ -477,7 +501,7 @@ def test_class_scan_matches_full_oracle_small_knots():
         K = small_knot(p)
         part = primary_parts(K)[0]
         for g in (1, 2):
-            for max_witnesses in (3, 10**6):  # every witness, in order
+            for max_witnesses in (0, 1, 3, 10**6):  # none, the first, and every witness in order
                 res = _against_full_oracle(K, part, g, max_witnesses)
                 outcomes.add((res.verified, bool(res.witnesses)))
     assert (False, True) in outcomes  # some parts are partly witnessed
@@ -543,7 +567,7 @@ def test_second_scan_starts_from_the_first_scans_margin(monkeypatch):
     margins = []
     for part in primary_parts(K):
         S = build_sigma_tables(part).scaled_sigma
-        margins.append(obstruction._settle(enumerate_rung_one(part, S, s1, thr), S, s1, part.p, thr)[1])
+        margins.append(obstruction._settle(part, enumerate_rung_one(part, S, s1, thr), S, s1, thr)[1])
     assert calls == [(83, 278, TOP), (83, 125, 913), (103, 97, TOP), (103, 46, 1133)]
     assert margins == [11 * 83, 11 * 103] == [913, 1133]
 
@@ -551,8 +575,9 @@ def test_second_scan_starts_from_the_first_scans_margin(monkeypatch):
 def test_every_class_witnessed_at_k1_leaves_an_empty_seed():
     # at g = 0 every one of the 13 classes of small_knot(7) is witnessed at
     # k = 1, so rung one's seed is empty and the first scan has no rows; the
-    # second takes every class, told TOP, and seeds the one of smallest k = 1
-    # bound (21, exact best 105) itself, while the margin 49/7 is another's
+    # smallest k = 1 bound (21, exact best 105) lies below its TOP, so the
+    # second takes every class, told TOP, and seeds that one itself, while
+    # the margin 49/7 is another's
     import cgobstruct.obstruction as obstruction
 
     K = small_knot(7)
@@ -560,12 +585,13 @@ def test_every_class_witnessed_at_k1_leaves_an_empty_seed():
     p, s1, thr = part.p, signature_at_minus_one(K), 1
     S = build_sigma_tables(part).scaled_sigma
     one = enumerate_rung_one(part, S, s1, thr)
-    assert len(one.bound) == 13 and one.seed.tolist() == [] and one.xs.shape == (0, part.rank)
+    assert one.seed.tolist() == one.bound.tolist() == [] and one.xs.shape == (0, part.rank)
     xs, _ = enumerate_isotropic_classes(part)
+    bound = loop_scan(xs, S, p, s1, thr, k_max=1)[1]
     want_first, want_best = loop_scan(xs, S, p, s1, thr, k_max=(p - 1) // 2)
-    assert (one.bound.min(), want_best[one.bound.argmin()], want_best.min()) == (21, 105, 49)
-    first, least = obstruction._settle(one, S, s1, p, thr)
-    assert first.tolist() == want_first.tolist() == [1] * 13 and least == 49
+    assert (one.low, bound.min(), want_best[bound.argmin()], want_best.min()) == (21, 21, 105, 49)
+    first, least = obstruction._settle(part, one, S, s1, thr)
+    assert first.tolist() == [] and want_first.tolist() == [1] * 13 and least == 49
     assert [check_point(tuple(x), part, K, 0).k for x in xs.tolist()] == [1] * 13
     res = verify_primary_part(part, K, 0)
     assert res.verified and res.margin == Fraction(49, 7)

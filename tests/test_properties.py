@@ -30,7 +30,7 @@ from cgobstruct import (
     verify_primary_part,
 )
 from cgobstruct import kernels, obstruction
-from cgobstruct.kernels import TOP, assert_int64_budget, class_rows, enumerate_rung_one, scan_classes
+from cgobstruct.kernels import TOP, assert_int64_budget, enumerate_rung_one, scan_classes
 from cgobstruct.obstruction import _scan_part
 from cgobstruct.primes import odd_primes_in
 
@@ -317,33 +317,41 @@ def rung_one_cases(draw):
 @settings(deadline=None)
 @given(rung_one_cases(), st.none() | st.integers(1, 16))
 def test_rung_one_enumerator_matches_the_class_oracle(case, cells):
-    # coordinates rebuilt at every index, orbit sizes, k = 1 bounds and the
-    # seed, also with 1 to 16 cells of scratch (slabs of one grid row)
+    # the seed, and given least the witnessed classes below it, at every
+    # distinct k = 1 bound and at TOP (so every class is written out once):
+    # indices, coordinates and k = 1 bounds, and the point count and the
+    # smallest witnessed bound, also with 1 to 16 cells of scratch (slabs
+    # of one grid row)
     part, S, s1, thr = case
+    p = part.p
+    xs, sizes = enumerate_isotropic_classes(part)
+    bound = loop_scan(xs, S, p, s1, thr, k_max=1)[1] if len(xs) else sizes
+    hit = bound > p * thr
+    leasts = [None, TOP, *sorted(set(bound.tolist()))]
     with pytest.MonkeyPatch.context() as patch:
         if cells:
             patch.setattr(kernels, "CELLS", cells)
-        one = enumerate_rung_one(part, S, s1, thr)
-    xs, sizes = enumerate_isotropic_classes(part)
-    assert np.array_equal(class_rows(one, np.arange(len(xs))), xs)
-    assert np.array_equal(1 << one.eta, sizes)
-    p = part.p
-    bound = loop_scan(xs, S, p, s1, thr, k_max=1)[1] if len(xs) else sizes
-    assert np.array_equal(one.bound, bound)
-    seed = np.flatnonzero(bound <= p * thr)
-    assert one.seed.tolist() == seed.tolist()
-    assert np.array_equal(one.xs, xs[seed].reshape(-1, part.rank))
+        ones = [enumerate_rung_one(part, S, s1, thr, least) for least in leasts]
+    for least, one in zip(leasts, ones):
+        rows = np.flatnonzero(~hit if least is None else hit & (bound < least))
+        assert one.seed.tolist() == rows.tolist()
+        assert np.array_equal(one.xs, xs[rows].reshape(-1, part.rank))
+        assert np.array_equal(one.bound, bound[rows])
+        assert (one.points, one.low) == (sizes.sum(), bound[hit].min(initial=TOP))
 
 
 @settings(deadline=None)
 @given(rung_one_cases())
 def test_per_prime_pipeline_matches_loop_over_the_oracle_classes(case):
-    # each class's first witness and the margin: one scan of the seed, and a
-    # second of the witnessed classes left below its minimum
+    # each seed class's first witness (every other class's is 1) and the
+    # margin: one scan of the seed, and a second of the witnessed classes
+    # left below its minimum
     part, S, s1, thr = case
     xs, _ = enumerate_isotropic_classes(part)
     assume(len(xs))
-    first, least = obstruction._settle(enumerate_rung_one(part, S, s1, thr), S, s1, part.p, thr)
+    one = enumerate_rung_one(part, S, s1, thr)
+    first, least = obstruction._settle(part, one, S, s1, thr)
     want_first, want_best = loop_scan(xs, S, part.p, s1, thr, k_max=(part.p - 1) // 2)
-    assert np.array_equal(first, want_first)
+    assert np.array_equal(first, want_first[one.seed])
+    assert (np.delete(want_first, one.seed) == 1).all()
     assert least == want_best.min()
