@@ -33,17 +33,17 @@ The arrays rest on three invariants, stated here only:
   T(2,q')); `build_sigma_tables` raises ArithmeticError otherwise.  As p
   is prime, k*x_j = 0 mod p only when x_j = 0, so the support of k*x is
   nnz(x) for every k and eta = nnz(x) - 1 is one number per class.
-- Scratch: over all classes the enumerator keeps three numbers (the
-  point count, the smallest witnessed k = 1 bound and a class counter);
-  the row arrays are as long as the rows written out (the enumerator's
-  class indices, coordinates and bounds, the scan's first, best and
-  eta), the tables O(rank * p) (S, the tiled root table, the log-order
-  rows) and the grid's inner arrays ((p+1)/2)^(rank-3) cells (1,764 at
-  rank 5 and p = 83).  A slab is CELLS int64 cells (64 KB), or one grid
-  row when a row is larger (74,088 cells at rank 6 and p = 83), and no
-  other temporary of the enumerator or the scan exceeds CELLS cells.  A grid of more than
-  GRID_CELLS cells in all, ((p+1)/2 + 2) * ((p+1)/2)^(rank-3), is
-  refused before any array is built (`assert_grid_budget`).
+- Scratch: over all classes the enumerator keeps two numbers (the point
+  count and the smallest witnessed k = 1 bound); the row arrays are as
+  long as the rows written out (the enumerator's coordinates and bounds,
+  the scan's first, best and eta), the tables O(rank * p) (S, the tiled
+  root table, the log-order rows) and the grid's inner arrays
+  ((p+1)/2)^(rank-3) cells (1,764 at rank 5 and p = 83).  A slab is
+  CELLS int64 cells (64 KB), or one grid row when a row is larger (74,088
+  cells at rank 6 and p = 83), and no other temporary of the enumerator
+  or the scan exceeds CELLS cells.  A grid of more than GRID_CELLS cells
+  in all, ((p+1)/2 + 2) * ((p+1)/2)^(rank-3), is refused before any
+  array is built (`assert_grid_budget`).
 
 Only the table rows are memoised: per (q', p), for the life of the
 process and read-only (`_cable_rows`; `cache_clear()` frees them), so no
@@ -171,14 +171,13 @@ class RungOne(NamedTuple):
     """The rows of a primary part's sign-flip classes that `enumerate_rung_one` writes out.
 
     Every class is scored at k = 1: its bound is |S + p*s1| - p*eta and its
-    orbit size 2^eta.  seed lists the classes written out, ascending, the
-    rows of the (len(seed), rank) array xs are their coordinates and bound
-    their k = 1 bounds.  Over all classes only two numbers are kept:
+    orbit size 2^eta.  The rows of the (n, rank) array xs are the
+    coordinates of the classes written out, in class order, and bound their
+    k = 1 bounds.  Over all classes only two numbers are kept:
     points, the sum of orbit sizes, and low, the smallest bound among the
     classes that k = 1 witnesses (bound > p*thr; TOP for none).
     """
 
-    seed: np.ndarray
     xs: np.ndarray
     bound: np.ndarray
     points: int
@@ -246,15 +245,14 @@ def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int, leas
     p, r = part.p, part.rank
     none = np.zeros(0, dtype=np.int64)
     if r < 2:
-        return RungOne(none, np.zeros((0, r), dtype=np.int64), none, 0, TOP)
+        return RungOne(np.zeros((0, r), dtype=np.int64), none, 0, TOP)
     grid = _class_grid(part)
     last = S[r - 1].take(grid.roots)  # garbage at non-residues, which are dropped
     nz = np.minimum(np.arange((p + 1) // 2, dtype=np.int64), 1)
     head_s, inner_s = _grid_sum([S[j, : len(nz)] for j in range(r - 1)], grid.heads, p * s1)
     head_e, inner_e = _grid_sum([nz] * (r - 1), grid.heads, -1)
     step = max(1, CELLS // grid.inner.size)
-    seed, xs, bounds = [none], [np.zeros((r, 0), dtype=np.int64)], [none]
-    points, low, count = 0, TOP, 0
+    xs, bounds, points, low = [np.zeros((r, 0), dtype=np.int64)], [none], 0, TOP
     for lo in range(0, len(grid.head), step):
         t = np.add.outer(grid.head[lo : lo + step], grid.inner)
         root = grid.roots.take(t)  # -1 off the classes
@@ -276,10 +274,8 @@ def enumerate_rung_one(part: PrimaryPart, S: np.ndarray, s1: int, thr: int, leas
             cells = keep.take(out)
             at = np.unravel_index(cells, t.shape)
             xs.append(np.array([h.take(at[0] + lo) for h in grid.heads] + list(at[1:]) + [root.take(cells)]))
-            seed.append(out + count)
             bounds.append(bound.take(out))
-        count += len(keep)
-    return RungOne(np.concatenate(seed), np.concatenate(xs, axis=1).T, np.concatenate(bounds), points, low)
+    return RungOne(np.concatenate(xs, axis=1).T, np.concatenate(bounds), points, low)
 
 
 def scan_classes(xs, S, s1, p, thr, bound, least):

@@ -23,7 +23,6 @@ family shape.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -240,45 +239,42 @@ def _scan_part(part: PrimaryPart, s1: int, g: int, max_witnesses: int) -> PrimeR
     against the closed-form count; `_settle` scans on from the seed's k = 1
     bounds to each seed class's first witness and the exact margin.  Every
     other class is witnessed at k = 1, so points less the unwitnessed seed
-    classes' points are witnessed.
+    classes' points are witnessed.  A ValueError or IndexError of either is
+    a kernel bug, not bad input, and is raised as ArithmeticError.
     Witnesses are the first streamed points whose class is witnessed, with
-    its first k and with sigma and eta evaluated at the point.  They lie in
-    the first max_witnesses witnessed classes, as a representative is the
-    smallest point of its orbit, and those classes end where
-    max_witnesses witnessed classes precede the next unwitnessed one: at
-    the unwitnessed class u[i], u[i] - i witnessed classes precede it.  A
-    point is witnessed at k = 1 if its class is, and otherwise its
-    representative (v -> min(v, p - v)) is looked up among those classes'
-    seed rows, until every witness is placed.
+    its first k and with sigma and eta evaluated at the point.  A
+    representative is the smallest point of its orbit, so the first m of
+    them lie in the first m witnessed classes, and every seed class before
+    a deep one (witnessed past k = 1) is deep or unwitnessed: the deep
+    classes among those m are among the first m deep seed rows.  A point
+    k = 1 leaves unwitnessed is looked up there by its representative
+    (v -> min(v, p - v)), with m = max_witnesses.
     """
     p = part.p
     assert_grid_budget(part)
     S = build_sigma_tables(part).scaled_sigma
     thr = 4 * g + 1
     assert_int64_budget(S, p, s1, thr)
-    one = enumerate_rung_one(part, S, s1, thr)
+    try:
+        one = enumerate_rung_one(part, S, s1, thr)
+        first, least = _settle(part, one, S, s1, thr)
+    except (ValueError, IndexError) as exc:
+        raise ArithmeticError(f"scan kernel failed at p={p}: {exc}") from exc
     n = one.points
     want = isotropic_point_count(part)
     if n != want:
         raise ArithmeticError(f"isotropic point count mismatch at p={p}: {n} != {want}")
     if n == 0:
         return PrimeResult(p, 0, True, (), None)
-    try:
-        first, least = _settle(part, one, S, s1, thr)
-    except (ValueError, IndexError) as exc:  # a kernel bug, not bad input
-        raise ArithmeticError(f"scan kernel failed at p={p}: {exc}") from exc
 
     verified = bool((first > 0).all())
     margin = Fraction(least, p)
     if verified != (margin > thr):
         raise ArithmeticError("scan invariant broken: margin and flags disagree")
-    miss = first == 0
-    u = one.seed[miss]
-    wanted = min(max_witnesses, n - int((1 << ((one.xs[miss] != 0).sum(axis=1) - 1)).sum()))
+    wanted = min(max_witnesses, n - int((1 << ((one.xs[first == 0] != 0).sum(axis=1) - 1)).sum()))
     witnesses: list[Witness] = []
     if wanted:
-        end = max_witnesses - 1 + bisect_left(range(len(u)), max_witnesses, key=lambda i: u.item(i) - i)
-        deep = (one.seed <= end) & (first > 1)
+        deep = first.nonzero()[0][:max_witnesses]
         ks = dict(zip(map(tuple, one.xs[deep].tolist()), first[deep].tolist()))
         for x in enumerate_projective_isotropic(part):
             eta = len(x) - x.count(0) - 1

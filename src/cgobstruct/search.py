@@ -47,6 +47,8 @@ RANKINGS: dict[str, Callable[[tuple[int, int, int, int, int]], tuple]] = {
 }
 
 MAX_CANDIDATES = 10**6  # most candidates a sweep lists and sorts (about 190 B each)
+# the sorted keys of each record `_run_candidate` writes, with its "kept" value
+_SHAPES = {("kept", "margins", "report", "tuple"): True, ("kept", "lower_bound", "margins", "tuple"): False, ("error", "tuple"): None}
 
 
 class _ConfigFields(NamedTuple):
@@ -209,8 +211,9 @@ def _load_checkpoint(path: Optional[str], fingerprint: dict) -> dict[tuple, dict
 
     A final line without its newline is what a crash mid-write leaves: it
     is ignored and cut from the file, so appended records start on a line
-    of their own.  An unreadable line anywhere else, or a record written
-    under another fingerprint, raises ValueError.
+    of their own.  An unreadable line anywhere else, a record written
+    under another fingerprint, or one `_run_candidate` never writes (its
+    `_SHAPES`, with a tuple of five ints) raises ValueError.
     """
     done: dict[tuple, dict] = {}
     if not (path and os.path.exists(path)):
@@ -231,6 +234,9 @@ def _load_checkpoint(path: Optional[str], fingerprint: dict) -> dict[tuple, dict
                 f"{path}:{ln}: checkpoint was written by a search with a different "
                 f"config; this search has {fingerprint}; use a new checkpoint file"
             )
+        shape = tuple(sorted(rec))
+        if shape not in _SHAPES or rec.get("kept") is not _SHAPES[shape] or [type(v) for v in key] != [int] * 5:
+            raise ValueError(f"{path}:{ln}: damaged checkpoint record (keys {list(shape)})")
         done[key] = rec
     if end < len(data):
         with open(path, "r+b") as fh:

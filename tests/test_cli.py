@@ -469,6 +469,25 @@ def test_search_cli_checkpoint_resume(tmp_path, capsys):
     assert len(ckpt.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_search_cli_resume_refuses_a_damaged_record_exit_2(tmp_path, capsys, fmt):
+    # a kept record with its report dropped, and a rejected record flipped
+    # to kept, are records no sweep writes: the resume exits 2 naming the
+    # line instead of printing a kept line without a report, or an extra one
+    lines = (GOLDEN / "search_pool.checkpoint.jsonl").read_text().splitlines()
+    recs = [json.loads(line) for line in lines]
+    at = next(i for i, rec in enumerate(recs) if rec["kept"])
+    dropped = {k: v for k, v in recs[at].items() if k != "report"}
+    flipped = {**recs[0], "kept": True}
+    for i, rec in ((at, dropped), (0, flipped)):
+        ckpt = tmp_path / "sweep.jsonl"
+        ckpt.write_text("\n".join(lines[:i] + [json.dumps(rec)] + lines[i + 1 :]) + "\n")
+        argv = ["search", "--p-set", "103,83", "--q-set", "19,11,17,13", "--format", fmt, "--checkpoint", str(ckpt)]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert f"sweep.jsonl:{i + 1}: damaged checkpoint record" in err
+
+
 def test_search_cli_resume_with_other_genus_exit_2(tmp_path, capsys):
     ckpt = tmp_path / "sweep.jsonl"
     argv = ["search", "--p-set", "83,103", "--q-set", "11,13,17", "--checkpoint", str(ckpt)]
@@ -496,18 +515,20 @@ def test_internal_invariant_failure_exit_3(capsys, monkeypatch):
 
 
 def test_kernel_failure_exit_3(capsys, monkeypatch):
-    # a ValueError from inside the scan is a bug, not bad input
+    # a ValueError from inside rung one or the scan is a bug, not bad input
     import cgobstruct.obstruction as obstruction
 
-    def broken(xs, S, s1, p, thr, bound, least):
+    def broken(*args):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(obstruction, "select_kernel", lambda name=None: ("numpy", broken))
-    rc, out, err = run(capsys, ["verify", *FLAGSHIP])
-    assert rc == 3
-    assert out == ""
-    assert err.startswith("internal error: scan kernel failed at p=83")
-    assert "operands could not be broadcast together" in err
+    for name, patched in (("select_kernel", lambda name=None: ("numpy", broken)), ("enumerate_rung_one", broken)):
+        with monkeypatch.context() as patch:
+            patch.setattr(obstruction, name, patched)
+            rc, out, err = run(capsys, ["verify", *FLAGSHIP])
+        assert rc == 3, name
+        assert out == ""
+        assert err.startswith("internal error: scan kernel failed at p=83"), name
+        assert "operands could not be broadcast together" in err
 
 
 def test_unverified_knot_report_matches_row_gather_reference(capsys, monkeypatch):

@@ -229,13 +229,13 @@ def test_part_too_large_to_enumerate_is_refused_before_any_array(monkeypatch, fl
 def test_part_scan_memory_at_p1009():
     # one cold scan of the p = 1009 part, 128,019 classes, of which k = 1
     # leaves 2,288 unwitnessed: the traced peak stays within twice the seed's
-    # bytes (a class index, a row and a bound each), eight CELLS-cell slabs
+    # bytes (a row and a bound each), eight CELLS-cell slabs
     # of scratch and the tables, BLOCK + 8 rank-by-p rows in all (the scan's
     # block table is BLOCK of them); nothing is as long as the class count
     K = build_family(1009, 1013, 17, 11, 13)
     part, s1 = primary_parts(K)[0], signature_at_minus_one(K)
     S = build_sigma_tables(part).scaled_sigma
-    seed = len(enumerate_rung_one(part, S, s1, 5).seed)
+    seed = len(enumerate_rung_one(part, S, s1, 5).xs)
     assert seed == 2288
     _cable_rows.cache_clear()
     tracemalloc.start()
@@ -245,7 +245,7 @@ def test_part_scan_memory_at_p1009():
     finally:
         tracemalloc.stop()
     assert res.verified and res.points == 1_020_100
-    cap = 2 * seed * 8 * (part.rank + 2) + 8 * 8 * CELLS + (BLOCK + 8) * S.nbytes
+    cap = 2 * seed * 8 * (part.rank + 1) + 8 * 8 * CELLS + (BLOCK + 8) * S.nbytes
     assert peak <= cap, (peak, cap)
 
 
@@ -585,7 +585,7 @@ def test_every_class_witnessed_at_k1_leaves_an_empty_seed():
     p, s1, thr = part.p, signature_at_minus_one(K), 1
     S = build_sigma_tables(part).scaled_sigma
     one = enumerate_rung_one(part, S, s1, thr)
-    assert one.seed.tolist() == one.bound.tolist() == [] and one.xs.shape == (0, part.rank)
+    assert one.bound.tolist() == [] and one.xs.shape == (0, part.rank)
     xs, _ = enumerate_isotropic_classes(part)
     bound = loop_scan(xs, S, p, s1, thr, k_max=1)[1]
     want_first, want_best = loop_scan(xs, S, p, s1, thr, k_max=(p - 1) // 2)

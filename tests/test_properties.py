@@ -319,7 +319,7 @@ def rung_one_cases(draw):
 def test_rung_one_enumerator_matches_the_class_oracle(case, cells):
     # the seed, and given least the witnessed classes below it, at every
     # distinct k = 1 bound and at TOP (so every class is written out once):
-    # indices, coordinates and k = 1 bounds, and the point count and the
+    # coordinates and k = 1 bounds, and the point count and the
     # smallest witnessed bound, also with 1 to 16 cells of scratch (slabs
     # of one grid row)
     part, S, s1, thr = case
@@ -334,7 +334,6 @@ def test_rung_one_enumerator_matches_the_class_oracle(case, cells):
         ones = [enumerate_rung_one(part, S, s1, thr, least) for least in leasts]
     for least, one in zip(leasts, ones):
         rows = np.flatnonzero(~hit if least is None else hit & (bound < least))
-        assert one.seed.tolist() == rows.tolist()
         assert np.array_equal(one.xs, xs[rows].reshape(-1, part.rank))
         assert np.array_equal(one.bound, bound[rows])
         assert (one.points, one.low) == (sizes.sum(), bound[hit].min(initial=TOP))
@@ -344,14 +343,17 @@ def test_rung_one_enumerator_matches_the_class_oracle(case, cells):
 @given(rung_one_cases())
 def test_per_prime_pipeline_matches_loop_over_the_oracle_classes(case):
     # each seed class's first witness (every other class's is 1) and the
-    # margin: one scan of the seed, and a second of the witnessed classes
-    # left below its minimum
+    # margin: one scan of the seed, the classes the oracle's k = 1 bounds
+    # leave unwitnessed, and a second of the witnessed classes left below
+    # its minimum
     part, S, s1, thr = case
     xs, _ = enumerate_isotropic_classes(part)
     assume(len(xs))
     one = enumerate_rung_one(part, S, s1, thr)
     first, least = obstruction._settle(part, one, S, s1, thr)
+    seed = loop_scan(xs, S, part.p, s1, thr, k_max=1)[1] <= part.p * thr
     want_first, want_best = loop_scan(xs, S, part.p, s1, thr, k_max=(part.p - 1) // 2)
-    assert np.array_equal(first, want_first[one.seed])
-    assert (np.delete(want_first, one.seed) == 1).all()
+    assert np.array_equal(one.xs, xs[seed].reshape(-1, part.rank))
+    assert np.array_equal(first, want_first[seed])
+    assert (want_first[~seed] == 1).all()
     assert least == want_best.min()

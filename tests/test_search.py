@@ -445,6 +445,34 @@ def test_checkpoint_corruption_before_the_last_line_fails(tmp_path):
         search(cfg, checkpoint=str(ckpt))
 
 
+def test_checkpoint_resume_takes_only_the_records_a_sweep_writes(tmp_path):
+    cfg = SearchConfig(**FLAGSHIP_POOLS)
+    ckpt = tmp_path / "sweep.jsonl"
+    full = search(cfg, checkpoint=str(ckpt))
+    recs = [json.loads(line) for line in ckpt.read_text().splitlines()]
+    assert [rec["kept"] for rec in recs] == [False, False, True]
+
+    def resume(first):
+        ckpt.write_text("".join(json.dumps(rec) + "\n" for rec in [first, *recs[1:]]))
+        return search(cfg, checkpoint=str(ckpt))
+
+    # an error record is taken as written: its candidate is not run again
+    error = {"tuple": recs[0]["tuple"], "error": "RuntimeError: boom", "config": recs[0]["config"]}
+    assert resume(error) == full and len(ckpt.read_text().splitlines()) == 3
+    damaged = [
+        {**recs[0], "tuple": recs[0]["tuple"][:4]},
+        {**recs[0], "tuple": [*recs[0]["tuple"][:4], "17"]},
+        {**recs[0], "tuple": [*recs[0]["tuple"][:4], 17.0]},
+        {**recs[0], "kept": 0},
+        {**recs[0], "report": recs[2]["report"]},
+        {k: v for k, v in recs[0].items() if k != "margins"},
+        {**error, "kept": False},
+    ]
+    for rec in damaged:
+        with pytest.raises(ValueError, match="sweep.jsonl:1: damaged checkpoint record"):
+            resume(rec)
+
+
 def test_checkpoint_records_carry_the_config(tmp_path):
     ckpt = tmp_path / "sweep.jsonl"
     kept = search(SearchConfig(**FLAGSHIP_POOLS), checkpoint=str(ckpt))
